@@ -3,7 +3,9 @@
 The steady buffer serves lookups for the current epoch while a secondary
 buffer for the next epoch is filled by a background thread; the buffers
 swap at the epoch boundary. Correctness never depends on the cache: a
-failed secondary build just leaves the old steady buffer in place.
+failed secondary build just leaves the old steady buffer in place. The
+cache keeps no hit or miss counters; each lookup's split is returned to
+the caller, which counts per bundle.
 """
 
 from __future__ import annotations
@@ -32,20 +34,16 @@ class CacheLookup:
 
 
 class _Buffer:
-    def __init__(self, hot_ids: np.ndarray, rows: np.ndarray, epoch_tag: int):
+    def __init__(self, hot_ids: np.ndarray, rows: np.ndarray):
         self.hot_ids = hot_ids  # sorted ascending
         self.rows = rows
-        self.epoch_tag = epoch_tag
 
 
 class FeatureCache:
-    def __init__(self, hot_ids: np.ndarray, rows: np.ndarray, epoch_tag: int = 0):
-        self._steady = _Buffer(hot_ids, rows, epoch_tag)
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, hot_ids: np.ndarray, rows: np.ndarray):
+        self._steady = _Buffer(hot_ids, rows)
         self._secondary: _Buffer | None = None
         self._builder: threading.Thread | None = None
-        self._build_failed = False
 
     @property
     def hot_ids(self) -> np.ndarray:
@@ -55,7 +53,6 @@ class FeatureCache:
         ids = np.asarray(node_ids, dtype=np.int64)
         buf = self._steady
         if len(buf.hot_ids) == 0:
-            self.misses += len(ids)
             return CacheLookup(
                 found_pos=np.empty(0, dtype=np.int64),
                 found_rows=np.empty((0, buf.rows.shape[1] if buf.rows.size else 0),
@@ -68,8 +65,6 @@ class FeatureCache:
         hit = buf.hot_ids[pos_clip] == ids
         found_pos = np.flatnonzero(hit)
         missing_pos = np.flatnonzero(~hit)
-        self.hits += len(found_pos)
-        self.misses += len(missing_pos)
         return CacheLookup(
             found_pos=found_pos,
             found_rows=buf.rows[pos_clip[found_pos]],
@@ -93,59 +88,42 @@ class FeatureCache:
                 freq = collect_access(plan, book, my_part, epoch=next_epoch)
                 hot = top_hot(freq, n_hot)
                 rows = client.vector_pull(hot, fill_account)
-                self._secondary = _Buffer(hot, rows, next_epoch)
+                self._secondary = _Buffer(hot, rows)
             except Exception:
                 log.warning("secondary cache build for epoch %d failed; keeping "
                             "the current steady cache", next_epoch, exc_info=True)
-                self._build_failed = True
 
-        self._build_failed = False
         self._builder = threading.Thread(target=_build, daemon=True)
         self._builder.start()
 
     def wait_secondary(self) -> None:
-        """Block until an in-flight secondary build finishes (bounded work).
-
-        Called at the epoch boundary before swap so that hit/miss
-        accounting stays deterministic across runs.
-        """
+        """Block until an in-flight secondary build finishes (bounded work)."""
         if self._builder is not None:
             self._builder.join()
             self._builder = None
 
     def swap(self) -> bool:
-        """Close the epoch: reset the hit/miss counters and install the
+        """Close the epoch: wait for an in-flight build, then install the
         secondary buffer if one completed.
 
-        The counters reset on every call, so they always cover one epoch,
-        also with a global hot set or after a failed build. Returns False,
-        keeping the steady buffer, when no completed secondary exists.
-        Callers snapshot the epoch's hit/miss counters before swapping.
+        Waiting here makes the next epoch's hot set independent of thread
+        timing. Returns False, keeping the steady buffer, when no
+        completed secondary exists.
         """
         self.wait_secondary()
-        self.hits = 0
-        self.misses = 0
         if self._secondary is None:
             return False
         self._steady = self._secondary
         self._secondary = None
         return True
 
-    def reuse_ratio(self) -> float | None:
-        """hits / (hits + misses) this epoch; None with no traffic."""
-        total = self.hits + self.misses
-        if total == 0:
-            return None
-        return self.hits / total
-
 
 def build_steady(
     hot_ids: np.ndarray,
     client: StoreClient,
     fill_account: TransferAccount | None = None,
-    epoch_tag: int = 0,
 ) -> FeatureCache:
     """Bulk-fetch the hot set into a fresh cache (one RPC per owning shard)."""
     hot_ids = np.asarray(hot_ids, dtype=np.int64)
     rows = client.vector_pull(hot_ids, fill_account)
-    return FeatureCache(hot_ids, rows, epoch_tag)
+    return FeatureCache(hot_ids, rows)

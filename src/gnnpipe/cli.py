@@ -12,7 +12,7 @@ from .graph import load_graph, save_graph, synth_powerlaw
 from .partition import (edge_cut, halo_expand, partition_edgecut,
                         partition_random, save_partition)
 from .plan import generate_plan
-from .train import RunConfig, run, worker_metrics_path
+from .train import RunConfig, _load_or_generate, run
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
@@ -28,7 +28,6 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--fanout", help="comma-separated per-layer fanouts, e.g. 10,25")
-    p.add_argument("--layers", type=int)
     p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
     p.add_argument("--lr", type=float)
     p.add_argument("--mode", choices=["baseline", "rapid"])
@@ -44,6 +43,36 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file (CLI flags win)")
 
 
+def _fanouts(text: str) -> list[int]:
+    return [int(x) for x in str(text).split(",") if x]
+
+
+# flag dest, which is also the --config key -> (RunConfig field, converter)
+_CONFIG_KEYS = {
+    "graph": ("graph_path", str),
+    "nodes": ("gen_nodes", int),
+    "edges_per_node": ("gen_edges_per_node", int),
+    "feat_dim": ("feat_dim", int),
+    "classes": ("num_classes", int),
+    "partitions": ("partitions", int),
+    "partitioner": ("partitioner", str),
+    "partition_file": ("partition_path", str),
+    "seed": ("s0", int),
+    "epochs": ("epochs", int),
+    "batch_size": ("batch_size", int),
+    "fanout": ("fanouts", _fanouts),
+    "hidden_dim": ("hidden_dim", int),
+    "lr": ("lr", float),
+    "mode": ("mode", str),
+    "precision": ("precision", str),
+    "hot_scope": ("hot_scope", str),
+    "prefetch_depth": ("prefetch_depth", int),
+    "latency_ms": ("latency_ms", float),
+    "transport": ("transport", str),
+    "metrics_out": ("metrics_out", str),
+}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as f:
@@ -54,59 +83,38 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS and key != "n_hot":
+                raise ValueError(f"unknown config key {key!r} in {path}")
+            values[key] = val.strip()
     return values
+
+
+def _set_hot_size(cfg: RunConfig, size: str) -> None:
+    """Apply a hot-set size given as a count "N" or a percent "P%"."""
+    if size.endswith("%"):
+        cfg.n_hot = None
+        cfg.n_hot_pct = float(size[:-1])
+    else:
+        cfg.n_hot = int(size)
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    file_vals = _read_config_file(args.config) if args.config else {}
 
-    def pick(cli_name: str, file_key: str):
-        v = getattr(args, cli_name, None)
-        if v is not None and v is not False:
-            return v
-        return file_vals.get(file_key)
+    def pick(key: str):
+        v = getattr(args, key)
+        return file_vals.get(key) if v is None else v
 
-    def set_if(attr, value, conv=None):
+    for key, (attr, conv) in _CONFIG_KEYS.items():
+        value = pick(key)
         if value is not None:
-            setattr(cfg, attr, conv(value) if conv else value)
-
-    set_if("graph_path", pick("graph", "graph"))
-    set_if("gen_nodes", pick("nodes", "nodes"), int)
-    set_if("gen_edges_per_node", pick("edges_per_node", "edges_per_node"), int)
-    set_if("feat_dim", pick("feat_dim", "feat_dim"), int)
-    set_if("num_classes", pick("classes", "classes"), int)
-    set_if("partitions", pick("partitions", "partitions"), int)
-    set_if("partitioner", pick("partitioner", "partitioner"))
-    set_if("partition_path", pick("partition_file", "partition_file"))
-    set_if("s0", pick("seed", "seed"), int)
-    set_if("epochs", pick("epochs", "epochs"), int)
-    set_if("batch_size", pick("batch_size", "batch_size"), int)
-    fanout = pick("fanout", "fanout")
-    if fanout is not None:
-        cfg.fanouts = [int(x) for x in str(fanout).split(",") if x]
-        cfg.num_layers = len(cfg.fanouts)
-    set_if("num_layers", pick("layers", "layers"), int)
-    set_if("hidden_dim", pick("hidden_dim", "hidden_dim"), int)
-    set_if("lr", pick("lr", "lr"), float)
-    set_if("mode", pick("mode", "mode"))
-    set_if("precision", pick("precision", "precision"))
-    n_hot = pick("n_hot", "n_hot")
+            setattr(cfg, attr, conv(value))
+    n_hot = pick("n_hot")
     if n_hot is not None:
-        n_hot = str(n_hot)
-        if n_hot.endswith("%"):
-            cfg.n_hot = None
-            cfg.n_hot_pct = float(n_hot[:-1])
-        else:
-            cfg.n_hot = int(n_hot)
-    set_if("hot_scope", pick("hot_scope", "hot_scope"))
-    set_if("prefetch_depth", pick("prefetch_depth", "prefetch_depth"), int)
-    set_if("latency_ms", pick("latency_ms", "latency_ms"), float)
-    set_if("transport", pick("transport", "transport"))
-    set_if("metrics_out", pick("metrics_out", "metrics_out"))
-    if getattr(args, "dump_cache_keys", False):
-        cfg.dump_cache_keys = True
+        _set_hot_size(cfg, str(n_hot))
+    cfg.dump_cache_keys = args.dump_cache_keys
     return cfg
 
 
@@ -131,11 +139,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
-    if cfg.graph_path:
-        g = load_graph(cfg.graph_path)
-    else:
-        g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
-                           cfg.num_classes, cfg.s0)
+    g = _load_or_generate(cfg)
     plan = generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
                          cfg.batch_size, cfg.epochs, cfg.s0)
     print(plan.digest_hex())
@@ -172,11 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for size in args.n_hot_list.split(";"):
         size = size.strip()
         swept = RunConfig(**vars(cfg))
-        if size.endswith("%"):
-            swept.n_hot = None
-            swept.n_hot_pct = float(size[:-1])
-        else:
-            swept.n_hot = int(size)
+        _set_hot_size(swept, size)
         if base_out:
             swept.metrics_out = base_out.replace(".csv", f".nhot{size.rstrip('%')}.csv")
         results = run(swept)

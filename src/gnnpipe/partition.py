@@ -112,8 +112,12 @@ def load_partition(path) -> PartitionBook:
     magic, k, num_nodes = _RPB_HEADER.unpack_from(data)
     if magic != RPB1_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     expected = _RPB_HEADER.size + 4 * num_nodes
     if len(data) < expected:
         raise OSError("truncated RPB1 payload")
     owner = np.frombuffer(data, dtype="<u4", count=num_nodes, offset=_RPB_HEADER.size)
+    if num_nodes and int(owner.max()) >= k:
+        raise ValueError(f"owner {int(owner.max())} out of range for k={k}")
     return PartitionBook(k=k, owner=owner.astype(np.int64))

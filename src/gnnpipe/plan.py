@@ -4,7 +4,7 @@ frequency counting, and hot-set selection."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class BatchPlan:
     batch_seeds: list[list[np.ndarray]]  # [epoch][batch] -> seed node ids
     input_sets: list[list[np.ndarray]]  # [epoch][batch] -> sorted input nodes
     digest: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def epochs(self) -> int:

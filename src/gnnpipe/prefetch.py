@@ -1,30 +1,34 @@
-"""Asynchronous per-epoch feature prefetcher.
+"""Feature bundles and the asynchronous prefetcher.
 
-A single producer thread assembles each upcoming batch's feature bundle
-(local shard reads + cache hits + fallback pulls) into a bounded queue of
-depth Q; the trainer consumes bundles strictly in plan order. With the
-producer holding at most one bundle in hand, at most Q+1 assembled
-bundles exist beyond the steady cache at any instant.
+`assemble_bundle` gathers one batch's feature rows: local shard reads,
+cache hits and fallback pulls. `Prefetcher` runs any iterator of bundles
+on a single producer thread into a bounded queue of depth Q; the trainer
+consumes them strictly in order. With the producer holding at most one
+bundle in hand, at most Q+1 assembled bundles exist beyond the steady
+cache at any instant.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import FeatureCache
-from .plan import BatchPlan
 from .sampler import ComputationBlock
 from .store import StoreClient, StoreShard, TransferAccount
 
 
 class PrefetchError(RuntimeError):
+    """The bundle iterator raised after yielding `batch` bundles."""
+
     def __init__(self, batch: int, cause: BaseException):
         super().__init__(f"bundle assembly failed at batch {batch}: {cause}")
         self.batch = batch
+        self.__cause__ = cause
 
 
 @dataclass
@@ -89,47 +93,33 @@ def assemble_bundle(
 
 
 class Prefetcher:
-    """Single-producer single-consumer pipeline for one epoch's batches."""
+    """Runs a bundle iterator ahead of the trainer on one producer thread.
 
-    def __init__(
-        self,
-        plan: BatchPlan,
-        epoch: int,
-        owner: np.ndarray,
-        my_part: int,
-        shard: StoreShard,
-        client: StoreClient,
-        cache: FeatureCache | None,
-        account: TransferAccount | None,
-        depth: int = 3,
-        start_batch: int = 0,
-    ):
+    At most `depth` bundles wait in the queue, plus the one the producer
+    holds while blocked on a full queue.
+    """
+
+    def __init__(self, bundles: Iterable[FeatureBundle], depth: int = 3):
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
         self._queue: queue.Queue = queue.Queue(maxsize=depth)
         self._stop = threading.Event()
         self._exhausted = False
-        args = (plan, epoch, owner, my_part, shard, client, cache, account, start_batch)
-        self._producer = threading.Thread(target=self._produce, args=args, daemon=True)
+        self._producer = threading.Thread(target=self._produce, args=(bundles,),
+                                          daemon=True)
         self._producer.start()
 
-    def _produce(self, plan, epoch, owner, my_part, shard, client, cache,
-                 account, start_batch) -> None:
-        i = start_batch
+    def _produce(self, bundles: Iterable[FeatureBundle]) -> None:
+        n = 0
         try:
-            for i in range(start_batch, plan.num_batches(epoch)):
-                if self._stop.is_set():
-                    return
-                block = plan.block(epoch, i)
-                bundle = assemble_bundle(block, owner, my_part, shard, client,
-                                         cache, account)
+            for bundle in bundles:
                 self._put(bundle)
                 if self._stop.is_set():
                     return
-            self._put(None)  # end-of-epoch marker
+                n += 1
+            self._put(None)  # end-of-stream marker
         except BaseException as exc:  # surfaced on the consumer side
-            exc._prefetch_batch = i  # type: ignore[attr-defined]
-            self._put(exc)
+            self._put(PrefetchError(n, exc))
 
     def _put(self, item) -> None:
         while not self._stop.is_set():
@@ -140,17 +130,21 @@ class Prefetcher:
                 continue
 
     def next_bundle(self) -> FeatureBundle | None:
-        """Block for the next in-order bundle; None once the epoch is done."""
+        """Block for the next in-order bundle; None once the stream is done."""
         if self._exhausted:
             return None
         item = self._queue.get()
         if item is None:
             self._exhausted = True
             return None
-        if isinstance(item, BaseException):
+        if isinstance(item, PrefetchError):
             self._exhausted = True
-            raise PrefetchError(getattr(item, "_prefetch_batch", -1), item) from item
+            raise item
         return item
+
+    def __iter__(self) -> Iterator[FeatureBundle]:
+        while (bundle := self.next_bundle()) is not None:
+            yield bundle
 
     def drain(self) -> None:
         """Stop the producer and discard anything buffered; idempotent."""

@@ -18,7 +18,7 @@ class LookupError_(KeyError):
 
 
 class TransportError(ConnectionError):
-    """Transport-level failure; the request may be retried."""
+    """Transport-level failure: the connection failed or closed."""
 
 
 def bytes_for(n: int, d: int) -> int:

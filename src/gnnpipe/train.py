@@ -1,20 +1,23 @@
 """End-to-end runner: partition, plan, caches, prefetch, SGD loop, metrics.
 
-Two modes share one arithmetic path. `baseline` assembles every batch's
-features with on-demand sync pulls (no cache, no prefetch); `rapid` adds
-the hot-node cache, the double-buffer swap, and the asynchronous
-prefetcher. Because both consume bit-identical feature rows in the same
-order, they produce bit-identical parameter trajectories for the same
-plan.
+Each worker runs one training loop over one stream of feature bundles,
+one bundle per batch of the plan. The two modes differ only in where the
+stream's remote rows come from. `baseline` assembles each bundle on the
+trainer thread with on-demand sync pulls; `rapid` looks rows up in the
+double-buffered hot-node cache first and runs the stream ahead of the
+trainer on the prefetcher's thread. Because both consume bit-identical
+feature rows in the same order, they produce bit-identical parameter
+trajectories for the same plan. Per-epoch cache hits and misses are the
+sums of the bundles' own counts.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,12 +27,10 @@ from .graph import Graph, load_graph, synth_powerlaw
 from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 from .plan import BatchPlan, collect_access, generate_plan, top_hot
-from .prefetch import Prefetcher, assemble_bundle
+from .prefetch import FeatureBundle, Prefetcher, assemble_bundle
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
-
-log = logging.getLogger(__name__)
 
 CSV_HEADER = [
     "epoch", "mode", "t_e_ms", "rpc_calls", "nodes_pulled", "bytes_pulled",
@@ -113,7 +114,6 @@ class RunConfig:
     transport: str = "inproc"  # inproc | tcp
     lr: float = 0.05
     hidden_dim: int = 32
-    num_layers: int = 2
     precision: str = "f32"  # f32 | f64
     metrics_out: str | None = None
     dump_cache_keys: bool = False
@@ -131,7 +131,7 @@ class RunConfig:
             raise ValueError("prefetch depth must be >= 1")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if len(self.fanouts) != self.num_layers:
+        if not self.fanouts:
             raise ValueError("fanouts must list one value per layer")
 
 
@@ -155,6 +155,9 @@ def _load_or_generate(cfg: RunConfig) -> Graph:
 def _partition(g: Graph, cfg: RunConfig) -> PartitionBook:
     if cfg.partition_path:
         book = load_partition(cfg.partition_path)
+        if len(book.owner) != g.num_nodes:
+            raise ValueError(f"partition file covers {len(book.owner)} nodes, "
+                             f"graph has {g.num_nodes}")
     elif cfg.partitioner == "random":
         book = partition_random(g, cfg.partitions, cfg.s0)
     else:
@@ -168,6 +171,22 @@ def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:
     return int(num_remote * cfg.n_hot_pct / 100.0)
 
 
+def _epoch_bundles(
+    plan: BatchPlan,
+    e: int,
+    owner: np.ndarray,
+    part: int,
+    shard: StoreShard,
+    client: StoreClient,
+    cache: cache_mod.FeatureCache | None,
+    account: TransferAccount,
+) -> Iterator[FeatureBundle]:
+    """Epoch e's feature bundles in plan order."""
+    for i in range(plan.num_batches(e)):
+        yield assemble_bundle(plan.block(e, i), owner, part, shard, client,
+                              cache, account)
+
+
 def _run_worker(
     part: int,
     g: Graph,
@@ -179,7 +198,7 @@ def _run_worker(
 ) -> WorkerResult:
     dtype = np.float32 if cfg.precision == "f32" else np.float64
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
-                               cfg.num_layers, mix64(cfg.s0 ^ _PARAM_SEED_TAG),
+                               len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG),
                                dtype=dtype)
     fallback = TransferAccount()
     fill = TransferAccount()
@@ -195,52 +214,34 @@ def _run_worker(
         fcache = cache_mod.build_steady(top_hot(freq, n_hot), client, fill)
 
     records: list[MetricsRecord] = []
-    labels = g.labels
-    features_dtype = dtype
     for e in range(cfg.epochs):
         fb0 = fallback.snapshot()
         t_start = time.perf_counter()
-        if rapid and cfg.hot_scope == "epoch" and e + 1 < cfg.epochs:
+        if fcache is not None and cfg.hot_scope == "epoch" and e + 1 < cfg.epochs:
             fcache.start_secondary_build(plan, e + 1, book, part, n_hot, client, fill)
+        bundles = _epoch_bundles(plan, e, book.owner, part, shard, client,
+                                 fcache, fallback)
+        pf = Prefetcher(bundles, cfg.prefetch_depth) if rapid else None
         loss_sum = 0.0
-        n_batches = plan.num_batches(e)
-        if rapid:
-            pf = Prefetcher(plan, e, book.owner, part, shard, client, fcache,
-                            fallback, depth=cfg.prefetch_depth)
-            try:
-                while True:
-                    bundle = pf.next_bundle()
-                    if bundle is None:
-                        break
-                    rows = bundle.rows.astype(features_dtype, copy=False)
-                    loss, grads = model.loss_and_grad(bundle.block, rows,
-                                                      labels, params)
-                    params = model.sgd_step(params, grads, cfg.lr)
-                    loss_sum += loss
-            finally:
-                pf.drain()
-        else:
-            for i in range(n_batches):
-                block = plan.block(e, i)
-                bundle = assemble_bundle(block, book.owner, part, shard, client,
-                                         None, fallback)
-                rows = bundle.rows.astype(features_dtype, copy=False)
-                loss, grads = model.loss_and_grad(block, rows, labels, params)
+        hits = misses = 0
+        try:
+            for bundle in bundles if pf is None else pf:
+                rows = bundle.rows.astype(dtype, copy=False)
+                loss, grads = model.loss_and_grad(bundle.block, rows, g.labels,
+                                                  params)
                 params = model.sgd_step(params, grads, cfg.lr)
                 loss_sum += loss
-        hits = misses = 0
-        reuse = None
+                hits += bundle.n_cache_hit
+                misses += bundle.n_fallback
+        finally:
+            if pf is not None:
+                pf.drain()
         if fcache is not None:
-            fcache.wait_secondary()
-            hits, misses = fcache.hits, fcache.misses
-            reuse = fcache.reuse_ratio()
             fcache.swap()
-        elif not rapid:
-            misses = fallback.nodes_pulled - fb0[1]
-            reuse = 0.0 if misses else None
         t_e_ms = (time.perf_counter() - t_start) * 1000.0
         fb1 = fallback.snapshot()
         acc = model.evaluate(g, params, g.train_mask)
+        n_batches = plan.num_batches(e)
         records.append(MetricsRecord(
             epoch=e,
             mode=cfg.mode,
@@ -250,7 +251,7 @@ def _run_worker(
             bytes_pulled=fb1[2] - fb0[2],
             cache_hits=hits,
             cache_misses=misses,
-            reuse_ratio=reuse,
+            reuse_ratio=hits / (hits + misses) if hits + misses else None,
             loss=loss_sum / n_batches if n_batches else float("nan"),
             train_acc=acc if acc is not None else float("nan"),
         ))

@@ -23,7 +23,6 @@ class TestLookup:
         assert res.missing_pos.tolist() == [1, 3]
         assert res.missing_ids.tolist() == [1, 30]
         assert np.array_equal(res.found_rows, feats[[5, 9]])
-        assert (cache.hits, cache.misses) == (2, 2)
 
     def test_reassembly_covers_request(self):
         feats, client = make_client()
@@ -41,14 +40,6 @@ class TestLookup:
         res = cache.lookup(np.array([1, 2]))
         assert len(res.found_pos) == 0
         assert res.missing_ids.tolist() == [1, 2]
-        assert cache.misses == 2
-
-    def test_reuse_ratio(self):
-        _, client = make_client()
-        cache = build_steady(np.array([4]), client)
-        assert cache.reuse_ratio() is None
-        cache.lookup(np.array([4, 4, 6, 8]))
-        assert cache.reuse_ratio() == pytest.approx(0.5)
 
 
 class TestBuildAccounting:
@@ -92,23 +83,6 @@ class TestDoubleBuffer:
         # swapped rows really are the features of the new hot set
         res = cache.lookup(expected)
         assert np.array_equal(res.found_rows, g.features[expected])
-
-    def test_swap_resets_counters(self, pipeline):
-        g, plan, book, client = pipeline
-        cache = build_steady(np.array([0, 1]), client)
-        cache.lookup(np.array([0, 5]))
-        cache.start_secondary_build(plan, 1, book, 0, 10, client)
-        assert cache.swap() is True
-        assert (cache.hits, cache.misses) == (0, 0)
-
-    def test_swap_resets_counters_without_new_buffer(self, pipeline):
-        # a global hot set is never rebuilt; counters still cover one epoch
-        g, plan, book, client = pipeline
-        cache = build_steady(np.array([0, 1]), client)
-        cache.lookup(np.array([0, 5]))
-        assert cache.swap() is False
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert cache.reuse_ratio() is None
 
     def test_swap_without_build_is_noop(self, pipeline):
         g, plan, book, client = pipeline

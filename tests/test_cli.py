@@ -117,6 +117,14 @@ def test_bad_config_line(tmp_path):
         main(["train", "--config", str(cfgfile)])
 
 
+@pytest.mark.parametrize("line", ["epoch = 2", "layers = 2"])
+def test_unknown_config_key(tmp_path, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"epochs = 1\n{line}\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        main(["train", "--config", str(cfgfile)])
+
+
 def test_sweep(tmp_path, capsys):
     out = tmp_path / "s.csv"
     rc = main(["sweep"] + TRAIN_SMALL + ["--mode", "rapid",

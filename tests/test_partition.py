@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gnnpipe.graph import from_edge_list, synth_powerlaw
-from gnnpipe.partition import (edge_cut, halo_expand, load_partition,
-                               partition_edgecut, partition_random,
-                               save_partition)
+from gnnpipe.partition import (PartitionBook, edge_cut, halo_expand,
+                               load_partition, partition_edgecut,
+                               partition_random, save_partition)
 from conftest import two_cliques
 
 
@@ -131,4 +131,18 @@ def test_rpb_bad_magic(tmp_path, small_graph):
     data[:4] = b"NOPE"
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError):
+        load_partition(p)
+
+
+def test_rpb_owner_out_of_range_rejected(tmp_path):
+    p = tmp_path / "b.rpb"
+    save_partition(PartitionBook(k=2, owner=np.array([0, 1, 5, 0])), p)
+    with pytest.raises(ValueError, match="out of range"):
+        load_partition(p)
+
+
+def test_rpb_k_zero_rejected(tmp_path):
+    p = tmp_path / "b.rpb"
+    save_partition(PartitionBook(k=0, owner=np.zeros(4, dtype=np.int64)), p)
+    with pytest.raises(ValueError, match="k must be"):
         load_partition(p)

@@ -10,6 +10,7 @@ from gnnpipe.plan import collect_access, generate_plan, top_hot
 from gnnpipe.prefetch import PrefetchError, Prefetcher, assemble_bundle
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
+from gnnpipe.train import _epoch_bundles
 
 
 @pytest.fixture()
@@ -72,7 +73,8 @@ class TestAssembleBundle:
 class TestPrefetcher:
     def test_in_order_and_complete(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(plan, 0, owner, 0, shard, client, None, None, depth=3)
+        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
+                        depth=3)
         seen = []
         while (b := pf.next_bundle()) is not None:
             seen.append(b.batch)
@@ -81,7 +83,8 @@ class TestPrefetcher:
 
     def test_bundles_match_synchronous_assembly(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(plan, 0, owner, 0, shard, client, None, None, depth=2)
+        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
+                        depth=2)
         i = 0
         while (b := pf.next_bundle()) is not None:
             ref = assemble_bundle(plan.block(0, i), owner, 0, shard, client,
@@ -99,7 +102,8 @@ class TestPrefetcher:
             return orig(ids)
 
         shard.rows_for_local = spy
-        pf = Prefetcher(plan, 0, owner, 0, shard, client, None, None, depth=2)
+        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
+                        depth=2)
         deadline = time.monotonic() + 2
         while len(assembled) < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -109,14 +113,6 @@ class TestPrefetcher:
         pf.drain()
         shard.rows_for_local = orig
 
-    def test_start_batch_offset(self, setup):
-        g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(plan, 0, owner, 0, shard, client, None, None,
-                        depth=2, start_batch=2)
-        first = pf.next_bundle()
-        assert first is not None and first.batch == 2
-        pf.drain()
-
     def test_error_propagates_with_batch(self, setup):
         g, plan, book, owner, shard, client = setup
 
@@ -124,7 +120,8 @@ class TestPrefetcher:
             def sync_pull(self, ids, account=None):
                 raise ConnectionError("injected")
 
-        pf = Prefetcher(plan, 0, owner, 0, shard, Boom(), None, None, depth=2)
+        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, Boom(), None, None),
+                        depth=2)
         with pytest.raises(PrefetchError) as exc:
             while pf.next_bundle() is not None:
                 pass
@@ -133,7 +130,8 @@ class TestPrefetcher:
 
     def test_drain_idempotent_and_unblocks_producer(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(plan, 0, owner, 0, shard, client, None, None, depth=1)
+        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
+                        depth=1)
         pf.next_bundle()
         pf.drain()
         pf.drain()
@@ -142,4 +140,5 @@ class TestPrefetcher:
     def test_bad_depth(self, setup):
         g, plan, book, owner, shard, client = setup
         with pytest.raises(ValueError):
-            Prefetcher(plan, 0, owner, 0, shard, client, None, None, depth=0)
+            Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
+                        depth=0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gnnpipe.graph import synth_powerlaw
+from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
 from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig, read_metrics,
                            resolve_n_hot, run, worker_metrics_path,
                            write_metrics)
@@ -15,6 +17,12 @@ def small_cfg(**over):
     kw = dict(SMALL)
     kw.update(over)
     return RunConfig(**kw)
+
+
+def small_edgecut_owner():
+    g = synth_powerlaw(SMALL["gen_nodes"], SMALL["gen_edges_per_node"],
+                       SMALL["feat_dim"], SMALL["num_classes"], SMALL["s0"])
+    return partition_edgecut(g, 2).owner.copy()
 
 
 def stable_fields(rec):
@@ -73,7 +81,7 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             small_cfg(prefetch_depth=0).validate()
         with pytest.raises(ValueError):
-            small_cfg(fanouts=[3]).validate()
+            small_cfg(fanouts=[]).validate()
 
     def test_resolve_n_hot(self):
         assert resolve_n_hot(small_cfg(n_hot=42), 1000) == 42
@@ -193,6 +201,20 @@ class TestRun:
         for rec in r.records:
             assert rec.rpc_calls == 0 and rec.nodes_pulled == 0
             assert rec.reuse_ratio is None
+
+    def test_partition_file_must_cover_the_graph(self, tmp_path):
+        path = tmp_path / "short.rpb"
+        save_partition(PartitionBook(k=2, owner=small_edgecut_owner()[:300]), path)
+        with pytest.raises(ValueError, match="300 nodes"):
+            run(small_cfg(partition_path=str(path)))
+
+    def test_partition_file_owner_out_of_range_rejected(self, tmp_path):
+        owner = small_edgecut_owner()
+        owner[17] = 5
+        path = tmp_path / "bad.rpb"
+        save_partition(PartitionBook(k=2, owner=owner), path)
+        with pytest.raises(ValueError, match="out of range"):
+            run(small_cfg(partition_path=str(path)))
 
     def test_loss_trends_down(self, rapid_results):
         for r in rapid_results:
