@@ -2,10 +2,13 @@
 
 The steady buffer serves lookups for the current epoch while a secondary
 buffer for the next epoch is filled by a background thread; the buffers
-swap at the epoch boundary. Correctness never depends on the cache: a
-failed secondary build just leaves the old steady buffer in place. The
-cache keeps no hit or miss counters; each lookup's split is returned to
-the caller, which counts per bundle.
+swap at the epoch boundary. One thread, the one that runs the worker's
+bundle stream, calls `lookup`, `start_secondary_build` and `swap`; the
+builder thread only fills the secondary buffer, and `swap` joins it
+first. Correctness never depends on the cache: a failed secondary build
+just leaves the old steady buffer in place. The cache keeps no hit or
+miss counters; each lookup's split is returned to the caller, which
+counts per bundle.
 """
 
 from __future__ import annotations

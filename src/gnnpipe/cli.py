@@ -114,7 +114,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     n_hot = pick("n_hot")
     if n_hot is not None:
         _set_hot_size(cfg, str(n_hot))
-    cfg.dump_cache_keys = args.dump_cache_keys
     return cfg
 
 
@@ -156,7 +155,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     results = run(cfg)
     for r in results:
         print(f"worker {r.part}: plan digest {r.plan_digest}")
-        if r.cache_keys is not None:
+        if args.dump_cache_keys and r.cache_keys is not None:
             print(f"worker {r.part}: cache keys {r.cache_keys.tolist()}")
         for rec in r.records:
             print(f"worker {r.part} epoch {rec.epoch}: loss={rec.loss:.4f} "

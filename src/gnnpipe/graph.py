@@ -56,6 +56,11 @@ class Graph:
             self.indices.min() < 0 or self.indices.max() >= self.num_nodes
         ):
             raise GraphValidationError("neighbor id out of range")
+        if len(self.labels) and (
+            self.labels.min() < 0 or self.labels.max() >= self.num_classes
+        ):
+            raise GraphValidationError(
+                f"label out of range [0, {self.num_classes})")
         overlap = (
             (self.train_mask & self.val_mask)
             | (self.train_mask & self.test_mask)

@@ -1,11 +1,12 @@
 """Feature bundles and the asynchronous prefetcher.
 
 `assemble_bundle` gathers one batch's feature rows: local shard reads,
-cache hits and fallback pulls. `Prefetcher` runs any iterator of bundles
-on a single producer thread into a bounded queue of depth Q; the trainer
-consumes them strictly in order. With the producer holding at most one
-bundle in hand, at most Q+1 assembled bundles exist beyond the steady
-cache at any instant.
+cache hits and fallback pulls, and records the fallback traffic in the
+bundle. `Prefetcher` runs any iterator of bundles, such as a worker's
+whole-run stream, on a single producer thread into a bounded queue of
+depth Q; the trainer consumes them strictly in order. With the producer
+holding at most one bundle in hand, at most Q+1 assembled bundles exist
+beyond the steady cache at any instant.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ from .store import StoreClient, StoreShard, TransferAccount
 
 
 class PrefetchError(RuntimeError):
-    """The bundle iterator raised after yielding `batch` bundles."""
+    """The bundle iterator raised after yielding `batch` bundles.
+
+    `batch` counts from the start of the iterator; for a worker's run
+    stream that is the start of the run, not of the epoch.
+    """
 
     def __init__(self, batch: int, cause: BaseException):
-        super().__init__(f"bundle assembly failed at batch {batch}: {cause}")
+        super().__init__(f"bundle assembly failed at bundle {batch} of the "
+                         f"stream: {cause}")
         self.batch = batch
         self.__cause__ = cause
 
@@ -40,6 +46,7 @@ class FeatureBundle:
     n_local: int
     n_cache_hit: int
     n_fallback: int
+    fallback: TransferAccount  # traffic of this bundle's fallback pulls
 
 
 def assemble_bundle(
@@ -49,15 +56,18 @@ def assemble_bundle(
     shard: StoreShard,
     client: StoreClient,
     cache: FeatureCache | None,
-    account: TransferAccount | None,
+    account: TransferAccount | None = None,
 ) -> FeatureBundle:
     """Gather the feature rows a block needs, in input_nodes order.
 
     Locally owned rows are read straight from the worker's shard memory
     (zero RPC). Remote rows go through the cache when one is present;
     only the misses fall back to a sync pull, so the fallback account is
-    charged node-granularly.
+    charged node-granularly. That account, a fresh one when `account` is
+    None, travels with the bundle as `bundle.fallback`.
     """
+    if account is None:
+        account = TransferAccount()
     ids = block.input_nodes
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
     local_pos = np.flatnonzero(owner[ids] == my_part)
@@ -89,6 +99,7 @@ def assemble_bundle(
         n_local=len(local_pos),
         n_cache_hit=n_hit,
         n_fallback=n_fallback,
+        fallback=account,
     )
 
 
@@ -96,7 +107,8 @@ class Prefetcher:
     """Runs a bundle iterator ahead of the trainer on one producer thread.
 
     At most `depth` bundles wait in the queue, plus the one the producer
-    holds while blocked on a full queue.
+    holds while blocked on a full queue. Everything the iterator does,
+    including any cache turnover between epochs, runs on that thread.
     """
 
     def __init__(self, bundles: Iterable[FeatureBundle], depth: int = 3):

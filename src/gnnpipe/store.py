@@ -39,6 +39,11 @@ class TransferAccount:
         self.nodes_pulled += nodes
         self.bytes_pulled += bytes_for(nodes, feat_dim)
 
+    def add(self, other: "TransferAccount") -> None:
+        self.rpc_calls += other.rpc_calls
+        self.nodes_pulled += other.nodes_pulled
+        self.bytes_pulled += other.bytes_pulled
+
     def snapshot(self) -> tuple[int, int, int]:
         return (self.rpc_calls, self.nodes_pulled, self.bytes_pulled)
 
@@ -94,7 +99,8 @@ class InprocTransport:
     def __init__(self, shard: StoreShard):
         self._shard = shard
 
-    def request(self, payload: bytes) -> bytes:
+    def request(self, payload: bytes, max_len: int) -> bytes:
+        """`max_len` caps framed responses; an in-process call has none."""
         return self._shard.handle(payload)
 
     def close(self) -> None:
@@ -111,11 +117,13 @@ class TcpTransport:
             raise TransportError(f"connect to {host}:{port} failed") from exc
         self._lock = threading.Lock()
 
-    def request(self, payload: bytes) -> bytes:
+    def request(self, payload: bytes, max_len: int) -> bytes:
+        """Send one request; a response frame over `max_len` bytes raises
+        WireError."""
         with self._lock:
             try:
                 self._sock.sendall(wire.frame(payload))
-                resp = wire.read_frame(self._sock)
+                resp = wire.read_frame(self._sock, max_len)
             except OSError as exc:
                 raise TransportError("request failed") from exc
         if not resp:
@@ -131,12 +139,17 @@ class TcpTransport:
 
 class _ShardRequestHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
+        shard: StoreShard = self.server.shard  # type: ignore[attr-defined]
+        # the largest request names each owned id once
+        max_len = wire.request_size(len(shard.owned_ids))
         while True:
-            payload = wire.read_frame(self.request)
+            try:
+                payload = wire.read_frame(self.request, max_len)
+            except wire.WireError:
+                return  # the frame cannot be skipped unread: hang up
             if not payload:
                 return
-            resp = self.server.shard.handle(payload)  # type: ignore[attr-defined]
-            self.request.sendall(wire.frame(resp))
+            self.request.sendall(wire.frame(shard.handle(payload)))
 
 
 class TcpShardServer:
@@ -181,7 +194,8 @@ class StoreClient:
         for p in np.unique(owners):
             sel = np.flatnonzero(owners == p)
             payload = wire.encode_request(msg_type, ids[sel])
-            resp = self.transports[p].request(payload)
+            resp = self.transports[p].request(
+                payload, wire.response_size(len(sel), self.feat_dim))
             status, rows, dim = wire.decode_response(resp)
             if status == wire.STATUS_NOT_OWNED:
                 raise LookupError_(f"shard {p} does not own requested ids")

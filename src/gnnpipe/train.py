@@ -1,19 +1,20 @@
 """End-to-end runner: partition, plan, caches, prefetch, SGD loop, metrics.
 
-Each worker runs one training loop over one stream of feature bundles,
-one bundle per batch of the plan. The two modes differ only in where the
-stream's remote rows come from. `baseline` assembles each bundle on the
-trainer thread with on-demand sync pulls; `rapid` looks rows up in the
-double-buffered hot-node cache first and runs the stream ahead of the
-trainer on the prefetcher's thread. Because both consume bit-identical
-feature rows in the same order, they produce bit-identical parameter
-trajectories for the same plan. Per-epoch cache hits and misses are the
-sums of the bundles' own counts.
+Each worker trains over one bundle stream for the whole run, one bundle
+per batch of the plan, taking each epoch's batch count from it. The
+stream also turns the hot-node cache over at epoch boundaries, so only
+the thread that runs it looks up or swaps the cache: the trainer in
+`baseline`, which has no cache and pulls every remote row on demand, and
+the prefetcher's producer in `rapid`. Both modes consume bit-identical
+feature rows in the same order, so they produce bit-identical parameter
+trajectories for the same plan. Each bundle carries its own cache hits,
+misses and fallback traffic; the per-epoch columns are their sums.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import threading
 import time
 from collections.abc import Iterator
@@ -116,7 +117,6 @@ class RunConfig:
     hidden_dim: int = 32
     precision: str = "f32"  # f32 | f64
     metrics_out: str | None = None
-    dump_cache_keys: bool = False
 
     def validate(self) -> None:
         if self.mode not in ("baseline", "rapid"):
@@ -141,7 +141,7 @@ class WorkerResult:
     records: list[MetricsRecord]
     params: list[model.LayerParams]
     plan_digest: str
-    cache_keys: np.ndarray | None = None
+    cache_keys: np.ndarray | None = None  # final hot set; None in baseline
     cache_fill: TransferAccount = field(default_factory=TransferAccount)
 
 
@@ -171,20 +171,31 @@ def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:
     return int(num_remote * cfg.n_hot_pct / 100.0)
 
 
-def _epoch_bundles(
+def _run_bundles(
     plan: BatchPlan,
-    e: int,
-    owner: np.ndarray,
+    book: PartitionBook,
     part: int,
     shard: StoreShard,
     client: StoreClient,
-    cache: cache_mod.FeatureCache | None,
-    account: TransferAccount,
+    cache: cache_mod.FeatureCache | None = None,
+    n_hot: int | None = None,
+    fill: TransferAccount | None = None,
 ) -> Iterator[FeatureBundle]:
-    """Epoch e's feature bundles in plan order."""
-    for i in range(plan.num_batches(e)):
-        yield assemble_bundle(plan.block(e, i), owner, part, shard, client,
-                              cache, account)
+    """Every epoch's feature bundles in plan order, for the whole run.
+
+    With `n_hot` set, the cache turns over: as epoch e starts, the stream
+    starts filling e+1's n_hot hot set, charged to `fill`, and swaps it
+    in after e's last bundle. Otherwise one hot set serves the run.
+    """
+    for e in range(plan.epochs):
+        turn = cache is not None and n_hot is not None and e + 1 < plan.epochs
+        if turn:
+            cache.start_secondary_build(plan, e + 1, book, part, n_hot, client, fill)
+        for i in range(plan.num_batches(e)):
+            yield assemble_bundle(plan.block(e, i), book.owner, part, shard,
+                                  client, cache)
+        if turn:
+            cache.swap()
 
 
 def _run_worker(
@@ -200,32 +211,30 @@ def _run_worker(
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
                                len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG),
                                dtype=dtype)
-    fallback = TransferAccount()
     fill = TransferAccount()
     rapid = cfg.mode == "rapid"
 
+    per_epoch = cfg.hot_scope == "epoch"
     fcache: cache_mod.FeatureCache | None = None
     n_hot = 0
     if rapid and cfg.epochs > 0:
-        scope_epoch = 0 if cfg.hot_scope == "epoch" else None
-        freq = collect_access(plan, book, part, epoch=scope_epoch)
-        remote_all = collect_access(plan, book, part) if cfg.hot_scope == "epoch" else freq
+        remote_all = collect_access(plan, book, part)
         n_hot = resolve_n_hot(cfg, len(remote_all))
+        freq = collect_access(plan, book, part, epoch=0) if per_epoch else remote_all
         fcache = cache_mod.build_steady(top_hot(freq, n_hot), client, fill)
 
+    stream = _run_bundles(plan, book, part, shard, client, fcache,
+                          n_hot if per_epoch else None, fill)
+    pf = Prefetcher(stream, cfg.prefetch_depth) if rapid else None
+    bundles = iter(stream if pf is None else pf)
     records: list[MetricsRecord] = []
-    for e in range(cfg.epochs):
-        fb0 = fallback.snapshot()
-        t_start = time.perf_counter()
-        if fcache is not None and cfg.hot_scope == "epoch" and e + 1 < cfg.epochs:
-            fcache.start_secondary_build(plan, e + 1, book, part, n_hot, client, fill)
-        bundles = _epoch_bundles(plan, e, book.owner, part, shard, client,
-                                 fcache, fallback)
-        pf = Prefetcher(bundles, cfg.prefetch_depth) if rapid else None
-        loss_sum = 0.0
-        hits = misses = 0
-        try:
-            for bundle in bundles if pf is None else pf:
+    try:
+        for e in range(cfg.epochs):
+            t_start = time.perf_counter()
+            loss_sum = 0.0
+            hits = misses = 0
+            pulled = TransferAccount()
+            for bundle in itertools.islice(bundles, plan.num_batches(e)):
                 rows = bundle.rows.astype(dtype, copy=False)
                 loss, grads = model.loss_and_grad(bundle.block, rows, g.labels,
                                                   params)
@@ -233,34 +242,34 @@ def _run_worker(
                 loss_sum += loss
                 hits += bundle.n_cache_hit
                 misses += bundle.n_fallback
-        finally:
-            if pf is not None:
-                pf.drain()
+                pulled.add(bundle.fallback)
+            t_e_ms = (time.perf_counter() - t_start) * 1000.0
+            acc = model.evaluate(g, params, g.train_mask)
+            n_batches = plan.num_batches(e)
+            records.append(MetricsRecord(
+                epoch=e,
+                mode=cfg.mode,
+                t_e_ms=t_e_ms,
+                rpc_calls=pulled.rpc_calls,
+                nodes_pulled=pulled.nodes_pulled,
+                bytes_pulled=pulled.bytes_pulled,
+                cache_hits=hits,
+                cache_misses=misses,
+                reuse_ratio=hits / (hits + misses) if hits + misses else None,
+                loss=loss_sum / n_batches if n_batches else float("nan"),
+                train_acc=acc if acc is not None else float("nan"),
+            ))
+    finally:
+        if pf is not None:
+            pf.drain()
         if fcache is not None:
-            fcache.swap()
-        t_e_ms = (time.perf_counter() - t_start) * 1000.0
-        fb1 = fallback.snapshot()
-        acc = model.evaluate(g, params, g.train_mask)
-        n_batches = plan.num_batches(e)
-        records.append(MetricsRecord(
-            epoch=e,
-            mode=cfg.mode,
-            t_e_ms=t_e_ms,
-            rpc_calls=fb1[0] - fb0[0],
-            nodes_pulled=fb1[1] - fb0[1],
-            bytes_pulled=fb1[2] - fb0[2],
-            cache_hits=hits,
-            cache_misses=misses,
-            reuse_ratio=hits / (hits + misses) if hits + misses else None,
-            loss=loss_sum / n_batches if n_batches else float("nan"),
-            train_acc=acc if acc is not None else float("nan"),
-        ))
+            fcache.wait_secondary()
     return WorkerResult(
         part=part,
         records=records,
         params=params,
         plan_digest=plan.digest_hex(),
-        cache_keys=fcache.hot_ids.copy() if (fcache is not None and cfg.dump_cache_keys) else None,
+        cache_keys=None if fcache is None else fcache.hot_ids,
         cache_fill=fill,
     )
 

@@ -3,7 +3,9 @@
 request  = u8 msg_type (1=SYNC_PULL, 2=VECTOR_PULL) . u32 id_count . u64*id_count
 response = u8 status (0=OK, 1=NOT_OWNED, 2=MALFORMED) . u32 row_count
            . u32 feat_dim . f32*(row_count*feat_dim), rows in request order
-Each payload travels framed by a u32 byte count.
+Each payload travels framed by a u32 byte count. A reader caps that count
+at the largest payload it can expect, so a bad header is rejected before
+any payload is buffered.
 """
 
 from __future__ import annotations
@@ -28,6 +30,16 @@ class WireError(ValueError):
     """Payload that does not parse under the protocol."""
 
 
+def request_size(count: int) -> int:
+    """Payload bytes of a request for `count` ids."""
+    return _REQ_HEAD.size + 8 * count
+
+
+def response_size(row_count: int, feat_dim: int) -> int:
+    """Payload bytes of a response carrying `row_count` rows."""
+    return _RESP_HEAD.size + 4 * row_count * feat_dim
+
+
 def encode_request(msg_type: int, node_ids: np.ndarray) -> bytes:
     ids = np.asarray(node_ids, dtype="<u8")
     return _REQ_HEAD.pack(msg_type, len(ids)) + ids.tobytes()
@@ -39,7 +51,7 @@ def decode_request(payload: bytes) -> tuple[int, np.ndarray]:
     msg_type, count = _REQ_HEAD.unpack_from(payload)
     if msg_type not in (MSG_SYNC_PULL, MSG_VECTOR_PULL):
         raise WireError(f"unknown msg_type {msg_type}")
-    need = _REQ_HEAD.size + 8 * count
+    need = request_size(count)
     if len(payload) != need:
         raise WireError(f"request length {len(payload)} != expected {need}")
     ids = np.frombuffer(payload, dtype="<u8", count=count, offset=_REQ_HEAD.size)
@@ -57,7 +69,7 @@ def decode_response(payload: bytes) -> tuple[int, np.ndarray, int]:
     if len(payload) < _RESP_HEAD.size:
         raise WireError("response shorter than header")
     status, row_count, feat_dim = _RESP_HEAD.unpack_from(payload)
-    need = _RESP_HEAD.size + 4 * row_count * feat_dim
+    need = response_size(row_count, feat_dim)
     if len(payload) != need:
         raise WireError(f"response length {len(payload)} != expected {need}")
     rows = np.frombuffer(payload, dtype="<f4", count=row_count * feat_dim,
@@ -69,12 +81,18 @@ def frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload)) + payload
 
 
-def read_frame(sock) -> bytes:
-    """Read one framed payload from a socket; b'' on clean EOF."""
+def read_frame(sock, max_len: int) -> bytes:
+    """Read one framed payload of at most `max_len` bytes from a socket;
+    b'' on clean EOF. A longer length header raises WireError before any
+    of the payload is read."""
     head = _recv_exact(sock, _FRAME.size)
     if not head:
         return b""
+    if len(head) != _FRAME.size:
+        raise ConnectionError("peer closed mid-frame")
     (length,) = _FRAME.unpack(head)
+    if length > max_len:
+        raise WireError(f"frame of {length} bytes exceeds the {max_len}-byte limit")
     payload = _recv_exact(sock, length)
     if len(payload) != length:
         raise ConnectionError("peer closed mid-frame")

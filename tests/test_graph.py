@@ -111,6 +111,19 @@ def test_out_of_range_index(tmp_path):
         load_graph(p)
 
 
+def test_out_of_range_label(tmp_path):
+    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)], num_classes=4)
+    p = tmp_path / "g.rgf"
+    save_graph(g, p)
+    data = bytearray(p.read_bytes())
+    # u32 labels come right before the three u8 masks at the end
+    off = len(data) - 7 * g.num_nodes
+    data[off : off + 4] = (9).to_bytes(4, "little")
+    p.write_bytes(bytes(data))
+    with pytest.raises(GraphValidationError, match="label out of range"):
+        load_graph(p)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=40),

@@ -1,4 +1,4 @@
-import threading
+import itertools
 import time
 
 import numpy as np
@@ -10,7 +10,13 @@ from gnnpipe.plan import collect_access, generate_plan, top_hot
 from gnnpipe.prefetch import PrefetchError, Prefetcher, assemble_bundle
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
-from gnnpipe.train import _epoch_bundles
+from gnnpipe.train import _run_bundles
+
+
+def epoch0(plan, book, shard, client):
+    """Epoch 0's bundles of worker 0's run stream, with no cache."""
+    return itertools.islice(_run_bundles(plan, book, 0, shard, client),
+                            plan.num_batches(0))
 
 
 @pytest.fixture()
@@ -73,8 +79,7 @@ class TestAssembleBundle:
 class TestPrefetcher:
     def test_in_order_and_complete(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
-                        depth=3)
+        pf = Prefetcher(epoch0(plan, book, shard, client), depth=3)
         seen = []
         while (b := pf.next_bundle()) is not None:
             seen.append(b.batch)
@@ -83,8 +88,7 @@ class TestPrefetcher:
 
     def test_bundles_match_synchronous_assembly(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
-                        depth=2)
+        pf = Prefetcher(epoch0(plan, book, shard, client), depth=2)
         i = 0
         while (b := pf.next_bundle()) is not None:
             ref = assemble_bundle(plan.block(0, i), owner, 0, shard, client,
@@ -102,8 +106,7 @@ class TestPrefetcher:
             return orig(ids)
 
         shard.rows_for_local = spy
-        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
-                        depth=2)
+        pf = Prefetcher(epoch0(plan, book, shard, client), depth=2)
         deadline = time.monotonic() + 2
         while len(assembled) < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -120,18 +123,33 @@ class TestPrefetcher:
             def sync_pull(self, ids, account=None):
                 raise ConnectionError("injected")
 
-        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, Boom(), None, None),
-                        depth=2)
+        pf = Prefetcher(epoch0(plan, book, shard, Boom()), depth=2)
         with pytest.raises(PrefetchError) as exc:
             while pf.next_bundle() is not None:
                 pass
         assert exc.value.batch == 0
         pf.drain()
 
+    def test_error_batch_counts_from_run_start(self, setup):
+        g, plan, book, owner, shard, client = setup
+        block = plan.block
+
+        def fail_in_epoch1(e, i):
+            if e == 1:
+                raise ConnectionError("injected")
+            return block(e, i)
+
+        plan.block = fail_in_epoch1
+        pf = Prefetcher(_run_bundles(plan, book, 0, shard, client), depth=2)
+        with pytest.raises(PrefetchError) as exc:
+            for _ in pf:
+                pass
+        assert exc.value.batch == plan.num_batches(0)
+        pf.drain()
+
     def test_drain_idempotent_and_unblocks_producer(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
-                        depth=1)
+        pf = Prefetcher(epoch0(plan, book, shard, client), depth=1)
         pf.next_bundle()
         pf.drain()
         pf.drain()
@@ -140,5 +158,4 @@ class TestPrefetcher:
     def test_bad_depth(self, setup):
         g, plan, book, owner, shard, client = setup
         with pytest.raises(ValueError):
-            Prefetcher(_epoch_bundles(plan, 0, owner, 0, shard, client, None, None),
-                        depth=0)
+            Prefetcher(epoch0(plan, book, shard, client), depth=0)

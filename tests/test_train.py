@@ -1,8 +1,13 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from gnnpipe import cache, model, train
 from gnnpipe.graph import synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
+from gnnpipe.store import StoreClient
 from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig, read_metrics,
                            resolve_n_hot, run, worker_metrics_path,
                            write_metrics)
@@ -176,11 +181,66 @@ class TestRun:
             for rec in r.records:
                 assert rec.cache_hits == 0
 
-    def test_dump_cache_keys(self):
-        results = run(small_cfg(mode="rapid", epochs=2, dump_cache_keys=True))
+    def test_dump_cache_keys(self, baseline_results):
+        results = run(small_cfg(mode="rapid", epochs=2))
         for r in results:
             assert r.cache_keys is not None
             assert np.array_equal(r.cache_keys, np.sort(r.cache_keys))
+        assert all(r.cache_keys is None for r in baseline_results)
+
+    def test_one_stream_per_worker(self, monkeypatch):
+        # each rapid worker builds one Prefetcher for the run, and every
+        # cache lookup and swap runs on that Prefetcher's producer thread
+        made = []
+
+        class Spy(train.Prefetcher):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        callers = {"lookup": set(), "swap": set()}
+        for name, seen in callers.items():
+            def spy(self, *args, _orig=getattr(cache.FeatureCache, name),
+                    _seen=seen, **kwargs):
+                _seen.add(threading.current_thread())
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(cache.FeatureCache, name, spy)
+        started = []
+        start = threading.Thread.start
+
+        def count_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", count_start)
+        monkeypatch.setattr(train, "Prefetcher", Spy)
+        run(small_cfg(mode="rapid"))
+        producers = {pf._producer for pf in made}
+        assert len(made) == 2 and len(producers) == 2
+        assert callers["lookup"] == producers
+        assert callers["swap"] == producers
+        # per worker: its own thread, one producer and E - 1 cache builds
+        assert len(started) == 2 * (1 + SMALL["epochs"])
+
+    def test_failed_run_leaves_no_thread(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        pull = StoreClient.vector_pull
+        filled = set()
+
+        def slow_secondary_fill(self, ids, account=None):
+            if id(self) in filled:  # every fill after the steady one
+                time.sleep(1.0)
+            filled.add(id(self))
+            return pull(self, ids, account)
+
+        monkeypatch.setattr(model, "loss_and_grad", boom)
+        monkeypatch.setattr(StoreClient, "vector_pull", slow_secondary_fill)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="injected"):
+            run(small_cfg(mode="rapid"))
+        assert set(threading.enumerate()) <= before
 
     def test_tcp_transport_matches_inproc(self, rapid_results):
         tcp = run(small_cfg(mode="rapid", transport="tcp"))

@@ -1,3 +1,8 @@
+import socket
+import struct
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +71,58 @@ class TestWireErrors:
     def test_response_length_mismatch(self):
         with pytest.raises(wire.WireError):
             wire.decode_response(GOLDEN_RESPONSE[:-4])
+
+
+class TestFrameCap:
+    def test_oversized_header_rejected_at_once(self):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)
+            a.sendall(struct.pack("<I", 0xFFFFFFF0))
+            t0 = time.monotonic()
+            with pytest.raises(wire.WireError):
+                wire.read_frame(b, 1 << 20)
+            assert time.monotonic() - t0 < 1
+
+    def test_frame_at_the_cap_is_read(self):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(wire.frame(b"x" * 16))
+            assert wire.read_frame(b, 16) == b"x" * 16
+
+    def test_server_hangs_up_on_oversized_request(self):
+        _, _, shards, _ = make_store()
+        srv = TcpShardServer(shards[0])
+        try:
+            with socket.create_connection(srv.address, timeout=2) as s:
+                s.sendall(struct.pack("<I", 0xFFFFFFF0))
+                assert s.recv(1) == b""  # closed, not waiting for 4 GiB
+        finally:
+            srv.close()
+
+    def test_client_rejects_oversized_response(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reply_oversized():
+            conn, _ = listener.accept()
+            with conn:
+                wire.read_frame(conn, 1 << 20)
+                conn.sendall(struct.pack("<I", 0xFFFFFFF0))
+                conn.recv(1)  # until the client hangs up
+
+        t = threading.Thread(target=reply_oversized)
+        t.start()
+        transport = TcpTransport(*listener.getsockname())
+        try:
+            with pytest.raises(wire.WireError):
+                transport.request(
+                    wire.encode_request(wire.MSG_SYNC_PULL, np.array([1])),
+                    wire.response_size(1, 3))
+        finally:
+            transport.close()
+            t.join(5)
+            listener.close()
+        assert not t.is_alive()
 
 
 @settings(max_examples=50)
