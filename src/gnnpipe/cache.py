@@ -6,9 +6,10 @@ swap at the epoch boundary. One thread, the one that runs the worker's
 bundle stream, calls `lookup`, `start_secondary_build` and `swap`; the
 builder thread only fills the secondary buffer, and `swap` joins it
 first. Correctness never depends on the cache: a failed secondary build
-just leaves the old steady buffer in place. The cache keeps no hit or
-miss counters; each lookup's split is returned to the caller, which
-counts per bundle.
+just leaves the old steady buffer in place. A cache built from no hot
+ids holds no rows and answers every lookup with misses; baseline mode
+uses one. The cache keeps no hit or miss counters; each lookup's split
+is returned to the caller, which counts per bundle.
 """
 
 from __future__ import annotations
@@ -55,22 +56,14 @@ class FeatureCache:
     def lookup(self, node_ids: np.ndarray) -> CacheLookup:
         ids = np.asarray(node_ids, dtype=np.int64)
         buf = self._steady
-        if len(buf.hot_ids) == 0:
-            return CacheLookup(
-                found_pos=np.empty(0, dtype=np.int64),
-                found_rows=np.empty((0, buf.rows.shape[1] if buf.rows.size else 0),
-                                    dtype=np.float32),
-                missing_pos=np.arange(len(ids), dtype=np.int64),
-                missing_ids=ids,
-            )
         pos = np.searchsorted(buf.hot_ids, ids)
-        pos_clip = np.minimum(pos, len(buf.hot_ids) - 1)
-        hit = buf.hot_ids[pos_clip] == ids
+        hit = pos < len(buf.hot_ids)
+        hit[hit] = buf.hot_ids[pos[hit]] == ids[hit]
         found_pos = np.flatnonzero(hit)
         missing_pos = np.flatnonzero(~hit)
         return CacheLookup(
             found_pos=found_pos,
-            found_rows=buf.rows[pos_clip[found_pos]],
+            found_rows=buf.rows[pos[found_pos]],
             missing_pos=missing_pos,
             missing_ids=ids[missing_pos],
         )

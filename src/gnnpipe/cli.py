@@ -31,10 +31,8 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
     p.add_argument("--lr", type=float)
     p.add_argument("--mode", choices=["baseline", "rapid"])
-    p.add_argument("--precision", choices=["f32", "f64"])
     p.add_argument("--n-hot", dest="n_hot",
                    help="hot-set size: absolute count or percent like 15%%")
-    p.add_argument("--hot-scope", dest="hot_scope", choices=["global", "epoch"])
     p.add_argument("--prefetch-depth", type=int, dest="prefetch_depth")
     p.add_argument("--latency-ms", type=float, dest="latency_ms")
     p.add_argument("--transport", choices=["inproc", "tcp"])
@@ -64,8 +62,6 @@ _CONFIG_KEYS = {
     "hidden_dim": ("hidden_dim", int),
     "lr": ("lr", float),
     "mode": ("mode", str),
-    "precision": ("precision", str),
-    "hot_scope": ("hot_scope", str),
     "prefetch_depth": ("prefetch_depth", int),
     "latency_ms": ("latency_ms", float),
     "transport": ("transport", str),

@@ -1,12 +1,14 @@
 """Feature bundles and the asynchronous prefetcher.
 
 `assemble_bundle` gathers one batch's feature rows: local shard reads,
-cache hits and fallback pulls, and records the fallback traffic in the
-bundle. `Prefetcher` runs any iterator of bundles, such as a worker's
-whole-run stream, on a single producer thread into a bounded queue of
-depth Q; the trainer consumes them strictly in order. With the producer
-holding at most one bundle in hand, at most Q+1 assembled bundles exist
-beyond the steady cache at any instant.
+cache hits and fallback pulls of the cache misses, and records the
+fallback traffic in the bundle. A cache with no rows, as in baseline
+mode, makes every remote row a miss. `Prefetcher` runs any iterator of
+bundles, such as a worker's whole-run stream, on a single producer
+thread into a bounded queue of depth Q; the trainer consumes them
+strictly in order. With the producer holding at most one bundle in hand,
+at most Q+1 assembled bundles exist beyond the steady cache at any
+instant.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class FeatureBundle:
     batch: int
     block: ComputationBlock
     rows: np.ndarray  # |input_nodes| x feat_dim, aligned to input_nodes
-    n_local: int
     n_cache_hit: int
     n_fallback: int
     fallback: TransferAccount  # traffic of this bundle's fallback pulls
@@ -55,15 +56,15 @@ def assemble_bundle(
     my_part: int,
     shard: StoreShard,
     client: StoreClient,
-    cache: FeatureCache | None,
+    cache: FeatureCache,
     account: TransferAccount | None = None,
 ) -> FeatureBundle:
     """Gather the feature rows a block needs, in input_nodes order.
 
     Locally owned rows are read straight from the worker's shard memory
-    (zero RPC). Remote rows go through the cache when one is present;
-    only the misses fall back to a sync pull, so the fallback account is
-    charged node-granularly. That account, a fresh one when `account` is
+    (zero RPC). Remote rows go through the cache; only the misses fall
+    back to a sync pull, so the fallback account is charged
+    node-granularly. That account, a fresh one when `account` is
     None, travels with the bundle as `bundle.fallback`.
     """
     if account is None:
@@ -74,29 +75,22 @@ def assemble_bundle(
     remote_pos = np.flatnonzero(owner[ids] != my_part)
     if len(local_pos):
         rows[local_pos] = shard.rows_for_local(ids[local_pos])
-    n_hit = 0
-    n_fallback = 0
+    n_hit = n_fallback = 0
     if len(remote_pos):
-        remote_ids = ids[remote_pos]
-        if cache is not None:
-            res = cache.lookup(remote_ids)
-            if len(res.found_pos):
-                rows[remote_pos[res.found_pos]] = res.found_rows
-            if len(res.missing_pos):
-                rows[remote_pos[res.missing_pos]] = client.sync_pull(
-                    res.missing_ids, account
-                )
-            n_hit = len(res.found_pos)
-            n_fallback = len(res.missing_pos)
-        else:
-            rows[remote_pos] = client.sync_pull(remote_ids, account)
-            n_fallback = len(remote_pos)
+        res = cache.lookup(ids[remote_pos])
+        if len(res.found_pos):
+            rows[remote_pos[res.found_pos]] = res.found_rows
+        if len(res.missing_pos):
+            rows[remote_pos[res.missing_pos]] = client.sync_pull(
+                res.missing_ids, account
+            )
+        n_hit = len(res.found_pos)
+        n_fallback = len(res.missing_pos)
     return FeatureBundle(
         epoch=block.epoch,
         batch=block.batch,
         block=block,
         rows=rows,
-        n_local=len(local_pos),
         n_cache_hit=n_hit,
         n_fallback=n_fallback,
         fallback=account,

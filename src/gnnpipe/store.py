@@ -169,6 +169,7 @@ class TcpShardServer:
     def close(self) -> None:
         self._server.shutdown()
         self._server.server_close()
+        self._thread.join()
 
 
 class StoreClient:

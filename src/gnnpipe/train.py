@@ -2,13 +2,17 @@
 
 Each worker trains over one bundle stream for the whole run, one bundle
 per batch of the plan, taking each epoch's batch count from it. The
-stream also turns the hot-node cache over at epoch boundaries, so only
-the thread that runs it looks up or swaps the cache: the trainer in
-`baseline`, which has no cache and pulls every remote row on demand, and
-the prefetcher's producer in `rapid`. Both modes consume bit-identical
-feature rows in the same order, so they produce bit-identical parameter
-trajectories for the same plan. Each bundle carries its own cache hits,
-misses and fallback traffic; the per-epoch columns are their sums.
+mode decides two things only: the size of the worker's hot-node cache
+and whether a prefetcher runs the stream. `rapid` caches each epoch's
+n_hot most-accessed remote nodes and runs the stream on a prefetcher's
+producer thread; `baseline` has a cache with no rows, so every remote
+row is a miss pulled on demand, and runs the stream on the trainer
+thread. With n_hot > 0 the stream also turns the cache over at epoch
+boundaries, so only the thread that runs it looks up or swaps the cache.
+Both modes consume bit-identical feature rows in the same order, so they
+produce bit-identical parameter trajectories for the same plan. Each
+bundle carries its own cache hits, misses and fallback traffic; the
+per-epoch columns are their sums.
 """
 
 from __future__ import annotations
@@ -108,31 +112,37 @@ class RunConfig:
     fanouts: list[int] = field(default_factory=lambda: [10, 25])
     n_hot: int | None = None  # absolute count; None -> use n_hot_pct
     n_hot_pct: float = 15.0  # percent of each worker's remote node set
-    hot_scope: str = "epoch"  # epoch | global
     prefetch_depth: int = 3
     mode: str = "rapid"  # baseline | rapid
     latency_ms: float = 0.0
     transport: str = "inproc"  # inproc | tcp
     lr: float = 0.05
     hidden_dim: int = 32
-    precision: str = "f32"  # f32 | f64
     metrics_out: str | None = None
 
     def validate(self) -> None:
         if self.mode not in ("baseline", "rapid"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.hot_scope not in ("epoch", "global"):
-            raise ValueError(f"unknown hot scope {self.hot_scope!r}")
         if self.partitioner not in ("random", "edgecut"):
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
         if self.transport not in ("inproc", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.prefetch_depth < 1:
             raise ValueError("prefetch depth must be >= 1")
-        if self.precision not in ("f32", "f64"):
-            raise ValueError(f"unknown precision {self.precision!r}")
         if not self.fanouts:
             raise ValueError("fanouts must list one value per layer")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden dim must be >= 1")
+        if self.latency_ms < 0:
+            raise ValueError("latency must be >= 0 ms")
+        if self.n_hot is not None and self.n_hot < 0:
+            raise ValueError("n_hot must be >= 0")
+        if not 0 <= self.n_hot_pct <= 100:
+            raise ValueError("n_hot percent must be in [0, 100]")
 
 
 @dataclass
@@ -177,18 +187,18 @@ def _run_bundles(
     part: int,
     shard: StoreShard,
     client: StoreClient,
-    cache: cache_mod.FeatureCache | None = None,
-    n_hot: int | None = None,
+    cache: cache_mod.FeatureCache,
+    n_hot: int,
     fill: TransferAccount | None = None,
 ) -> Iterator[FeatureBundle]:
     """Every epoch's feature bundles in plan order, for the whole run.
 
-    With `n_hot` set, the cache turns over: as epoch e starts, the stream
+    With n_hot > 0 the cache turns over: as epoch e starts, the stream
     starts filling e+1's n_hot hot set, charged to `fill`, and swaps it
-    in after e's last bundle. Otherwise one hot set serves the run.
+    in after e's last bundle.
     """
     for e in range(plan.epochs):
-        turn = cache is not None and n_hot is not None and e + 1 < plan.epochs
+        turn = n_hot > 0 and e + 1 < plan.epochs
         if turn:
             cache.start_secondary_build(plan, e + 1, book, part, n_hot, client, fill)
         for i in range(plan.num_batches(e)):
@@ -207,24 +217,19 @@ def _run_worker(
     client: StoreClient,
     cfg: RunConfig,
 ) -> WorkerResult:
-    dtype = np.float32 if cfg.precision == "f32" else np.float64
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
-                               len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG),
-                               dtype=dtype)
+                               len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG))
     fill = TransferAccount()
     rapid = cfg.mode == "rapid"
 
-    per_epoch = cfg.hot_scope == "epoch"
-    fcache: cache_mod.FeatureCache | None = None
     n_hot = 0
-    if rapid and cfg.epochs > 0:
-        remote_all = collect_access(plan, book, part)
-        n_hot = resolve_n_hot(cfg, len(remote_all))
-        freq = collect_access(plan, book, part, epoch=0) if per_epoch else remote_all
-        fcache = cache_mod.build_steady(top_hot(freq, n_hot), client, fill)
+    hot = np.empty(0, dtype=np.int64)
+    if rapid:
+        n_hot = resolve_n_hot(cfg, len(collect_access(plan, book, part)))
+        hot = top_hot(collect_access(plan, book, part, epoch=0), n_hot)
+    fcache = cache_mod.build_steady(hot, client, fill)
 
-    stream = _run_bundles(plan, book, part, shard, client, fcache,
-                          n_hot if per_epoch else None, fill)
+    stream = _run_bundles(plan, book, part, shard, client, fcache, n_hot, fill)
     pf = Prefetcher(stream, cfg.prefetch_depth) if rapid else None
     bundles = iter(stream if pf is None else pf)
     records: list[MetricsRecord] = []
@@ -235,9 +240,8 @@ def _run_worker(
             hits = misses = 0
             pulled = TransferAccount()
             for bundle in itertools.islice(bundles, plan.num_batches(e)):
-                rows = bundle.rows.astype(dtype, copy=False)
-                loss, grads = model.loss_and_grad(bundle.block, rows, g.labels,
-                                                  params)
+                loss, grads = model.loss_and_grad(bundle.block, bundle.rows,
+                                                  g.labels, params)
                 params = model.sgd_step(params, grads, cfg.lr)
                 loss_sum += loss
                 hits += bundle.n_cache_hit
@@ -262,14 +266,13 @@ def _run_worker(
     finally:
         if pf is not None:
             pf.drain()
-        if fcache is not None:
-            fcache.wait_secondary()
+        fcache.wait_secondary()
     return WorkerResult(
         part=part,
         records=records,
         params=params,
         plan_digest=plan.digest_hex(),
-        cache_keys=None if fcache is None else fcache.hot_ids,
+        cache_keys=fcache.hot_ids if rapid else None,
         cache_fill=fill,
     )
 

@@ -419,7 +419,8 @@ def test_criterion_09_transparency():
         block = sample_block(g, np.sort(rng.choice(400, 20, replace=False)),
                              [3, 5], s)
         bundle = assemble_bundle(block, book.owner, 0, gshards[0], gclient,
-                                 None, None)
+                                 build_steady(np.empty(0, np.int64), gclient),
+                                 None)
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])
 
     # hot-set selection equals the brute-force optimum with least-id ties

@@ -117,7 +117,8 @@ def test_bad_config_line(tmp_path):
         main(["train", "--config", str(cfgfile)])
 
 
-@pytest.mark.parametrize("line", ["epoch = 2", "layers = 2"])
+@pytest.mark.parametrize("line", ["epoch = 2", "layers = 2", "hot_scope = global",
+                                  "precision = f64"])
 def test_unknown_config_key(tmp_path, line):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"epochs = 1\n{line}\n")

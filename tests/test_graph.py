@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnnpipe.graph import (GraphFormatError, GraphValidationError,
+from gnnpipe.graph import (_HEADER, GraphFormatError, GraphValidationError,
                            from_edge_list, load_graph, save_graph,
                            synth_powerlaw)
 
@@ -104,10 +104,10 @@ def test_out_of_range_index(tmp_path):
     save_graph(g, p)
     data = bytearray(p.read_bytes())
     # first indices entry sits right after the header and indptr
-    off = 28 + 8 * (g.num_nodes + 1)
+    off = _HEADER.size + 8 * (g.num_nodes + 1)
     data[off : off + 8] = (1000).to_bytes(8, "little")
     p.write_bytes(bytes(data))
-    with pytest.raises(GraphValidationError):
+    with pytest.raises(GraphValidationError, match="neighbor id out of range"):
         load_graph(p)
 
 

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from gnnpipe.cache import build_steady
+from gnnpipe.cache import FeatureCache, build_steady
 from gnnpipe.partition import partition_edgecut
 from gnnpipe.plan import collect_access, generate_plan, top_hot
 from gnnpipe.prefetch import PrefetchError, Prefetcher, assemble_bundle
@@ -13,10 +13,17 @@ from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
 from gnnpipe.train import _run_bundles
 
 
+def no_cache(shard):
+    """A cache with no rows: every remote row is a miss."""
+    return FeatureCache(np.empty(0, dtype=np.int64),
+                        np.empty((0, shard.feat_dim), dtype=np.float32))
+
+
 def epoch0(plan, book, shard, client):
-    """Epoch 0's bundles of worker 0's run stream, with no cache."""
-    return itertools.islice(_run_bundles(plan, book, 0, shard, client),
-                            plan.num_batches(0))
+    """Epoch 0's bundles of worker 0's run stream, with a zero-row cache."""
+    return itertools.islice(
+        _run_bundles(plan, book, 0, shard, client, no_cache(shard), 0),
+        plan.num_batches(0))
 
 
 @pytest.fixture()
@@ -39,9 +46,11 @@ class TestAssembleBundle:
     def test_rows_match_features(self, setup):
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
-        bundle = assemble_bundle(block, owner, 0, shard, client, None, None)
+        bundle = assemble_bundle(block, owner, 0, shard, client,
+                                 no_cache(shard), None)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
-        assert bundle.n_local + bundle.n_fallback == len(block.input_nodes)
+        n_local = np.count_nonzero(owner[block.input_nodes] == 0)
+        assert n_local + bundle.n_fallback == len(block.input_nodes)
         assert bundle.n_cache_hit == 0
 
     def test_cache_splits_remote_traffic(self, setup):
@@ -70,7 +79,7 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 1)
         acct = TransferAccount()
-        assemble_bundle(block, owner, 0, shard, client, None, acct)
+        assemble_bundle(block, owner, 0, shard, client, no_cache(shard), acct)
         n_remote = int((owner[block.input_nodes] != 0).sum())
         assert acct.nodes_pulled == n_remote
         assert shard.rpc_calls == 0
@@ -92,7 +101,7 @@ class TestPrefetcher:
         i = 0
         while (b := pf.next_bundle()) is not None:
             ref = assemble_bundle(plan.block(0, i), owner, 0, shard, client,
-                                  None, None)
+                                  no_cache(shard), None)
             assert np.array_equal(b.rows, ref.rows)
             i += 1
 
@@ -140,7 +149,8 @@ class TestPrefetcher:
             return block(e, i)
 
         plan.block = fail_in_epoch1
-        pf = Prefetcher(_run_bundles(plan, book, 0, shard, client), depth=2)
+        pf = Prefetcher(_run_bundles(plan, book, 0, shard, client,
+                                     no_cache(shard), 0), depth=2)
         with pytest.raises(PrefetchError) as exc:
             for _ in pf:
                 pass

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from gnnpipe import cache, model, train
+from gnnpipe import cache, model, train, wire
 from gnnpipe.graph import synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
-from gnnpipe.store import StoreClient
+from gnnpipe.prefetch import PrefetchError
+from gnnpipe.store import StoreClient, StoreShard, TransportError
 from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig, read_metrics,
                            resolve_n_hot, run, worker_metrics_path,
                            write_metrics)
@@ -37,6 +38,38 @@ def stable_fields(rec):
     d = dataclasses.asdict(rec)
     d.pop("t_e_ms")
     return d
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """Record every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def count_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", count_start)
+    return started
+
+
+def kill_shard_after(monkeypatch, part: int, n: int) -> list:
+    """Shard `part` serves `n` requests, then raises on every request.
+
+    Returns the message types of the requests it served.
+    """
+    handle = StoreShard.handle
+    served = []
+
+    def dying(self, payload):
+        if self.part == part:
+            if len(served) >= n:
+                raise RuntimeError("shard died")
+            served.append(wire.decode_request(payload)[0])
+        return handle(self, payload)
+
+    monkeypatch.setattr(StoreShard, "handle", dying)
+    return served
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +115,26 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             small_cfg(mode="turbo").validate()
         with pytest.raises(ValueError):
-            small_cfg(hot_scope="week").validate()
-        with pytest.raises(ValueError):
             small_cfg(prefetch_depth=0).validate()
         with pytest.raises(ValueError):
             small_cfg(fanouts=[]).validate()
+        with pytest.raises(ValueError, match="batch size"):
+            small_cfg(batch_size=0).validate()
+        with pytest.raises(ValueError, match="epochs"):
+            small_cfg(epochs=-1).validate()
+        with pytest.raises(ValueError, match="epochs"):
+            small_cfg(epochs=0).validate()
+        with pytest.raises(ValueError, match="latency"):
+            small_cfg(latency_ms=-5).validate()
+        with pytest.raises(ValueError, match="hidden dim"):
+            small_cfg(hidden_dim=0).validate()
+        with pytest.raises(ValueError, match="n_hot"):
+            small_cfg(n_hot=-1).validate()
+        with pytest.raises(ValueError, match="percent"):
+            small_cfg(n_hot_pct=-1.0).validate()
+        with pytest.raises(ValueError, match="percent"):
+            small_cfg(n_hot_pct=250.0).validate()
+        small_cfg(n_hot=0, n_hot_pct=100.0, latency_ms=0.0).validate()
 
     def test_resolve_n_hot(self):
         assert resolve_n_hot(small_cfg(n_hot=42), 1000) == 42
@@ -161,25 +209,21 @@ class TestRun:
             recs = read_metrics(worker_metrics_path(str(out), p))
             assert [r.epoch for r in recs] == [0, 1]
 
-    def test_global_hot_scope_runs(self):
-        results = run(small_cfg(mode="rapid", hot_scope="global", epochs=2))
-        total_hits = sum(rec.cache_hits for r in results for rec in r.records)
-        assert total_hits > 0
-
-    def test_global_hot_scope_counters_are_per_epoch(self, baseline_results):
-        # the global hot set is never swapped, yet each epoch's counters
-        # must cover that epoch's remote rows only
-        results = run(small_cfg(mode="rapid", hot_scope="global"))
-        for r, b in zip(results, baseline_results):
-            for rec, base in zip(r.records, b.records):
-                assert rec.cache_misses == rec.nodes_pulled
-                assert rec.cache_hits + rec.nodes_pulled == base.nodes_pulled
-
     def test_n_hot_zero_means_no_hits(self):
         results = run(small_cfg(mode="rapid", n_hot=0, epochs=2))
         for r in results:
             for rec in r.records:
                 assert rec.cache_hits == 0
+
+    @pytest.mark.parametrize("over", [dict(n_hot=0), dict(partitions=1)])
+    def test_no_hot_set_starts_no_cache_builds(self, monkeypatch, over):
+        # nothing to turn over: per worker, its own thread and one producer
+        started = count_thread_starts(monkeypatch)
+        results = run(small_cfg(mode="rapid", **over))
+        assert len(started) == 2 * len(results)
+        for r in results:
+            assert len(r.cache_keys) == 0
+            assert r.cache_fill.snapshot() == (0, 0, 0)
 
     def test_dump_cache_keys(self, baseline_results):
         results = run(small_cfg(mode="rapid", epochs=2))
@@ -242,6 +286,24 @@ class TestRun:
             run(small_cfg(mode="rapid"))
         assert set(threading.enumerate()) <= before
 
+    def test_dying_shard_fails_rapid_run(self, monkeypatch):
+        served = kill_shard_after(monkeypatch, part=1, n=5)
+        before = set(threading.enumerate())
+        with pytest.raises(PrefetchError) as exc:
+            run(small_cfg(mode="rapid", transport="tcp"))
+        assert isinstance(exc.value.__cause__, TransportError)
+        # every bundle of worker 0 sync-pulls misses from shard 1 once,
+        # so the failing bundle is the one after those the shard served
+        assert exc.value.batch == served.count(wire.MSG_SYNC_PULL)
+        assert set(threading.enumerate()) <= before
+
+    def test_dying_shard_fails_baseline_run(self, monkeypatch):
+        kill_shard_after(monkeypatch, part=1, n=5)
+        before = set(threading.enumerate())
+        with pytest.raises(TransportError):
+            run(small_cfg(mode="baseline", transport="tcp"))
+        assert set(threading.enumerate()) <= before
+
     def test_tcp_transport_matches_inproc(self, rapid_results):
         tcp = run(small_cfg(mode="rapid", transport="tcp"))
         for a, b in zip(rapid_results, tcp):
@@ -250,10 +312,6 @@ class TestRun:
             for ra, rb in zip(a.records, b.records):
                 assert (ra.rpc_calls, ra.nodes_pulled, ra.bytes_pulled) == (
                     rb.rpc_calls, rb.nodes_pulled, rb.bytes_pulled)
-
-    def test_f64_precision_runs(self):
-        results = run(small_cfg(mode="rapid", epochs=2, precision="f64"))
-        assert results[0].params[0].w_self.dtype == np.float64
 
     def test_single_partition_no_remote_traffic(self):
         results = run(small_cfg(mode="rapid", partitions=1, epochs=2))
