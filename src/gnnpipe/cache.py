@@ -5,8 +5,9 @@ buffer for the next epoch is filled by a background thread; the buffers
 swap at the epoch boundary. One thread, the one that runs the worker's
 bundle stream, calls `lookup`, `start_secondary_build` and `swap`; the
 builder thread only fills the secondary buffer, and `swap` joins it
-first. Correctness never depends on the cache: a failed secondary build
-just leaves the old steady buffer in place. A cache built from no hot
+first. A failed secondary build leaves the old steady buffer in place,
+and `swap` says so; a training run's stream then raises, because its
+lookahead pulls assumed the new hot set. A cache built from no hot
 ids holds no rows and answers every lookup with misses; baseline mode
 uses one. The cache keeps no hit or miss counters; each lookup's split
 is returned to the caller, which counts per bundle.

@@ -113,6 +113,18 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _checked_run_config(args: argparse.Namespace) -> RunConfig | None:
+    """The run config from the flags, or None after printing why it is
+    invalid."""
+    cfg = _build_run_config(args)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return cfg
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = synth_powerlaw(args.nodes, args.edges_per_node, args.feat_dim,
                        args.classes, args.seed)
@@ -133,7 +145,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
+    cfg = _checked_run_config(args)
+    if cfg is None:
+        return 2
     g = _load_or_generate(cfg)
     plan = generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
                          cfg.batch_size, cfg.epochs, cfg.s0)
@@ -142,11 +156,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cfg = _checked_run_config(args)
+    if cfg is None:
         return 2
     results = run(cfg)
     for r in results:
@@ -161,11 +172,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    cfg = _checked_run_config(args)
+    if cfg is None:
         return 2
     base_out = cfg.metrics_out
     for size in args.n_hot_list.split(";"):

@@ -1,14 +1,16 @@
-"""Feature bundles and the asynchronous prefetcher.
+"""Feature bundles, lookahead pulls and the asynchronous prefetcher.
 
-`assemble_bundle` gathers one batch's feature rows: local shard reads,
-cache hits and fallback pulls of the cache misses, and records the
-fallback traffic in the bundle. A cache with no rows, as in baseline
-mode, makes every remote row a miss. `Prefetcher` runs any iterator of
-bundles, such as a worker's whole-run stream, on a single producer
-thread into a bounded queue of depth Q; the trainer consumes them
-strictly in order. With the producer holding at most one bundle in hand,
-at most Q+1 assembled bundles exist beyond the steady cache at any
-instant.
+`pull_window` fetches the cache misses of a window of consecutive
+batches with one sync pull, one RPC per owning shard; the precomputed
+plan names every batch's input nodes, and the hot set of its epoch,
+before its block is sampled. A `Lookahead` is one batch's share of such
+a pull. `assemble_bundle` gathers one batch's feature rows: local shard
+reads, cache hits, and the cache misses taken from a pulled window, or
+from a pull of its own when it is given none. A cache with no rows, as
+in baseline mode, makes every remote row a miss. `Prefetcher` runs any
+iterator, such as a worker's run of lookahead pulls, on a single
+producer thread into a bounded queue of depth Q; the consumer takes the
+items strictly in order.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ from .store import StoreClient, StoreShard, TransferAccount
 
 
 class PrefetchError(RuntimeError):
-    """The bundle iterator raised after yielding `batch` bundles.
+    """The prefetched iterator raised after yielding `batch` items.
 
-    `batch` counts from the start of the iterator; for a worker's run
-    stream that is the start of the run, not of the epoch.
+    `batch` counts from the start of the iterator; for a worker's run of
+    lookahead pulls, one item per batch, that is the batch's index in the
+    run, not in its epoch.
     """
 
     def __init__(self, batch: int, cause: BaseException):
-        super().__init__(f"bundle assembly failed at bundle {batch} of the "
+        super().__init__(f"prefetching failed at item {batch} of the "
                          f"stream: {cause}")
         self.batch = batch
         self.__cause__ = cause
@@ -47,7 +50,60 @@ class FeatureBundle:
     rows: np.ndarray  # |input_nodes| x feat_dim, aligned to input_nodes
     n_cache_hit: int
     n_fallback: int
-    fallback: TransferAccount  # traffic of this bundle's fallback pulls
+    fallback: TransferAccount  # traffic of the pulls charged to this bundle
+
+
+@dataclass
+class PulledRows:
+    """Feature rows pulled ahead for a window of batches."""
+
+    ids: np.ndarray  # sorted ascending
+    rows: np.ndarray  # aligned with ids
+
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of `ids`; raises LookupError if any was not pulled."""
+        pos = np.searchsorted(self.ids, ids)
+        found = pos < len(self.ids)
+        found[found] = self.ids[pos[found]] == ids[found]
+        if not found.all():
+            raise LookupError(f"{np.count_nonzero(~found)} rows were not pulled "
+                              f"with the window, first id {ids[~found][0]}")
+        return self.rows[pos]
+
+
+@dataclass
+class Lookahead:
+    """One batch's share of a window pull: the rows the window pulled,
+    and the pull's traffic on the window's first batch (None on the
+    others)."""
+
+    epoch: int
+    batch: int
+    pulled: PulledRows
+    account: TransferAccount | None
+
+
+def pull_window(
+    input_sets: list[np.ndarray],
+    owner: np.ndarray,
+    my_part: int,
+    hot_ids: np.ndarray,
+    client: StoreClient,
+    account: TransferAccount | None = None,
+) -> PulledRows:
+    """Pull the cache misses of a window of batches in one sync pull.
+
+    The misses are the remote ids of the batches' input nodes outside
+    `hot_ids`, the sorted hot set the cache holds for their epoch; their
+    union costs one RPC per owning shard, charged to `account`. With no
+    misses nothing is pulled.
+    """
+    ids = np.unique(np.concatenate(input_sets))
+    ids = np.setdiff1d(ids[owner[ids] != my_part], hot_ids,
+                       assume_unique=True)
+    if len(ids) == 0:
+        return PulledRows(ids, np.empty((0, client.feat_dim), dtype=np.float32))
+    return PulledRows(ids, client.sync_pull(ids, account))
 
 
 def assemble_bundle(
@@ -58,18 +114,23 @@ def assemble_bundle(
     client: StoreClient,
     cache: FeatureCache,
     account: TransferAccount | None = None,
+    pulled: PulledRows | None = None,
 ) -> FeatureBundle:
     """Gather the feature rows a block needs, in input_nodes order.
 
     Locally owned rows are read straight from the worker's shard memory
-    (zero RPC). Remote rows go through the cache; only the misses fall
-    back to a sync pull, so the fallback account is charged
-    node-granularly. That account, a fresh one when `account` is
-    None, travels with the bundle as `bundle.fallback`.
+    (zero RPC). Remote rows go through the cache; the misses come from
+    `pulled`, a window pulled ahead that must hold every one of them, or
+    when it is None from a pull of this block's own misses, charged
+    node-granularly to `account`. That account, a fresh one when
+    `account` is None, travels with the bundle as `bundle.fallback`.
     """
     if account is None:
         account = TransferAccount()
     ids = block.input_nodes
+    if pulled is None:
+        pulled = pull_window([ids], owner, my_part, cache.hot_ids, client,
+                             account)
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
     local_pos = np.flatnonzero(owner[ids] == my_part)
     remote_pos = np.flatnonzero(owner[ids] != my_part)
@@ -81,9 +142,7 @@ def assemble_bundle(
         if len(res.found_pos):
             rows[remote_pos[res.found_pos]] = res.found_rows
         if len(res.missing_pos):
-            rows[remote_pos[res.missing_pos]] = client.sync_pull(
-                res.missing_ids, account
-            )
+            rows[remote_pos[res.missing_pos]] = pulled.take(res.missing_ids)
         n_hit = len(res.found_pos)
         n_fallback = len(res.missing_pos)
     return FeatureBundle(
@@ -98,28 +157,28 @@ def assemble_bundle(
 
 
 class Prefetcher:
-    """Runs a bundle iterator ahead of the trainer on one producer thread.
+    """Runs an iterator ahead of its consumer on one producer thread.
 
-    At most `depth` bundles wait in the queue, plus the one the producer
-    holds while blocked on a full queue. Everything the iterator does,
-    including any cache turnover between epochs, runs on that thread.
+    At most `depth` items wait in the queue, plus the one the producer
+    holds while blocked on a full queue. Everything the iterator does
+    runs on that thread.
     """
 
-    def __init__(self, bundles: Iterable[FeatureBundle], depth: int = 3):
+    def __init__(self, items: Iterable, depth: int = 3):
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
         self._queue: queue.Queue = queue.Queue(maxsize=depth)
         self._stop = threading.Event()
         self._exhausted = False
-        self._producer = threading.Thread(target=self._produce, args=(bundles,),
+        self._producer = threading.Thread(target=self._produce, args=(items,),
                                           daemon=True)
         self._producer.start()
 
-    def _produce(self, bundles: Iterable[FeatureBundle]) -> None:
+    def _produce(self, items: Iterable) -> None:
         n = 0
         try:
-            for bundle in bundles:
-                self._put(bundle)
+            for item in items:
+                self._put(item)
                 if self._stop.is_set():
                     return
                 n += 1
@@ -135,8 +194,8 @@ class Prefetcher:
             except queue.Full:
                 continue
 
-    def next_bundle(self) -> FeatureBundle | None:
-        """Block for the next in-order bundle; None once the stream is done."""
+    def next_bundle(self):
+        """Block for the next in-order item; None once the iterator is done."""
         if self._exhausted:
             return None
         item = self._queue.get()
@@ -148,9 +207,9 @@ class Prefetcher:
             raise item
         return item
 
-    def __iter__(self) -> Iterator[FeatureBundle]:
-        while (bundle := self.next_bundle()) is not None:
-            yield bundle
+    def __iter__(self) -> Iterator:
+        while (item := self.next_bundle()) is not None:
+            yield item
 
     def drain(self) -> None:
         """Stop the producer and discard anything buffered; idempotent."""

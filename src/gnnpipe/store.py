@@ -18,7 +18,8 @@ class LookupError_(KeyError):
 
 
 class TransportError(ConnectionError):
-    """Transport-level failure: the connection failed or closed."""
+    """Transport-level failure: the connection failed or closed, or the
+    shard failed while handling the request."""
 
 
 def bytes_for(n: int, d: int) -> int:
@@ -149,7 +150,11 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
                 return  # the frame cannot be skipped unread: hang up
             if not payload:
                 return
-            self.request.sendall(wire.frame(shard.handle(payload)))
+            try:
+                resp = shard.handle(payload)
+            except Exception as exc:  # the client raises it as TransportError
+                resp = wire.encode_failure(f"{type(exc).__name__}: {exc}")
+            self.request.sendall(wire.frame(resp))
 
 
 class TcpShardServer:
@@ -196,7 +201,11 @@ class StoreClient:
             sel = np.flatnonzero(owners == p)
             payload = wire.encode_request(msg_type, ids[sel])
             resp = self.transports[p].request(
-                payload, wire.response_size(len(sel), self.feat_dim))
+                payload, max(wire.response_size(len(sel), self.feat_dim),
+                             wire.FAILURE_SIZE))
+            failure = wire.failure_message(resp)
+            if failure is not None:
+                raise TransportError(f"shard {p} failed: {failure}")
             status, rows, dim = wire.decode_response(resp)
             if status == wire.STATUS_NOT_OWNED:
                 raise LookupError_(f"shard {p} does not own requested ids")

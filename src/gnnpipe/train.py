@@ -2,17 +2,25 @@
 
 Each worker trains over one bundle stream for the whole run, one bundle
 per batch of the plan, taking each epoch's batch count from it. The
-mode decides two things only: the size of the worker's hot-node cache
-and whether a prefetcher runs the stream. `rapid` caches each epoch's
-n_hot most-accessed remote nodes and runs the stream on a prefetcher's
-producer thread; `baseline` has a cache with no rows, so every remote
-row is a miss pulled on demand, and runs the stream on the trainer
-thread. With n_hot > 0 the stream also turns the cache over at epoch
-boundaries, so only the thread that runs it looks up or swaps the cache.
-Both modes consume bit-identical feature rows in the same order, so they
+stream runs on the worker's own thread: it samples each block,
+assembles its bundle and turns the cache over at epoch boundaries, so
+only that thread looks up or swaps the cache. The cache misses of every
+bundle come from the run's lookahead, which pulls the misses of each
+window of consecutive batches in one request; the plan fixes every
+batch's input nodes and every epoch's hot set, so the lookahead never
+waits for the stream. The mode decides three things only: the size of
+the worker's hot-node cache, how many batches a window holds, and
+whether a prefetcher runs the lookahead. `rapid` caches each epoch's
+n_hot most-accessed remote nodes, pulls windows of Q = prefetch_depth
+batches and runs the lookahead on a prefetcher's producer thread, at
+most Q+1 batches ahead of the stream. `baseline` has a cache with no
+rows, so every remote row is a miss, and pulls each batch's misses on
+its own, on the worker's thread, as the stream reaches the batch. Both
+modes consume bit-identical feature rows in the same order, so they
 produce bit-identical parameter trajectories for the same plan. Each
-bundle carries its own cache hits, misses and fallback traffic; the
-per-epoch columns are their sums.
+bundle carries its own cache hits and misses, and the first bundle of
+each window carries the window's pull traffic; the per-epoch columns
+are their sums.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import csv
 import itertools
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +40,8 @@ from .graph import Graph, load_graph, synth_powerlaw
 from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 from .plan import BatchPlan, collect_access, generate_plan, top_hot
-from .prefetch import FeatureBundle, Prefetcher, assemble_bundle
+from .prefetch import (FeatureBundle, Lookahead, Prefetcher, assemble_bundle,
+                       pull_window)
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
@@ -181,6 +190,43 @@ def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:
     return int(num_remote * cfg.n_hot_pct / 100.0)
 
 
+def _epoch_hot(plan: BatchPlan, book: PartitionBook, part: int, e: int,
+               n_hot: int) -> np.ndarray:
+    """The hot set the worker's cache holds during epoch e."""
+    if n_hot == 0:
+        return np.empty(0, dtype=np.int64)
+    return top_hot(collect_access(plan, book, part, epoch=e), n_hot)
+
+
+def _lookahead(
+    plan: BatchPlan,
+    book: PartitionBook,
+    part: int,
+    client: StoreClient,
+    n_hot: int,
+    window: int = 1,
+) -> Iterator[Lookahead]:
+    """One `Lookahead` per batch of the run, in plan order.
+
+    Each epoch's batches go in windows of `window` consecutive batches;
+    a window never crosses an epoch boundary. The cache misses of a
+    window's batches, their remote input nodes outside the epoch's hot
+    set, are pulled in one sync pull (one RPC per owning shard), and that
+    pull's traffic is charged to the window's first batch.
+    """
+    for e in range(plan.epochs):
+        hot = _epoch_hot(plan, book, part, e, n_hot)
+        n = plan.num_batches(e)
+        for first in range(0, n, window):
+            batches = range(first, min(first + window, n))
+            account = TransferAccount()
+            pulled = pull_window([plan.input_sets[e][i] for i in batches],
+                                 book.owner, part, hot, client, account)
+            for i in batches:
+                yield Lookahead(e, i, pulled, account if i == first else None)
+            del pulled  # the window's rows live as long as its Lookaheads
+
+
 def _run_bundles(
     plan: BatchPlan,
     book: PartitionBook,
@@ -190,22 +236,33 @@ def _run_bundles(
     cache: cache_mod.FeatureCache,
     n_hot: int,
     fill: TransferAccount | None = None,
+    window: int = 1,
+    ahead: Iterable[Lookahead] | None = None,
 ) -> Iterator[FeatureBundle]:
     """Every epoch's feature bundles in plan order, for the whole run.
 
-    With n_hot > 0 the cache turns over: as epoch e starts, the stream
-    starts filling e+1's n_hot hot set, charged to `fill`, and swaps it
-    in after e's last bundle.
+    Each bundle takes its cache misses from its `Lookahead` in `ahead`;
+    by default the stream pulls them itself, a window of `window`
+    batches at a time, as it reaches each window. With n_hot > 0 the
+    cache turns over: as epoch e starts, the stream starts filling e+1's
+    n_hot hot set, charged to `fill`, and swaps it in after e's last
+    bundle. The lookahead pulled e+1's misses for that hot set, so a
+    failed fill raises.
     """
+    if ahead is None:
+        ahead = _lookahead(plan, book, part, client, n_hot, window)
+    ahead = iter(ahead)
     for e in range(plan.epochs):
         turn = n_hot > 0 and e + 1 < plan.epochs
         if turn:
             cache.start_secondary_build(plan, e + 1, book, part, n_hot, client, fill)
         for i in range(plan.num_batches(e)):
+            la = next(ahead)
             yield assemble_bundle(plan.block(e, i), book.owner, part, shard,
-                                  client, cache)
-        if turn:
-            cache.swap()
+                                  client, cache, la.account, la.pulled)
+        if turn and not cache.swap():
+            raise RuntimeError(f"the cache fill for epoch {e + 1} failed, and "
+                               f"its lookahead pulls assume that fill's hot set")
 
 
 def _run_worker(
@@ -223,15 +280,18 @@ def _run_worker(
     rapid = cfg.mode == "rapid"
 
     n_hot = 0
-    hot = np.empty(0, dtype=np.int64)
     if rapid:
         n_hot = resolve_n_hot(cfg, len(collect_access(plan, book, part)))
-        hot = top_hot(collect_access(plan, book, part, epoch=0), n_hot)
-    fcache = cache_mod.build_steady(hot, client, fill)
+    fcache = cache_mod.build_steady(_epoch_hot(plan, book, part, 0, n_hot),
+                                    client, fill)
 
-    stream = _run_bundles(plan, book, part, shard, client, fcache, n_hot, fill)
-    pf = Prefetcher(stream, cfg.prefetch_depth) if rapid else None
-    bundles = iter(stream if pf is None else pf)
+    window = cfg.prefetch_depth if rapid else 1
+    pf = None
+    if rapid:
+        pf = Prefetcher(_lookahead(plan, book, part, client, n_hot, window),
+                        cfg.prefetch_depth)
+    bundles = _run_bundles(plan, book, part, shard, client, fcache, n_hot, fill,
+                           window, pf)
     records: list[MetricsRecord] = []
     try:
         for e in range(cfg.epochs):

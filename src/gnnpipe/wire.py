@@ -3,6 +3,8 @@
 request  = u8 msg_type (1=SYNC_PULL, 2=VECTOR_PULL) . u32 id_count . u64*id_count
 response = u8 status (0=OK, 1=NOT_OWNED, 2=MALFORMED) . u32 row_count
            . u32 feat_dim . f32*(row_count*feat_dim), rows in request order
+failure  = u8 status (3=FAILED) . utf-8 message, at most FAILURE_SIZE bytes
+           in all; a shard server sends it when handling a request raised
 Each payload travels framed by a u32 byte count. A reader caps that count
 at the largest payload it can expect, so a bad header is rejected before
 any payload is buffered.
@@ -20,6 +22,9 @@ MSG_VECTOR_PULL = 2
 STATUS_OK = 0
 STATUS_NOT_OWNED = 1
 STATUS_MALFORMED = 2
+STATUS_FAILED = 3
+
+FAILURE_SIZE = 256
 
 _REQ_HEAD = struct.Struct("<BI")
 _RESP_HEAD = struct.Struct("<BII")
@@ -75,6 +80,18 @@ def decode_response(payload: bytes) -> tuple[int, np.ndarray, int]:
     rows = np.frombuffer(payload, dtype="<f4", count=row_count * feat_dim,
                          offset=_RESP_HEAD.size)
     return status, rows.reshape(row_count, feat_dim).copy(), feat_dim
+
+
+def encode_failure(message: str) -> bytes:
+    """A failure payload; the message is cut to fit FAILURE_SIZE bytes."""
+    return bytes([STATUS_FAILED]) + message.encode("utf-8")[:FAILURE_SIZE - 1]
+
+
+def failure_message(payload: bytes) -> str | None:
+    """The message of a failure payload; None for any other payload."""
+    if payload[:1] != bytes([STATUS_FAILED]):
+        return None
+    return payload[1:].decode("utf-8", errors="replace")
 
 
 def frame(payload: bytes) -> bytes:

@@ -52,6 +52,15 @@ def test_plan_digest_changes_with_seed(capsys):
     assert a != b
 
 
+def test_plan_rejects_bad_flag_values(capsys):
+    args = ["plan"] + TRAIN_SMALL
+    args[args.index("--batch-size") + 1] = "0"
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "error: batch size must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_train_writes_metrics(tmp_path, capsys):
     out = tmp_path / "m.csv"
     rc = main(["train"] + TRAIN_SMALL + ["--mode", "rapid",

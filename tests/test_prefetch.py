@@ -7,7 +7,8 @@ import pytest
 from gnnpipe.cache import FeatureCache, build_steady
 from gnnpipe.partition import partition_edgecut
 from gnnpipe.plan import collect_access, generate_plan, top_hot
-from gnnpipe.prefetch import PrefetchError, Prefetcher, assemble_bundle
+from gnnpipe.prefetch import (PrefetchError, Prefetcher, PulledRows,
+                              assemble_bundle)
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
 from gnnpipe.train import _run_bundles
@@ -83,6 +84,65 @@ class TestAssembleBundle:
         n_remote = int((owner[block.input_nodes] != 0).sum())
         assert acct.nodes_pulled == n_remote
         assert shard.rpc_calls == 0
+
+    def test_pulled_window_must_hold_every_miss(self, setup):
+        g, plan, book, owner, shard, client = setup
+        block = plan.block(0, 0)
+        remote = block.input_nodes[owner[block.input_nodes] != 0]
+
+        class NoPulls:
+            def sync_pull(self, ids, account=None):
+                raise AssertionError("a missing row was pulled")
+
+        short = PulledRows(remote[1:], g.features[remote[1:]])
+        with pytest.raises(LookupError, match="first id"):
+            assemble_bundle(block, owner, 0, shard, NoPulls(), no_cache(shard),
+                            None, short)
+
+
+def hot_cache(plan, book, client, n_hot):
+    return build_steady(top_hot(collect_access(plan, book, 0, epoch=0), n_hot),
+                        client)
+
+
+class TestLookaheadStream:
+    N_HOT = 20
+
+    def stream(self, setup, window):
+        g, plan, book, owner, shard, client = setup
+        return list(_run_bundles(plan, book, 0, shard, client,
+                                 hot_cache(plan, book, client, self.N_HOT),
+                                 self.N_HOT, None, window))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_rows_bit_identical_to_depth_one(self, setup, depth):
+        g, plan, book, owner, shard, client = setup
+        one, windowed = self.stream(setup, 1), self.stream(setup, depth)
+        assert len(one) == len(windowed) == sum(
+            plan.num_batches(e) for e in range(plan.epochs))
+        for a, b in zip(one, windowed):
+            assert (a.epoch, a.batch) == (b.epoch, b.batch)
+            assert np.array_equal(b.rows, g.features[b.block.input_nodes])
+            assert np.array_equal(a.rows, b.rows)
+            assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_window_traffic_rides_on_its_first_bundle(self, setup, depth):
+        g, plan, book, owner, shard, client = setup
+        bundles = self.stream(setup, depth)
+        for e in range(plan.epochs):
+            in_epoch = [b for b in bundles if b.epoch == e]
+            rpcs = [b.fallback.rpc_calls for b in in_epoch]
+            # one remote shard: one RPC per window, on the window's first batch
+            assert rpcs == [int(b.batch % depth == 0) for b in in_epoch]
+            assert sum(rpcs) == -(-plan.num_batches(e) // depth)
+            for b in in_epoch:
+                if b.batch % depth:
+                    assert b.fallback.snapshot() == (0, 0, 0)
+        # a window pulls the union of its batches' misses, never more rows
+        one = self.stream(setup, 1)
+        assert (sum(b.fallback.nodes_pulled for b in bundles)
+                <= sum(b.fallback.nodes_pulled for b in one))
 
 
 class TestPrefetcher:

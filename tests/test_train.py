@@ -8,7 +8,8 @@ from gnnpipe import cache, model, train, wire
 from gnnpipe.graph import synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
 from gnnpipe.prefetch import PrefetchError
-from gnnpipe.store import StoreClient, StoreShard, TransportError
+from gnnpipe.store import (StoreClient, StoreShard, TransferAccount,
+                           TransportError)
 from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig, read_metrics,
                            resolve_n_hot, run, worker_metrics_path,
                            write_metrics)
@@ -70,6 +71,29 @@ def kill_shard_after(monkeypatch, part: int, n: int) -> list:
 
     monkeypatch.setattr(StoreShard, "handle", dying)
     return served
+
+
+def cause_chain(exc: BaseException) -> str:
+    """The messages of an exception and of every cause behind it."""
+    msgs = []
+    while exc is not None:
+        msgs.append(str(exc))
+        exc = exc.__cause__
+    return " <- ".join(msgs)
+
+
+def batches_per_epoch(cfg) -> int:
+    g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
+                       cfg.num_classes, cfg.s0)
+    return -(-int(np.count_nonzero(g.train_mask)) // cfg.batch_size)
+
+
+def window_sizes(cfg) -> list[int]:
+    """Batches per pull window in run order: prefetch_depth at a time,
+    never across an epoch boundary."""
+    n, q = batches_per_epoch(cfg), cfg.prefetch_depth
+    return [min(q, n - first) for _ in range(cfg.epochs)
+            for first in range(0, n, q)]
 
 
 @pytest.fixture(scope="module")
@@ -233,22 +257,27 @@ class TestRun:
         assert all(r.cache_keys is None for r in baseline_results)
 
     def test_one_stream_per_worker(self, monkeypatch):
-        # each rapid worker builds one Prefetcher for the run, and every
-        # cache lookup and swap runs on that Prefetcher's producer thread
+        # each rapid worker builds one Prefetcher for the run's lookahead
+        # pulls, which run on its producer thread, and every cache lookup
+        # and swap runs on the worker's own thread, which runs the stream
         made = []
+        owners = set()
 
         class Spy(train.Prefetcher):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 made.append(self)
+                owners.add(threading.current_thread())
 
-        callers = {"lookup": set(), "swap": set()}
-        for name, seen in callers.items():
-            def spy(self, *args, _orig=getattr(cache.FeatureCache, name),
-                    _seen=seen, **kwargs):
+        callers = {"lookup": set(), "swap": set(), "sync_pull": set()}
+        for cls, name in ((cache.FeatureCache, "lookup"),
+                          (cache.FeatureCache, "swap"),
+                          (StoreClient, "sync_pull")):
+            def spy(self, *args, _orig=getattr(cls, name),
+                    _seen=callers[name], **kwargs):
                 _seen.add(threading.current_thread())
                 return _orig(self, *args, **kwargs)
-            monkeypatch.setattr(cache.FeatureCache, name, spy)
+            monkeypatch.setattr(cls, name, spy)
         started = []
         start = threading.Thread.start
 
@@ -260,9 +289,10 @@ class TestRun:
         monkeypatch.setattr(train, "Prefetcher", Spy)
         run(small_cfg(mode="rapid"))
         producers = {pf._producer for pf in made}
-        assert len(made) == 2 and len(producers) == 2
-        assert callers["lookup"] == producers
-        assert callers["swap"] == producers
+        assert len(made) == 2 and len(producers) == 2 and len(owners) == 2
+        assert callers["lookup"] == owners
+        assert callers["swap"] == owners
+        assert callers["sync_pull"] == producers
         # per worker: its own thread, one producer and E - 1 cache builds
         assert len(started) == 2 * (1 + SMALL["epochs"])
 
@@ -286,23 +316,91 @@ class TestRun:
             run(small_cfg(mode="rapid"))
         assert set(threading.enumerate()) <= before
 
+    def test_failed_cache_fill_fails_rapid_run(self, monkeypatch):
+        # the lookahead pulls each epoch's misses for the hot set the plan
+        # gives it, so a fill that cannot install that set ends the run
+        pull = StoreClient.vector_pull
+        filled = set()
+
+        def fail_secondary_fill(self, ids, account=None):
+            if id(self) in filled:  # every fill after the steady one
+                raise ConnectionError("injected")
+            filled.add(id(self))
+            return pull(self, ids, account)
+
+        monkeypatch.setattr(StoreClient, "vector_pull", fail_secondary_fill)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="cache fill for epoch 1 failed"):
+            run(small_cfg(mode="rapid"))
+        assert set(threading.enumerate()) <= before
+
     def test_dying_shard_fails_rapid_run(self, monkeypatch):
         served = kill_shard_after(monkeypatch, part=1, n=5)
         before = set(threading.enumerate())
+        cfg = small_cfg(mode="rapid", transport="tcp")
         with pytest.raises(PrefetchError) as exc:
-            run(small_cfg(mode="rapid", transport="tcp"))
+            run(cfg)
         assert isinstance(exc.value.__cause__, TransportError)
-        # every bundle of worker 0 sync-pulls misses from shard 1 once,
-        # so the failing bundle is the one after those the shard served
-        assert exc.value.batch == served.count(wire.MSG_SYNC_PULL)
+        assert "shard died" in cause_chain(exc.value)
+        # worker 0's lookahead sync-pulls the misses of each window of
+        # prefetch_depth batches from shard 1 once and yields one item per
+        # batch, so the failing item is the first batch after the windows
+        # the shard served
+        windows = window_sizes(cfg)
+        assert exc.value.batch == sum(windows[:served.count(wire.MSG_SYNC_PULL)])
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_baseline_run(self, monkeypatch):
         kill_shard_after(monkeypatch, part=1, n=5)
         before = set(threading.enumerate())
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError) as exc:
             run(small_cfg(mode="baseline", transport="tcp"))
+        assert "shard died" in cause_chain(exc.value)
         assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("depth", [2, 3, 5])
+    def test_rapid_pulls_once_per_window(self, monkeypatch, depth):
+        shards = []
+        build = train.build_shards
+
+        def keep_shards(*args, **kwargs):
+            shards.extend(build(*args, **kwargs))
+            return shards
+
+        monkeypatch.setattr(train, "build_shards", keep_shards)
+        served = {p: [] for p in range(2)}
+        handle = StoreShard.handle
+
+        def count_types(self, payload):
+            served[self.part].append(wire.decode_request(payload)[0])
+            return handle(self, payload)
+
+        monkeypatch.setattr(StoreShard, "handle", count_types)
+        cfg = small_cfg(mode="rapid", prefetch_depth=depth)
+        results = run(cfg)
+        windows = -(-batches_per_epoch(cfg) // depth)
+        for r in results:
+            shard = shards[1 - r.part]  # the worker's one remote shard
+            assert [rec.rpc_calls for rec in r.records] == [windows] * cfg.epochs
+            assert served[shard.part].count(wire.MSG_SYNC_PULL) == (
+                windows * cfg.epochs)
+            client = TransferAccount()
+            for rec in r.records:
+                client.add(TransferAccount(rec.rpc_calls, rec.nodes_pulled,
+                                           rec.bytes_pulled))
+            client.add(r.cache_fill)
+            assert client.snapshot() == (shard.rpc_calls, shard.nodes_served,
+                                         shard.payload_bytes)
+
+    def test_baseline_pulls_per_batch_rapid_per_window(self, rapid_results,
+                                                       baseline_results):
+        cfg = small_cfg()
+        n = batches_per_epoch(cfg)
+        for r in baseline_results:
+            assert [rec.rpc_calls for rec in r.records] == [n] * cfg.epochs
+        for r in rapid_results:
+            assert [rec.rpc_calls for rec in r.records] == [
+                -(-n // cfg.prefetch_depth)] * cfg.epochs
 
     def test_tcp_transport_matches_inproc(self, rapid_results):
         tcp = run(small_cfg(mode="rapid", transport="tcp"))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gnnpipe import wire
 from gnnpipe.store import (InprocTransport, LookupError_, StoreClient,
                            StoreShard, TcpShardServer, TcpTransport,
-                           TransferAccount, bytes_for)
+                           TransferAccount, TransportError, bytes_for)
 
 # request: u8 type, u32 count, u64 ids; all little-endian
 GOLDEN_REQUEST = bytes.fromhex(
@@ -71,6 +71,23 @@ class TestWireErrors:
     def test_response_length_mismatch(self):
         with pytest.raises(wire.WireError):
             wire.decode_response(GOLDEN_RESPONSE[:-4])
+
+
+class TestFailure:
+    def test_roundtrip(self):
+        payload = wire.encode_failure("RuntimeError: shard died")
+        assert payload[0] == wire.STATUS_FAILED
+        assert wire.failure_message(payload) == "RuntimeError: shard died"
+
+    def test_long_message_cut_to_size(self):
+        payload = wire.encode_failure("x" * 1000)
+        assert len(payload) == wire.FAILURE_SIZE
+        assert wire.failure_message(payload) == "x" * (wire.FAILURE_SIZE - 1)
+
+    def test_other_payloads_are_not_failures(self):
+        assert wire.failure_message(GOLDEN_RESPONSE) is None
+        not_owned = wire.encode_response(wire.STATUS_NOT_OWNED, None, 3)
+        assert wire.failure_message(not_owned) is None
 
 
 class TestFrameCap:
@@ -232,6 +249,27 @@ class TestShardAndClient:
 
 
 class TestTcpTransport:
+    def test_shard_failure_reaches_the_client(self):
+        feats, owner, shards, _ = make_store()
+
+        def broken(payload):
+            raise RuntimeError("disk on fire")
+
+        shards[1].handle = broken
+        servers = [TcpShardServer(s) for s in shards]
+        try:
+            client = StoreClient(owner, [TcpTransport(*srv.address)
+                                         for srv in servers], 3)
+            with pytest.raises(TransportError, match="shard 1 failed: "
+                               "RuntimeError: disk on fire"):
+                client.sync_pull(np.array([0, 1]))
+            # the connection stays up: the healthy shard still answers
+            assert np.array_equal(client.sync_pull(np.array([2])), feats[[2]])
+            client.close()
+        finally:
+            for srv in servers:
+                srv.close()
+
     def test_pull_over_tcp(self):
         feats, owner, shards, _ = make_store()
         servers = [TcpShardServer(s) for s in shards]
