@@ -95,29 +95,36 @@ def _set_hot_size(cfg: RunConfig, size: str) -> None:
         cfg.n_hot = int(size)
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
+def _build_run_config(args: argparse.Namespace,
+                      file_vals: dict[str, str]) -> RunConfig:
+    """The run config from the flags over the config file's values;
+    ValueError names the key of a value that does not convert."""
     cfg = RunConfig()
-    file_vals = _read_config_file(args.config) if args.config else {}
 
     def pick(key: str):
         v = getattr(args, key)
         return file_vals.get(key) if v is None else v
 
-    for key, (attr, conv) in _CONFIG_KEYS.items():
-        value = pick(key)
-        if value is not None:
-            setattr(cfg, attr, conv(value))
-    n_hot = pick("n_hot")
-    if n_hot is not None:
-        _set_hot_size(cfg, str(n_hot))
+    try:
+        for key, (attr, conv) in _CONFIG_KEYS.items():
+            value = pick(key)
+            if value is not None:
+                setattr(cfg, attr, conv(value))
+        key = "n_hot"
+        n_hot = pick(key)
+        if n_hot is not None:
+            _set_hot_size(cfg, str(n_hot))
+    except ValueError:
+        raise ValueError(f"bad value for {key}: {pick(key)!r}") from None
     return cfg
 
 
 def _checked_run_config(args: argparse.Namespace) -> RunConfig | None:
     """The run config from the flags, or None after printing why it is
     invalid."""
-    cfg = _build_run_config(args)
+    file_vals = _read_config_file(args.config) if args.config else {}
     try:
+        cfg = _build_run_config(args, file_vals)
         cfg.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 
 Per layer: h_v' = relu(W_self h_v + W_neigh mean_{u in sampled(v)} h_u + b),
 with the relu dropped on the output layer. An empty sampled neighborhood
-contributes a zero vector as its mean. Neighbor sums run in fixed
-ascending (dst, src) order, so every reduction is bit-reproducible; the
-baseline/pipelined mode-equivalence guarantee rests on that.
+contributes a zero vector as its mean. Every scatter-add runs as
+np.add.at on flat 1-D views (row r, column j at r*d + j), which adds
+each element's terms one by one in the order the index lists them. The
+block's edges come sorted by (dst, src), so every neighbor sum, forward
+and backward, runs in that fixed edge order and is bit-reproducible;
+the baseline/pipelined mode-equivalence guarantee rests on that.
 """
 
 from __future__ import annotations
@@ -50,9 +53,12 @@ def init_params(feat_dim: int, hidden_dim: int, num_classes: int,
     return params
 
 
-def _positions(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    # haystack sorted unique and guaranteed to contain every needle
-    return np.searchsorted(haystack, needles)
+def _scatter_add(out: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
+    """out[pos[e]] += rows[e] for each e in turn, on flat views of
+    C-contiguous 2-D arrays, so numpy's 1-D np.add.at fast path applies."""
+    width = out.shape[1]
+    flat = (pos[:, None] * width + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, rows.reshape(-1))
 
 
 def _forward_pass(block: ComputationBlock, rows: np.ndarray,
@@ -68,19 +74,16 @@ def _forward_pass(block: ComputationBlock, rows: np.ndarray,
     saved = []
     for l, p in enumerate(params):
         d = num_layers - 1 - l
-        dst_front = block.frontiers[d]
-        src_front = block.frontiers[d + 1]
-        src, dst = block.edges[d]
-        src_pos = _positions(src_front, src)
-        dst_pos = _positions(dst_front, dst)
-        counts = np.bincount(dst_pos, minlength=len(dst_front)).astype(h.dtype)
-        sums = np.zeros((len(dst_front), h.shape[1]), dtype=h.dtype)
-        np.add.at(sums, dst_pos, h[src_pos])
+        num_dst = len(block.frontiers[d])
+        src_pos, dst_pos, self_pos = block.positions[d]
+        counts = np.bincount(dst_pos, minlength=num_dst).astype(h.dtype)
+        sums = np.zeros((num_dst, h.shape[1]), dtype=h.dtype)
+        _scatter_add(sums, dst_pos, h[src_pos])
         denom = np.maximum(counts, 1)[:, None]
         mean = sums / denom
-        h_self = h[_positions(src_front, dst_front)]
+        h_self = h[self_pos]
         z = h_self @ p.w_self + mean @ p.w_neigh + p.bias
-        saved.append((h, h_self, mean, z, src_pos, dst_pos, denom))
+        saved.append((h, h_self, mean, z, block.positions[d], denom))
         h = np.maximum(z, 0) if l < num_layers - 1 else z
     return h, saved
 
@@ -115,7 +118,7 @@ def loss_and_grad(block: ComputationBlock, rows: np.ndarray, labels: np.ndarray,
     grads: list[LayerParams | None] = [None] * num_layers
     for l in range(num_layers - 1, -1, -1):
         p = params[l]
-        h, h_self, mean, z, src_pos, dst_pos, denom = saved[l]
+        h, h_self, mean, z, (src_pos, dst_pos, self_pos), denom = saved[l]
         if l < num_layers - 1:
             dz = dz * (z > 0)
         grads[l] = LayerParams(
@@ -124,14 +127,11 @@ def loss_and_grad(block: ComputationBlock, rows: np.ndarray, labels: np.ndarray,
             bias=dz.sum(axis=0),
         )
         if l > 0:
-            dh = np.zeros_like(h)
-            d = num_layers - 1 - l
-            dst_front = block.frontiers[d]
-            src_front = block.frontiers[d + 1]
-            dself = dz @ p.w_self.T
-            np.add.at(dh, _positions(src_front, dst_front), dself)
+            dh = np.zeros(h.shape, dtype=h.dtype)
+            # self_pos is unique, so this adds each row once onto zeros
+            dh[self_pos] += dz @ p.w_self.T
             dmean = dz @ p.w_neigh.T
-            np.add.at(dh, src_pos, (dmean / denom)[dst_pos])
+            _scatter_add(dh, src_pos, (dmean / denom)[dst_pos])
             dz = dh
     return loss, grads  # type: ignore[return-value]
 

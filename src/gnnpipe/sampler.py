@@ -1,11 +1,20 @@
 """Seeded mini-batch generation and multi-layer neighbor sampling.
 
 Neighbor selection is keyed per (rng_seed, expansion step, node): every
-neighbor of a frontier node gets a counter-derived 64-bit key and the
-fanout smallest keys win. With i.i.d. keys every k-subset is equally
-likely, so the draw is uniform without replacement, and because streams
-are keyed by node id the result does not depend on frontier iteration
-order.
+neighbor entry of a hub (a frontier node whose degree exceeds the
+fanout) gets a counter-derived 64-bit key and the fanout smallest keys
+win. With i.i.d. keys every k-subset is equally likely, so the draw is
+uniform without replacement, and because streams are keyed by node id
+the result does not depend on frontier iteration order. A take-all node
+(degree at most the fanout) keeps every entry and draws no keys; its
+result is the same as if it had drawn them.
+
+All hubs of a step pick their winners in one grouped sort by (hub, key),
+and each step's edges are ordered by (dst, src) the same way: an argsort
+of the keys, then a stable radix argsort of the uint16 group index,
+which gives np.lexsort's order because keys never tie within a group
+(or tie only between equal values). Past 65,536 groups it falls back to
+np.lexsort.
 """
 
 from __future__ import annotations
@@ -65,7 +74,10 @@ class ComputationBlock:
     frontiers[d] with the neighbors sampled at expansion step d, so the
     frontiers are nested and frontiers[-1] is the input node set.
     edges[d] holds (src, dst) pairs with dst in frontiers[d], sorted by
-    (dst, src) so aggregation order is fixed.
+    (dst, src) so aggregation order is fixed. positions[d] holds
+    (src_pos, dst_pos, self_pos): the index of each edge's src in
+    frontiers[d+1] and of its dst in frontiers[d], and the index of each
+    node of frontiers[d] in frontiers[d+1].
     """
 
     epoch: int
@@ -73,6 +85,7 @@ class ComputationBlock:
     seeds: np.ndarray
     frontiers: list[np.ndarray]
     edges: list[tuple[np.ndarray, np.ndarray]]
+    positions: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def input_nodes(self) -> np.ndarray:
@@ -83,34 +96,64 @@ class ComputationBlock:
         return len(self.edges)
 
 
+_RADIX_GROUPS = 1 << 16  # group indices that fit a uint16
+
+
+def _group_order(group: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The permutation that sorts by (group, key), as np.lexsort((keys, group)).
+
+    Equal keys within one group must be interchangeable (equal values
+    or distinct keys), since the first sort is not stable. Up to
+    _RADIX_GROUPS groups the second sort is numpy's stable radix sort on
+    uint16, which is much faster than lexsort.
+    """
+    if len(group) and int(group.max()) >= _RADIX_GROUPS:
+        return np.lexsort((keys, group))
+    by_key = np.argsort(keys)
+    return by_key[np.argsort(group[by_key].astype(np.uint16), kind="stable")]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) for each (s, n)."""
+    offsets = np.cumsum(lengths) - lengths
+    return (np.arange(int(lengths.sum()), dtype=np.int64)
+            + np.repeat(starts - offsets, lengths))
+
+
 def _sample_neighbors(
     g: Graph, frontier: np.ndarray, fanout: int, step_seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample min(fanout, deg(v)) distinct neighbors for each frontier node."""
+    """Sample min(fanout, deg(v)) distinct neighbor entries for each
+    frontier node; returns (neighbor ids, frontier positions), unordered.
+
+    A node with degree at most fanout keeps every entry and draws no
+    keys. A hub's entries get keys and its fanout smallest win.
+    """
     start = g.indptr[frontier]
-    deg = (g.indptr[frontier + 1] - start).astype(np.int64)
-    take = np.minimum(deg, fanout)
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    group_starts = np.concatenate([[0], np.cumsum(deg)[:-1]])
-    rep = np.repeat(np.arange(len(frontier)), deg)
-    pos_in_slice = np.arange(total, dtype=np.int64) - np.repeat(group_starts, deg)
-    nbrs = g.indices[np.repeat(start, deg) + pos_in_slice]
-
+    deg = g.indptr[frontier + 1] - start
+    hub = deg > fanout
+    few = np.flatnonzero(~hub)
+    few_edges = _ranges(start[few], deg[few])
+    few_pos = np.repeat(few, deg[few])
+    hubs = np.flatnonzero(hub)
+    hub_deg = deg[hubs]
+    hub_edges = _ranges(start[hubs], hub_deg)
+    group = np.repeat(np.arange(len(hubs)), hub_deg)
+    pos_in_slice = hub_edges - np.repeat(start[hubs], hub_deg)
     node_key = mix64_array(
-        (frontier.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+        (frontier[hubs].astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
         ^ np.uint64(step_seed & MASK64)
     )
     keys = mix64_array(
-        node_key[rep] + (pos_in_slice.astype(np.uint64) + np.uint64(1))
+        node_key[group] + (pos_in_slice.astype(np.uint64) + np.uint64(1))
         * np.uint64(GOLDEN)
     )
-    order = np.lexsort((keys, rep))
-    rank = np.arange(total, dtype=np.int64) - np.repeat(group_starts, deg)
-    kept = order[rank < np.repeat(take, deg)]
-    return nbrs[kept], frontier[rep[kept]]
+    # keys are distinct within a hub (mix64 is a bijection, GOLDEN is
+    # odd), so the grouped sort needs no tie-break; after it, an entry's
+    # rank in its hub is the pos_in_slice of the entry at its place
+    kept = _group_order(group, keys)[pos_in_slice < fanout]
+    return (np.concatenate([g.indices[few_edges], g.indices[hub_edges[kept]]]),
+            np.concatenate([few_pos, hubs[group[kept]]]))
 
 
 def sample_block(
@@ -131,6 +174,8 @@ def sample_block(
     """
     if len(fanouts) == 0:
         raise ValueError("fanouts must be nonempty")
+    if min(fanouts) < 1:
+        raise ValueError(f"fanouts must be >= 1, got {list(fanouts)}")
     seeds = np.asarray(seeds, dtype=np.int64)
     if len(seeds) == 0:
         raise ValueError("seeds must be nonempty")
@@ -138,15 +183,22 @@ def sample_block(
     frontier = np.unique(seeds)
     frontiers = [frontier]
     edges: list[tuple[np.ndarray, np.ndarray]] = []
+    positions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for d in range(num_layers):
         fanout = fanouts[num_layers - 1 - d]
         step_seed = mix64(rng_seed ^ ((d + 1) * GOLDEN))
-        src, dst = _sample_neighbors(g, frontier, fanout, step_seed)
-        order = np.lexsort((src, dst))
-        src, dst = src[order], dst[order]
-        edges.append((src, dst))
-        frontier = np.union1d(frontier, src)
+        src, dst_pos = _sample_neighbors(g, frontier, fanout, step_seed)
+        order = _group_order(dst_pos, src)
+        src, dst_pos = src[order], dst_pos[order]
+        mark = np.zeros(g.num_nodes, dtype=bool)
+        mark[frontier] = True
+        mark[src] = True
+        nxt = np.flatnonzero(mark)
+        pos_of = np.empty(g.num_nodes, dtype=np.int64)
+        pos_of[nxt] = np.arange(len(nxt))
+        edges.append((src, frontier[dst_pos]))
+        positions.append((pos_of[src], dst_pos, pos_of[frontier]))
+        frontier = nxt
         frontiers.append(frontier)
-    return ComputationBlock(
-        epoch=epoch, batch=batch, seeds=seeds, frontiers=frontiers, edges=edges
-    )
+    return ComputationBlock(epoch=epoch, batch=batch, seeds=seeds,
+                            frontiers=frontiers, edges=edges, positions=positions)

@@ -140,6 +140,8 @@ class RunConfig:
             raise ValueError("prefetch depth must be >= 1")
         if not self.fanouts:
             raise ValueError("fanouts must list one value per layer")
+        if min(self.fanouts) < 1:
+            raise ValueError(f"fanouts must be >= 1, got {self.fanouts}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnnpipe.graph import from_edge_list, synth_powerlaw
+from gnnpipe.graph import Graph, from_edge_list, synth_powerlaw
 
 _criterion_lines: list[str] = []
 
@@ -38,6 +38,25 @@ def path_graph():
 def star_graph():
     """Center node 0 with 20 leaves."""
     return from_edge_list(21, [(0, i) for i in range(1, 21)])
+
+
+@pytest.fixture
+def multigraph():
+    """Node 0 lists node 3 three times and node 1 twice among its six
+    entries (a hub at any fanout below 6), node 1 lists node 0 twice,
+    nodes 2 and 5 have no neighbors; random float32 features of width 3."""
+    lists = [[3, 1, 3, 4, 1, 3], [0, 0], [], [0, 4, 0], [3, 1], [], [0, 2]]
+    indptr = np.cumsum([0] + [len(x) for x in lists]).astype(np.int64)
+    n = len(lists)
+    g = Graph(
+        num_nodes=n, num_edges=int(indptr[-1]), indptr=indptr,
+        indices=np.array([v for x in lists for v in x], dtype=np.int64),
+        features=np.random.default_rng(0).standard_normal((n, 3)).astype(np.float32),
+        labels=np.arange(n, dtype=np.int64) % 2, feat_dim=3, num_classes=2,
+        train_mask=np.ones(n, dtype=bool), val_mask=np.zeros(n, dtype=bool),
+        test_mask=np.zeros(n, dtype=bool))
+    g.validate()
+    return g
 
 
 def two_cliques(size: int = 6):

@@ -61,6 +61,34 @@ def test_plan_rejects_bad_flag_values(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "plan", "sweep"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fanout", "3,x", "bad value for fanout: '3,x'"),
+    ("--n-hot", "many", "bad value for n_hot: 'many'"),
+    ("--fanout", "3,-1", "fanouts must be >= 1"),
+    ("--fanout", "0", "fanouts must be >= 1"),
+])
+def test_bad_flag_value_is_an_error(capsys, command, flag, value, message):
+    args = [command] + TRAIN_SMALL + [flag, value]
+    if command == "sweep":
+        args += ["--n-hot-list", "0"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "plan", "sweep"])
+def test_bad_config_file_value_is_an_error(tmp_path, capsys, command):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("nodes = 400\nepochs = two\n")
+    args = [command, "--config", str(cfgfile)]
+    if command == "sweep":
+        args += ["--n-hot-list", "0"]
+    assert main(args) == 2
+    assert "error: bad value for epochs: 'two'" in capsys.readouterr().err
+
+
 def test_train_writes_metrics(tmp_path, capsys):
     out = tmp_path / "m.csv"
     rc = main(["train"] + TRAIN_SMALL + ["--mode", "rapid",

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gnnpipe.graph import from_edge_list
-from gnnpipe.model import (LayerParams, evaluate, forward, full_forward,
-                           init_params, layer_dims, loss_and_grad, sgd_step)
+from gnnpipe.graph import from_edge_list, synth_powerlaw
+from gnnpipe.model import (LayerParams, _softmax_ce, evaluate, forward,
+                           full_forward, init_params, layer_dims,
+                           loss_and_grad, sgd_step)
 from gnnpipe.sampler import sample_block
 
 
@@ -198,3 +199,94 @@ def test_training_learns_planted_labels(small_graph):
         params = sgd_step(params, grads, 0.1)
     acc = evaluate(g, params, g.train_mask)
     assert acc > 1.5 / g.num_classes
+
+
+def reference_loss_and_grad(block, rows, labels, params):
+    """(logits, loss, grads) with positions found by searchsorted and
+    every scatter a 2-D np.add.at over rows, in edge order."""
+    num_layers = len(params)
+    h = rows
+    saved = []
+    for l, p in enumerate(params):
+        d = num_layers - 1 - l
+        dst_front, src_front = block.frontiers[d], block.frontiers[d + 1]
+        src, dst = block.edges[d]
+        src_pos = np.searchsorted(src_front, src)
+        dst_pos = np.searchsorted(dst_front, dst)
+        counts = np.bincount(dst_pos, minlength=len(dst_front)).astype(h.dtype)
+        sums = np.zeros((len(dst_front), h.shape[1]), dtype=h.dtype)
+        np.add.at(sums, dst_pos, h[src_pos])
+        denom = np.maximum(counts, 1)[:, None]
+        mean = sums / denom
+        h_self = h[np.searchsorted(src_front, dst_front)]
+        z = h_self @ p.w_self + mean @ p.w_neigh + p.bias
+        saved.append((h, h_self, mean, z, src_pos, dst_pos, denom))
+        h = np.maximum(z, 0) if l < num_layers - 1 else z
+    logits = h
+    loss, dz = _softmax_ce(logits, labels[block.frontiers[0]])
+    grads = [None] * num_layers
+    for l in range(num_layers - 1, -1, -1):
+        p = params[l]
+        h, h_self, mean, z, src_pos, dst_pos, denom = saved[l]
+        if l < num_layers - 1:
+            dz = dz * (z > 0)
+        grads[l] = LayerParams(h_self.T @ dz, mean.T @ dz, dz.sum(axis=0))
+        if l > 0:
+            d = num_layers - 1 - l
+            dh = np.zeros_like(h)
+            np.add.at(dh, np.searchsorted(block.frontiers[d + 1], block.frontiers[d]),
+                      dz @ p.w_self.T)
+            np.add.at(dh, src_pos, ((dz @ p.w_neigh.T) / denom)[dst_pos])
+            dz = dh
+    return logits, loss, grads
+
+
+def _reference_cases():
+    """(graph, seeds, fanouts): duplicate edges and empty neighborhoods,
+    hubs next to take-all nodes, and a replay-like batch."""
+    yield "multigraph", [0, 2, 5], [2, 2]
+    yield "multigraph", [0, 2, 5, 6], [1, 6, 2]
+    yield "small", np.arange(0, 1000, 41), [3, 5]
+    yield "small", np.arange(0, 1000, 7), [10, 25]
+
+
+def _assert_matches_reference(block, rows, labels, params):
+    logits, loss, grads = reference_loss_and_grad(block, rows, labels, params)
+    assert forward(block, rows, params).tobytes() == logits.tobytes()
+    got_loss, got_grads = loss_and_grad(block, rows, labels, params)
+    assert got_loss == loss
+    for got, want in zip(got_grads, grads):
+        for a, b in zip((got.w_self, got.w_neigh, got.bias),
+                        (want.w_self, want.w_neigh, want.bias)):
+            assert a.dtype == b.dtype == params[0].w_self.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+class TestReferenceEquality:
+    """logits and every gradient tensor, byte for byte, against the 2-D
+    np.add.at + searchsorted reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bytes(self, small_graph, multigraph, dtype):
+        graphs = {"multigraph": multigraph, "small": small_graph}
+        for name, seeds, fanouts in _reference_cases():
+            g = graphs[name]
+            params = init_params(g.feat_dim, 16, g.num_classes, len(fanouts),
+                                 seed=3, dtype=dtype)
+            for rng_seed in range(3):
+                block = sample_block(g, seeds, fanouts, rng_seed)
+                rows = g.features[block.input_nodes].astype(dtype)
+                _assert_matches_reference(block, rows, g.labels, params)
+
+    def test_blocks_have_duplicate_edges_and_empty_neighborhoods(self, multigraph):
+        block = sample_block(multigraph, [0, 2, 5], [2, 6], 0)
+        src, dst = block.edges[0]
+        assert len(set(zip(src.tolist(), dst.tolist()))) < len(src)
+        assert {2, 5} <= set(block.frontiers[0].tolist()) - set(dst.tolist())
+
+    def test_replay_sized_batch(self):
+        g = synth_powerlaw(20_000, 5, 32, 8, seed=7)
+        params = init_params(g.feat_dim, 32, g.num_classes, 2, seed=5)
+        block = sample_block(g, np.flatnonzero(g.train_mask)[:512], [10, 25], 11)
+        _assert_matches_reference(block, g.features[block.input_nodes],
+                                  g.labels, params)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gnnpipe.graph import from_edge_list
-from gnnpipe.rng import mix64_array
-from gnnpipe.sampler import (SeedSchedule, epoch_batches, sample_block,
-                             seed_for)
+from gnnpipe.graph import from_edge_list, synth_powerlaw
+from gnnpipe.rng import GOLDEN, MASK64, mix64, mix64_array
+from gnnpipe.sampler import (_RADIX_GROUPS, SeedSchedule, _group_order,
+                             epoch_batches, sample_block, seed_for)
 
 
 def schedule(s0=0, epochs=10, batches=100):
@@ -141,6 +141,114 @@ class TestSampleBlock:
             sample_block(small_graph, np.array([]), [3], 0)
         with pytest.raises(ValueError):
             sample_block(small_graph, np.array([0]), [], 0)
+
+    @pytest.mark.parametrize("fanouts", [[3, 0], [-3, 5], [0]])
+    def test_fanout_below_one_rejected(self, small_graph, fanouts):
+        with pytest.raises(ValueError, match="fanouts must be >= 1"):
+            sample_block(small_graph, np.arange(4), fanouts, 0)
+
+
+def _reference_sample_neighbors(g, frontier, fanout, step_seed):
+    """Keys for every neighbor entry and one lexsort by (node, key)."""
+    start = g.indptr[frontier]
+    deg = (g.indptr[frontier + 1] - start).astype(np.int64)
+    take = np.minimum(deg, fanout)
+    total = int(deg.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    group_starts = np.concatenate([[0], np.cumsum(deg)[:-1]])
+    rep = np.repeat(np.arange(len(frontier)), deg)
+    pos_in_slice = np.arange(total, dtype=np.int64) - np.repeat(group_starts, deg)
+    nbrs = g.indices[np.repeat(start, deg) + pos_in_slice]
+    node_key = mix64_array(
+        (frontier.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
+        ^ np.uint64(step_seed & MASK64)
+    )
+    keys = mix64_array(
+        node_key[rep] + (pos_in_slice.astype(np.uint64) + np.uint64(1))
+        * np.uint64(GOLDEN)
+    )
+    order = np.lexsort((keys, rep))
+    rank = np.arange(total, dtype=np.int64) - np.repeat(group_starts, deg)
+    kept = order[rank < np.repeat(take, deg)]
+    return nbrs[kept], frontier[rep[kept]]
+
+
+def _reference_block(g, seeds, fanouts, rng_seed):
+    """(frontiers, edges) by the reference sampler, lexsort and union1d."""
+    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontiers, edges = [frontier], []
+    for d in range(len(fanouts)):
+        step_seed = mix64(rng_seed ^ ((d + 1) * GOLDEN))
+        src, dst = _reference_sample_neighbors(
+            g, frontier, fanouts[len(fanouts) - 1 - d], step_seed)
+        order = np.lexsort((src, dst))
+        src, dst = src[order], dst[order]
+        edges.append((src, dst))
+        frontier = np.union1d(frontier, src)
+        frontiers.append(frontier)
+    return frontiers, edges
+
+
+def _assert_same(a, b):
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_matches_reference(g, seeds, fanouts, rng_seed):
+    block = sample_block(g, seeds, fanouts, rng_seed)
+    frontiers, edges = _reference_block(g, seeds, fanouts, rng_seed)
+    assert len(block.frontiers) == len(frontiers)
+    for got, want in zip(block.frontiers, frontiers):
+        _assert_same(got, want)
+    for d, ((src, dst), (ref_src, ref_dst)) in enumerate(zip(block.edges, edges)):
+        _assert_same(src, ref_src)
+        _assert_same(dst, ref_dst)
+        src_pos, dst_pos, self_pos = block.positions[d]
+        _assert_same(src_pos, np.searchsorted(frontiers[d + 1], ref_src))
+        _assert_same(dst_pos, np.searchsorted(frontiers[d], ref_dst))
+        _assert_same(self_pos, np.searchsorted(frontiers[d + 1], frontiers[d]))
+    return block
+
+
+class TestReferenceEquality:
+    """sample_block against the plain keys-for-every-entry sampler it
+    replaced: same frontiers, edges and dtypes, bit for bit."""
+
+    def test_replay_sized_power_law(self):
+        g = synth_powerlaw(20_000, 5, 4, 8, seed=7)
+        train = np.flatnonzero(g.train_mask)
+        s = SeedSchedule(s0=7, epochs=1, batches_per_epoch=-(-len(train) // 512))
+        for i, seeds in enumerate(epoch_batches(train, 512, s, 0)[:3]):
+            _assert_matches_reference(g, seeds, [10, 25], seed_for(s, 0, i))
+
+    @pytest.mark.parametrize("fanouts", [[1, 1], [2, 2], [2, 3, 1], [6, 6]])
+    def test_duplicate_entries_and_zero_degree(self, multigraph, fanouts):
+        g = multigraph
+        for rng_seed in range(20):
+            block = _assert_matches_reference(g, [0, 2, 5], fanouts, rng_seed)
+        if min(fanouts) >= 6:  # take-all keeps every duplicate entry
+            assert block.edges[0][0].tolist() == [1, 1, 3, 3, 3, 4]
+
+    @pytest.mark.parametrize("fanout", [1, 5, 19])
+    def test_star_hub(self, star_graph, fanout):
+        for rng_seed in range(20):
+            _assert_matches_reference(star_graph, [0], [fanout, fanout], rng_seed)
+
+    def test_fanout_at_least_max_degree(self, small_graph):
+        max_deg = int(small_graph.degrees().max())
+        for fanout in (max_deg, max_deg + 7):
+            _assert_matches_reference(small_graph, np.arange(0, 1000, 37),
+                                      [fanout, fanout], 5)
+
+
+@pytest.mark.parametrize("num_groups", [_RADIX_GROUPS - 1, _RADIX_GROUPS,
+                                        _RADIX_GROUPS + 1, 3 * _RADIX_GROUPS])
+def test_group_order_matches_lexsort(num_groups):
+    rng = np.random.default_rng(num_groups)
+    group = rng.integers(0, num_groups, size=4 * num_groups)
+    group[:2] = [0, num_groups - 1]
+    keys = rng.permutation(np.arange(len(group), dtype=np.uint64) * np.uint64(GOLDEN))
+    assert np.array_equal(_group_order(group, keys), np.lexsort((keys, group)))
 
 
 def test_marginal_uniformity(star_graph):

@@ -160,6 +160,13 @@ class TestRunConfig:
             small_cfg(n_hot_pct=250.0).validate()
         small_cfg(n_hot=0, n_hot_pct=100.0, latency_ms=0.0).validate()
 
+    @pytest.mark.parametrize("fanouts", [[-3, 0], [3, 0], [0], [5, -1]])
+    def test_validate_rejects_fanout_below_one(self, fanouts):
+        with pytest.raises(ValueError, match="fanouts must be >= 1"):
+            small_cfg(fanouts=fanouts).validate()
+        with pytest.raises(ValueError, match="fanouts must be >= 1"):
+            run(small_cfg(fanouts=fanouts, epochs=1))
+
     def test_resolve_n_hot(self):
         assert resolve_n_hot(small_cfg(n_hot=42), 1000) == 42
         assert resolve_n_hot(small_cfg(n_hot_pct=15.0), 1000) == 150
