@@ -11,10 +11,13 @@ result is the same as if it had drawn them.
 
 All hubs of a step pick their winners in one grouped sort by (hub, key),
 and each step's edges are ordered by (dst, src) the same way: an argsort
-of the keys, then a stable radix argsort of the uint16 group index,
+of the keys, then a stable argsort of the group index in the narrowest
+unsigned dtype that holds it (numpy radix-sorts 8- and 16-bit integers),
 which gives np.lexsort's order because keys never tie within a group
-(or tie only between equal values). Past 65,536 groups it falls back to
-np.lexsort.
+(or tie only between equal values). The next frontier and every
+position in it come from one np.unique over the frontier and the
+sampled sources, so a step costs what its frontier and edges cost, not
+the size of the graph.
 """
 
 from __future__ import annotations
@@ -96,21 +99,18 @@ class ComputationBlock:
         return len(self.edges)
 
 
-_RADIX_GROUPS = 1 << 16  # group indices that fit a uint16
-
-
 def _group_order(group: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The permutation that sorts by (group, key), as np.lexsort((keys, group)).
 
     Equal keys within one group must be interchangeable (equal values
-    or distinct keys), since the first sort is not stable. Up to
-    _RADIX_GROUPS groups the second sort is numpy's stable radix sort on
-    uint16, which is much faster than lexsort.
+    or distinct keys), since the first sort is not stable. group must be
+    non-negative.
     """
-    if len(group) and int(group.max()) >= _RADIX_GROUPS:
-        return np.lexsort((keys, group))
     by_key = np.argsort(keys)
-    return by_key[np.argsort(group[by_key].astype(np.uint16), kind="stable")]
+    grp = group[by_key]
+    if len(grp):
+        grp = grp.astype(np.min_scalar_type(int(grp.max())))
+    return by_key[np.argsort(grp, kind="stable")]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -190,14 +190,9 @@ def sample_block(
         src, dst_pos = _sample_neighbors(g, frontier, fanout, step_seed)
         order = _group_order(dst_pos, src)
         src, dst_pos = src[order], dst_pos[order]
-        mark = np.zeros(g.num_nodes, dtype=bool)
-        mark[frontier] = True
-        mark[src] = True
-        nxt = np.flatnonzero(mark)
-        pos_of = np.empty(g.num_nodes, dtype=np.int64)
-        pos_of[nxt] = np.arange(len(nxt))
+        nxt, pos = np.unique(np.concatenate([frontier, src]), return_inverse=True)
         edges.append((src, frontier[dst_pos]))
-        positions.append((pos_of[src], dst_pos, pos_of[frontier]))
+        positions.append((pos[len(frontier):], dst_pos, pos[:len(frontier)]))
         frontier = nxt
         frontiers.append(frontier)
     return ComputationBlock(epoch=epoch, batch=batch, seeds=seeds,

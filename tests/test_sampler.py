@@ -4,8 +4,8 @@ from scipy import stats
 
 from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.rng import GOLDEN, MASK64, mix64, mix64_array
-from gnnpipe.sampler import (_RADIX_GROUPS, SeedSchedule, _group_order,
-                             epoch_batches, sample_block, seed_for)
+from gnnpipe.sampler import (SeedSchedule, _group_order, epoch_batches,
+                             sample_block, seed_for)
 
 
 def schedule(s0=0, epochs=10, batches=100):
@@ -241,14 +241,19 @@ class TestReferenceEquality:
                                       [fanout, fanout], 5)
 
 
-@pytest.mark.parametrize("num_groups", [_RADIX_GROUPS - 1, _RADIX_GROUPS,
-                                        _RADIX_GROUPS + 1, 3 * _RADIX_GROUPS])
+@pytest.mark.parametrize("num_groups", [1, 256, 257, 65_535, 65_536, 65_537, 196_608])
 def test_group_order_matches_lexsort(num_groups):
+    """Group indices on both sides of the uint8 and uint16 limits."""
     rng = np.random.default_rng(num_groups)
     group = rng.integers(0, num_groups, size=4 * num_groups)
     group[:2] = [0, num_groups - 1]
     keys = rng.permutation(np.arange(len(group), dtype=np.uint64) * np.uint64(GOLDEN))
     assert np.array_equal(_group_order(group, keys), np.lexsort((keys, group)))
+
+
+def test_group_order_empty():
+    empty = np.zeros(0, dtype=np.int64)
+    assert _group_order(empty, empty.astype(np.uint64)).tolist() == []
 
 
 def test_marginal_uniformity(star_graph):
