@@ -1,21 +1,21 @@
-"""Double-buffered hot-node feature cache.
+"""Hot-node feature cache and the per-epoch hot sets it holds.
 
-The steady buffer serves lookups for the current epoch while a secondary
-buffer for the next epoch is filled by a background thread; the buffers
-swap at the epoch boundary. One thread, the one that runs the worker's
-bundle stream, calls `lookup`, `start_secondary_build` and `swap`; the
-builder thread only fills the secondary buffer, and `swap` joins it
-first. A failed secondary build leaves the old steady buffer in place,
-and `swap` says so; a training run's stream then raises, because its
-lookahead pulls assumed the new hot set. A cache built from no hot
-ids holds no rows and answers every lookup with misses; baseline mode
-uses one. The cache keeps no hit or miss counters; each lookup's split
-is returned to the caller, which counts per bundle.
+The precomputed plan fixes every epoch's remote accesses, so
+`epoch_hot_sets` chooses each epoch's hot set once, before training:
+the epoch's n_hot most-accessed remote nodes. A cache serves lookups for
+the current epoch while a background thread pulls the next epoch's
+rows; `swap` at the epoch boundary joins that thread and installs them.
+One thread, the one that runs the worker's bundle stream, calls
+`lookup`, `start_secondary_build` and `swap`; the fill thread only
+pulls. A failed fill raises its exception from `swap` and leaves the
+current rows installed. A cache built from no hot ids holds no rows and
+answers every lookup with misses; baseline mode uses one. The cache
+keeps no hit or miss counters; each lookup's split is returned to the
+caller, which counts per bundle.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass
 
@@ -23,8 +23,6 @@ import numpy as np
 
 from .plan import BatchPlan, collect_access, top_hot
 from .store import StoreClient, TransferAccount
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -38,81 +36,75 @@ class CacheLookup:
     missing_ids: np.ndarray
 
 
-class _Buffer:
-    def __init__(self, hot_ids: np.ndarray, rows: np.ndarray):
-        self.hot_ids = hot_ids  # sorted ascending
-        self.rows = rows
+def epoch_hot_sets(plan: BatchPlan, book, part: int,
+                   n_hot: int) -> list[np.ndarray]:
+    """Worker `part`'s hot set for every epoch, sorted ascending: the
+    epoch's n_hot most-accessed remote nodes, or no nodes when n_hot is 0."""
+    if n_hot == 0:
+        return [np.empty(0, dtype=np.int64) for _ in range(plan.epochs)]
+    return [top_hot(collect_access(plan, book, part, epoch=e), n_hot)
+            for e in range(plan.epochs)]
 
 
 class FeatureCache:
     def __init__(self, hot_ids: np.ndarray, rows: np.ndarray):
-        self._steady = _Buffer(hot_ids, rows)
-        self._secondary: _Buffer | None = None
+        self.hot_ids = hot_ids  # sorted ascending
+        self.rows = rows
         self._builder: threading.Thread | None = None
-
-    @property
-    def hot_ids(self) -> np.ndarray:
-        return self._steady.hot_ids
+        self._filled: tuple[np.ndarray, np.ndarray] | Exception | None = None
 
     def lookup(self, node_ids: np.ndarray) -> CacheLookup:
         ids = np.asarray(node_ids, dtype=np.int64)
-        buf = self._steady
-        pos = np.searchsorted(buf.hot_ids, ids)
-        hit = pos < len(buf.hot_ids)
-        hit[hit] = buf.hot_ids[pos[hit]] == ids[hit]
+        pos = np.searchsorted(self.hot_ids, ids)
+        hit = pos < len(self.hot_ids)
+        hit[hit] = self.hot_ids[pos[hit]] == ids[hit]
         found_pos = np.flatnonzero(hit)
         missing_pos = np.flatnonzero(~hit)
         return CacheLookup(
             found_pos=found_pos,
-            found_rows=buf.rows[pos[found_pos]],
+            found_rows=self.rows[pos[found_pos]],
             missing_pos=missing_pos,
             missing_ids=ids[missing_pos],
         )
 
     def start_secondary_build(
         self,
-        plan: BatchPlan,
-        next_epoch: int,
-        book,
-        my_part: int,
-        n_hot: int,
+        hot_ids: np.ndarray,
         client: StoreClient,
         fill_account: TransferAccount | None = None,
     ) -> None:
-        """Kick off the concurrent build of the next epoch's buffer."""
-        def _build() -> None:
-            try:
-                freq = collect_access(plan, book, my_part, epoch=next_epoch)
-                hot = top_hot(freq, n_hot)
-                rows = client.vector_pull(hot, fill_account)
-                self._secondary = _Buffer(hot, rows)
-            except Exception:
-                log.warning("secondary cache build for epoch %d failed; keeping "
-                            "the current steady cache", next_epoch, exc_info=True)
+        """Start pulling the next epoch's rows, `hot_ids` sorted
+        ascending, on a background thread; `swap` installs them."""
+        hot_ids = np.asarray(hot_ids, dtype=np.int64)
 
-        self._builder = threading.Thread(target=_build, daemon=True)
+        def _fill() -> None:
+            try:
+                self._filled = (hot_ids, client.vector_pull(hot_ids, fill_account))
+            except Exception as exc:  # raised again by swap()
+                self._filled = exc
+
+        self._builder = threading.Thread(target=_fill, daemon=True)
         self._builder.start()
 
     def wait_secondary(self) -> None:
-        """Block until an in-flight secondary build finishes (bounded work)."""
+        """Block until an in-flight fill finishes (bounded work)."""
         if self._builder is not None:
             self._builder.join()
             self._builder = None
 
-    def swap(self) -> bool:
-        """Close the epoch: wait for an in-flight build, then install the
-        secondary buffer if one completed.
+    def swap(self) -> None:
+        """Close the epoch: wait for the fill `start_secondary_build`
+        started, then install its rows.
 
         Waiting here makes the next epoch's hot set independent of thread
-        timing. Returns False, keeping the steady buffer, when no
-        completed secondary exists.
+        timing. A failed fill raises its exception and leaves the current
+        rows installed.
         """
         self.wait_secondary()
-        if self._secondary is None:
-            return False
-        self._steady = self._secondary
-        self._secondary = None
-        return True
+        filled, self._filled = self._filled, None
+        if isinstance(filled, Exception):
+            raise filled
+        self.hot_ids, self.rows = filled
 
 
 def build_steady(

@@ -12,7 +12,7 @@ from .graph import load_graph, save_graph, synth_powerlaw
 from .partition import (edge_cut, halo_expand, partition_edgecut,
                         partition_random, save_partition)
 from .plan import generate_plan
-from .train import RunConfig, _load_or_generate, run
+from .train import RunConfig, _load_or_generate, labeled_path, run
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
@@ -122,11 +122,11 @@ def _build_run_config(args: argparse.Namespace,
 def _checked_run_config(args: argparse.Namespace) -> RunConfig | None:
     """The run config from the flags, or None after printing why it is
     invalid."""
-    file_vals = _read_config_file(args.config) if args.config else {}
     try:
+        file_vals = _read_config_file(args.config) if args.config else {}
         cfg = _build_run_config(args, file_vals)
         cfg.validate()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an unreadable --config
         print(f"error: {exc}", file=sys.stderr)
         return None
     return cfg
@@ -182,13 +182,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _checked_run_config(args)
     if cfg is None:
         return 2
-    base_out = cfg.metrics_out
+    sweep = []
     for size in args.n_hot_list.split(";"):
         size = size.strip()
         swept = RunConfig(**vars(cfg))
-        _set_hot_size(swept, size)
-        if base_out:
-            swept.metrics_out = base_out.replace(".csv", f".nhot{size.rstrip('%')}.csv")
+        try:
+            _set_hot_size(swept, size)
+            swept.validate()
+        except ValueError:
+            print(f"error: bad value for n_hot: {size!r}", file=sys.stderr)
+            return 2
+        if cfg.metrics_out:
+            swept.metrics_out = labeled_path(cfg.metrics_out,
+                                             f"nhot{size.rstrip('%')}")
+            if any(s.metrics_out == swept.metrics_out for _, s in sweep):
+                print(f"error: n_hot {size!r} would overwrite the metrics of "
+                      f"an earlier size", file=sys.stderr)
+                return 2
+        sweep.append((size, swept))
+    for size, swept in sweep:
         results = run(swept)
         pulled = sum(rec.nodes_pulled for r in results for rec in r.records)
         print(f"n_hot={size}: total fallback nodes_pulled={pulled}")

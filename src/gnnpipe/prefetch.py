@@ -4,13 +4,13 @@
 batches with one sync pull, one RPC per owning shard; the precomputed
 plan names every batch's input nodes, and the hot set of its epoch,
 before its block is sampled. A `Lookahead` is one batch's share of such
-a pull. `assemble_bundle` gathers one batch's feature rows: local shard
-reads, cache hits, and the cache misses taken from a pulled window, or
-from a pull of its own when it is given none. A cache with no rows, as
-in baseline mode, makes every remote row a miss. `Prefetcher` runs any
-iterator, such as a worker's run of lookahead pulls, on a single
-producer thread into a bounded queue of depth Q; the consumer takes the
-items strictly in order.
+a pull. `assemble_bundle` gathers one batch's feature rows with no I/O:
+local shard reads, cache hits, and the cache misses taken from the
+window pulled for it. A cache with no rows, as in baseline mode, makes
+every remote row a miss. `Prefetcher` runs any iterator, such as a
+worker's run of lookahead pulls, on a single producer thread into a
+bounded queue of depth Q; the consumer takes the items strictly in
+order.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ class PrefetchError(RuntimeError):
 
 @dataclass
 class FeatureBundle:
-    epoch: int
-    batch: int
     block: ComputationBlock
     rows: np.ndarray  # |input_nodes| x feat_dim, aligned to input_nodes
     n_cache_hit: int
@@ -111,26 +109,19 @@ def assemble_bundle(
     owner: np.ndarray,
     my_part: int,
     shard: StoreShard,
-    client: StoreClient,
     cache: FeatureCache,
+    pulled: PulledRows,
     account: TransferAccount | None = None,
-    pulled: PulledRows | None = None,
 ) -> FeatureBundle:
     """Gather the feature rows a block needs, in input_nodes order.
 
     Locally owned rows are read straight from the worker's shard memory
     (zero RPC). Remote rows go through the cache; the misses come from
-    `pulled`, a window pulled ahead that must hold every one of them, or
-    when it is None from a pull of this block's own misses, charged
-    node-granularly to `account`. That account, a fresh one when
-    `account` is None, travels with the bundle as `bundle.fallback`.
+    `pulled`, the window pulled ahead for this block, which must hold
+    every one of them. `account`, the traffic charged to this bundle (a
+    fresh, empty one when None), travels with it as `bundle.fallback`.
     """
-    if account is None:
-        account = TransferAccount()
     ids = block.input_nodes
-    if pulled is None:
-        pulled = pull_window([ids], owner, my_part, cache.hot_ids, client,
-                             account)
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
     local_pos = np.flatnonzero(owner[ids] == my_part)
     remote_pos = np.flatnonzero(owner[ids] != my_part)
@@ -146,13 +137,11 @@ def assemble_bundle(
         n_hit = len(res.found_pos)
         n_fallback = len(res.missing_pos)
     return FeatureBundle(
-        epoch=block.epoch,
-        batch=block.batch,
         block=block,
         rows=rows,
         n_cache_hit=n_hit,
         n_fallback=n_fallback,
-        fallback=account,
+        fallback=TransferAccount() if account is None else account,
     )
 
 

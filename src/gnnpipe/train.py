@@ -4,11 +4,13 @@ Each worker trains over one bundle stream for the whole run, one bundle
 per batch of the plan, taking each epoch's batch count from it. The
 stream runs on the worker's own thread: it samples each block,
 assembles its bundle and turns the cache over at epoch boundaries, so
-only that thread looks up or swaps the cache. The cache misses of every
-bundle come from the run's lookahead, which pulls the misses of each
-window of consecutive batches in one request; the plan fixes every
-batch's input nodes and every epoch's hot set, so the lookahead never
-waits for the stream. The mode decides three things only: the size of
+only that thread looks up or swaps the cache. Before training, each
+worker chooses every epoch's hot set once (`cache.epoch_hot_sets`); the
+first cache fill, the lookahead and the stream's turnover all read that
+list. The cache misses of every bundle come from the run's lookahead,
+which pulls the misses of each window of consecutive batches in one
+request; the plan fixes every batch's input nodes and every epoch's hot
+set, so the lookahead never waits for the stream. The mode decides three things only: the size of
 the worker's hot-node cache, how many batches a window holds, and
 whether a prefetcher runs the lookahead. `rapid` caches each epoch's
 n_hot most-accessed remote nodes, pulls windows of Q = prefetch_depth
@@ -39,7 +41,7 @@ from . import model
 from .graph import Graph, load_graph, synth_powerlaw
 from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
-from .plan import BatchPlan, collect_access, generate_plan, top_hot
+from .plan import BatchPlan, collect_access, generate_plan
 from .prefetch import (FeatureBundle, Lookahead, Prefetcher, assemble_bundle,
                        pull_window)
 from .rng import mix64
@@ -192,38 +194,30 @@ def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:
     return int(num_remote * cfg.n_hot_pct / 100.0)
 
 
-def _epoch_hot(plan: BatchPlan, book: PartitionBook, part: int, e: int,
-               n_hot: int) -> np.ndarray:
-    """The hot set the worker's cache holds during epoch e."""
-    if n_hot == 0:
-        return np.empty(0, dtype=np.int64)
-    return top_hot(collect_access(plan, book, part, epoch=e), n_hot)
-
-
 def _lookahead(
     plan: BatchPlan,
     book: PartitionBook,
     part: int,
     client: StoreClient,
-    n_hot: int,
-    window: int = 1,
+    hot_sets: list[np.ndarray],
+    window: int,
 ) -> Iterator[Lookahead]:
     """One `Lookahead` per batch of the run, in plan order.
 
     Each epoch's batches go in windows of `window` consecutive batches;
     a window never crosses an epoch boundary. The cache misses of a
     window's batches, their remote input nodes outside the epoch's hot
-    set, are pulled in one sync pull (one RPC per owning shard), and that
-    pull's traffic is charged to the window's first batch.
+    set in `hot_sets`, are pulled in one sync pull (one RPC per owning
+    shard), and that pull's traffic is charged to the window's first
+    batch.
     """
     for e in range(plan.epochs):
-        hot = _epoch_hot(plan, book, part, e, n_hot)
         n = plan.num_batches(e)
         for first in range(0, n, window):
             batches = range(first, min(first + window, n))
             account = TransferAccount()
             pulled = pull_window([plan.input_sets[e][i] for i in batches],
-                                 book.owner, part, hot, client, account)
+                                 book.owner, part, hot_sets[e], client, account)
             for i in batches:
                 yield Lookahead(e, i, pulled, account if i == first else None)
             del pulled  # the window's rows live as long as its Lookaheads
@@ -236,35 +230,35 @@ def _run_bundles(
     shard: StoreShard,
     client: StoreClient,
     cache: cache_mod.FeatureCache,
-    n_hot: int,
+    hot_sets: list[np.ndarray],
+    ahead: Iterable[Lookahead],
     fill: TransferAccount | None = None,
-    window: int = 1,
-    ahead: Iterable[Lookahead] | None = None,
 ) -> Iterator[FeatureBundle]:
     """Every epoch's feature bundles in plan order, for the whole run.
 
-    Each bundle takes its cache misses from its `Lookahead` in `ahead`;
-    by default the stream pulls them itself, a window of `window`
-    batches at a time, as it reaches each window. With n_hot > 0 the
-    cache turns over: as epoch e starts, the stream starts filling e+1's
-    n_hot hot set, charged to `fill`, and swaps it in after e's last
-    bundle. The lookahead pulled e+1's misses for that hot set, so a
-    failed fill raises.
+    Each bundle takes its cache misses from its `Lookahead` in `ahead`.
+    When any epoch has hot nodes the cache turns over: as epoch e
+    starts, the stream starts filling e+1's set from `hot_sets`, charged
+    to `fill`, and swaps it in after e's last bundle. The lookahead
+    pulled e+1's misses for that set, so a failed fill raises.
     """
-    if ahead is None:
-        ahead = _lookahead(plan, book, part, client, n_hot, window)
+    turn_over = any(len(hot) for hot in hot_sets)
     ahead = iter(ahead)
     for e in range(plan.epochs):
-        turn = n_hot > 0 and e + 1 < plan.epochs
+        turn = turn_over and e + 1 < plan.epochs
         if turn:
-            cache.start_secondary_build(plan, e + 1, book, part, n_hot, client, fill)
+            cache.start_secondary_build(hot_sets[e + 1], client, fill)
         for i in range(plan.num_batches(e)):
             la = next(ahead)
             yield assemble_bundle(plan.block(e, i), book.owner, part, shard,
-                                  client, cache, la.account, la.pulled)
-        if turn and not cache.swap():
-            raise RuntimeError(f"the cache fill for epoch {e + 1} failed, and "
-                               f"its lookahead pulls assume that fill's hot set")
+                                  cache, la.pulled, la.account)
+        if turn:
+            try:
+                cache.swap()
+            except Exception as exc:
+                raise RuntimeError(
+                    f"the cache fill for epoch {e + 1} failed, and its "
+                    f"lookahead pulls assume that fill's hot set") from exc
 
 
 def _run_worker(
@@ -284,16 +278,16 @@ def _run_worker(
     n_hot = 0
     if rapid:
         n_hot = resolve_n_hot(cfg, len(collect_access(plan, book, part)))
-    fcache = cache_mod.build_steady(_epoch_hot(plan, book, part, 0, n_hot),
-                                    client, fill)
+    hot_sets = cache_mod.epoch_hot_sets(plan, book, part, n_hot)
+    fcache = cache_mod.build_steady(hot_sets[0], client, fill)
 
-    window = cfg.prefetch_depth if rapid else 1
+    ahead = _lookahead(plan, book, part, client, hot_sets,
+                       cfg.prefetch_depth if rapid else 1)
     pf = None
     if rapid:
-        pf = Prefetcher(_lookahead(plan, book, part, client, n_hot, window),
-                        cfg.prefetch_depth)
-    bundles = _run_bundles(plan, book, part, shard, client, fcache, n_hot, fill,
-                           window, pf)
+        ahead = pf = Prefetcher(ahead, cfg.prefetch_depth)
+    bundles = _run_bundles(plan, book, part, shard, client, fcache, hot_sets,
+                           ahead, fill)
     records: list[MetricsRecord] = []
     try:
         for e in range(cfg.epochs):
@@ -355,10 +349,10 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
     shards = build_shards(g, book, cfg.latency_ms)
 
     servers: list[TcpShardServer] = []
-    def make_transports() -> list:
+    def connect(p: int):
         if cfg.transport == "inproc":
-            return [InprocTransport(s) for s in shards]
-        return [TcpTransport(srv.address[0], srv.address[1]) for srv in servers]
+            return InprocTransport(shards[p])
+        return TcpTransport(*servers[p].address)
 
     if cfg.transport == "tcp":
         servers = [TcpShardServer(s) for s in shards]
@@ -371,8 +365,10 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
     errors: list[BaseException] = []
 
     def worker(p: int) -> None:
-        client = StoreClient(book.owner, make_transports(), g.feat_dim)
-        try:
+        client = StoreClient(book.owner, [], g.feat_dim)
+        try:  # after a failed connect, close() closes the ones made
+            for q in range(book.k):
+                client.transports.append(connect(q))
             results[p] = _run_worker(p, g, book, plan, shards[p], client, cfg)
         except BaseException as exc:
             errors.append(exc)
@@ -398,7 +394,12 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
 
 def worker_metrics_path(path: str, part: int) -> str:
     """Insert the worker id before the extension: out.csv -> out.w0.csv."""
+    return labeled_path(path, f"w{part}")
+
+
+def labeled_path(path: str, label: str) -> str:
+    """Insert `label` before the extension: out.csv -> out.<label>.csv."""
     if "." in path.rsplit("/", 1)[-1]:
         stem, ext = path.rsplit(".", 1)
-        return f"{stem}.w{part}.{ext}"
-    return f"{path}.w{part}"
+        return f"{stem}.{label}.{ext}"
+    return f"{path}.{label}"

@@ -14,7 +14,7 @@ from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.model import init_params, loss_and_grad
 from gnnpipe.partition import halo_expand, partition_edgecut
 from gnnpipe.plan import FrequencyTable, generate_plan, top_hot
-from gnnpipe.prefetch import assemble_bundle
+from gnnpipe.prefetch import assemble_bundle, pull_window
 from gnnpipe.rng import mix64_array
 from gnnpipe.sampler import SeedSchedule, epoch_batches, sample_block
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
@@ -442,9 +442,11 @@ def test_criterion_09_transparency():
     for s in range(10):
         block = sample_block(g, np.sort(rng.choice(400, 20, replace=False)),
                              [3, 5], s)
-        bundle = assemble_bundle(block, book.owner, 0, gshards[0], gclient,
-                                 build_steady(np.empty(0, np.int64), gclient),
-                                 None)
+        empty = build_steady(np.empty(0, np.int64), gclient)
+        pulled = pull_window([block.input_nodes], book.owner, 0, empty.hot_ids,
+                             gclient)
+        bundle = assemble_bundle(block, book.owner, 0, gshards[0], empty,
+                                 pulled, None)
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])
 
     # hot-set selection equals the brute-force optimum with least-id ties

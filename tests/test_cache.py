@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gnnpipe.cache import FeatureCache, build_steady
+from gnnpipe import cache as cache_mod
+from gnnpipe.cache import build_steady, epoch_hot_sets
 from gnnpipe.partition import partition_edgecut
 from gnnpipe.plan import collect_access, generate_plan, top_hot
 from gnnpipe.store import InprocTransport, StoreClient, StoreShard, TransferAccount
@@ -70,26 +71,40 @@ def pipeline(small_graph):
     return g, plan, book, client
 
 
+class TestEpochHotSets:
+    def test_top_n_hot_of_each_epoch(self, pipeline):
+        g, plan, book, client = pipeline
+        sets = epoch_hot_sets(plan, book, 0, 30)
+        assert len(sets) == plan.epochs
+        for e, hot in enumerate(sets):
+            assert np.array_equal(
+                hot, top_hot(collect_access(plan, book, 0, epoch=e), 30))
+
+    def test_no_hot_nodes_without_counting(self, pipeline, monkeypatch):
+        g, plan, book, client = pipeline
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("accesses were counted")
+
+        monkeypatch.setattr(cache_mod, "collect_access", no_count)
+        sets = epoch_hot_sets(plan, book, 0, 0)
+        assert [(len(h), h.dtype) for h in sets] == [(0, np.int64)] * plan.epochs
+
+
 class TestDoubleBuffer:
     def test_swap_installs_next_epoch_hot_set(self, pipeline):
         g, plan, book, client = pipeline
-        freq0 = collect_access(plan, book, 0, epoch=0)
-        cache = build_steady(top_hot(freq0, 30), client)
-        cache.start_secondary_build(plan, 1, book, 0, 30, client)
+        hot = epoch_hot_sets(plan, book, 0, 30)
+        cache = build_steady(hot[0], client)
+        acct = TransferAccount()
+        cache.start_secondary_build(hot[1], client, acct)
         cache.wait_secondary()
-        assert cache.swap() is True
-        expected = top_hot(collect_access(plan, book, 0, epoch=1), 30)
-        assert np.array_equal(cache.hot_ids, expected)
+        cache.swap()
+        assert np.array_equal(cache.hot_ids, hot[1])
+        assert acct.nodes_pulled == len(hot[1])
         # swapped rows really are the features of the new hot set
-        res = cache.lookup(expected)
-        assert np.array_equal(res.found_rows, g.features[expected])
-
-    def test_swap_without_build_is_noop(self, pipeline):
-        g, plan, book, client = pipeline
-        cache = build_steady(np.array([3, 4]), client)
-        before = cache.hot_ids.copy()
-        assert cache.swap() is False
-        assert np.array_equal(cache.hot_ids, before)
+        res = cache.lookup(hot[1])
+        assert np.array_equal(res.found_rows, g.features[hot[1]])
 
     def test_failed_build_keeps_steady(self, pipeline):
         g, plan, book, client = pipeline
@@ -101,11 +116,13 @@ class TestDoubleBuffer:
                 raise ConnectionError("injected")
 
         cache = build_steady(np.array([3, 4]), client)
-        before = cache.hot_ids.copy()
-        cache.start_secondary_build(plan, 1, book, 0, 10, Boom())
-        cache.wait_secondary()
-        assert cache.swap() is False
-        assert np.array_equal(cache.hot_ids, before)
+        cache.start_secondary_build(np.array([5, 6, 7]), Boom())
+        with pytest.raises(ConnectionError, match="injected"):
+            cache.swap()
+        assert cache.hot_ids.tolist() == [3, 4]
+        res = cache.lookup(np.array([3, 4, 5]))
+        assert res.found_pos.tolist() == [0, 1]
+        assert np.array_equal(res.found_rows, g.features[[3, 4]])
 
     def test_steady_serves_during_build(self, pipeline):
         # lookups during an in-flight build must come from the old buffer
@@ -122,10 +139,10 @@ class TestDoubleBuffer:
                 return client.vector_pull(ids, account)
 
         cache = build_steady(np.array([2, 6]), client)
-        cache.start_secondary_build(plan, 1, book, 0, 10, Slow())
+        cache.start_secondary_build(np.array([7, 9]), Slow())
         res = cache.lookup(np.array([2, 6]))
         assert len(res.found_pos) == 2
         assert np.array_equal(res.found_rows, g.features[[2, 6]])
         gate.set()
-        cache.wait_secondary()
-        assert cache.swap() is True
+        cache.swap()
+        assert cache.hot_ids.tolist() == [7, 9]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gnnpipe import cli
 from gnnpipe.cli import main
 from gnnpipe.graph import load_graph
 from gnnpipe.partition import load_partition
@@ -147,20 +148,44 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     assert recs[0].mode == "rapid" and len(recs) == 2
 
 
-def test_bad_config_line(tmp_path):
+def test_bad_config_line(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("epochs 2\n")
-    with pytest.raises(ValueError):
-        main(["train", "--config", str(cfgfile)])
+    assert main(["train", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "error: bad config line: 'epochs 2'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line", ["epoch = 2", "layers = 2", "hot_scope = global",
                                   "precision = f64"])
-def test_unknown_config_key(tmp_path, line):
+def test_unknown_config_key(tmp_path, capsys, line):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"epochs = 1\n{line}\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        main(["train", "--config", str(cfgfile)])
+    assert main(["train", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown config key" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "plan", "sweep"])
+@pytest.mark.parametrize("text, message", [
+    (None, "[Errno 2] No such file or directory"),
+    ("epochs 2\n", "bad config line: 'epochs 2'"),
+    ("epochs = 1\nlayers = 2\n", "unknown config key 'layers'"),
+])
+def test_config_file_errors_in_every_command(tmp_path, capsys, command, text,
+                                             message):
+    cfgfile = tmp_path / "run.cfg"
+    if text is not None:
+        cfgfile.write_text(text)
+    args = [command, "--config", str(cfgfile)]
+    if command == "sweep":
+        args += ["--n-hot-list", "0"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep(tmp_path, capsys):
@@ -175,3 +200,43 @@ def test_sweep(tmp_path, capsys):
     pulled0 = sum(r.nodes_pulled for r in recs0)
     pulled15 = sum(r.nodes_pulled for r in recs15)
     assert pulled15 <= pulled0
+
+
+def test_sweep_writes_one_set_per_size_whatever_the_extension(tmp_path, capsys):
+    out = tmp_path / "run.out"
+    rc = main(["sweep"] + TRAIN_SMALL + ["--epochs", "1", "--mode", "rapid",
+               "--n-hot-list", "0;15%", "--metrics-out", str(out)])
+    assert rc == 0
+    for label in ("nhot0", "nhot15"):
+        for p in range(2):
+            assert len(read_metrics(tmp_path / f"run.{label}.w{p}.out")) == 1
+    assert not (tmp_path / "run.w0.out").exists()
+
+
+@pytest.fixture()
+def no_runs(monkeypatch):
+    """Fail the test if the command starts a training run."""
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+
+
+@pytest.mark.parametrize("sizes, bad", [("0;lots", "lots"), ("250%", "250%"),
+                                        ("5;-1", "-1"), ("0;", "")])
+def test_sweep_checks_every_size_before_the_first_run(no_runs, capsys, sizes, bad):
+    assert main(["sweep"] + TRAIN_SMALL + ["--n-hot-list", sizes]) == 2
+    captured = capsys.readouterr()
+    assert f"error: bad value for n_hot: {bad!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sizes", ["15;15%", "5%;5"])
+def test_sweep_rejects_sizes_that_share_metrics_files(tmp_path, no_runs, capsys,
+                                                       sizes):
+    out = tmp_path / "run.csv"
+    assert main(["sweep"] + TRAIN_SMALL + ["--n-hot-list", sizes,
+                 "--metrics-out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "would overwrite the metrics of an earlier size" in captured.err
+    assert captured.out == ""

@@ -4,14 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from gnnpipe.cache import FeatureCache, build_steady
+from gnnpipe.cache import FeatureCache, build_steady, epoch_hot_sets
 from gnnpipe.partition import partition_edgecut
-from gnnpipe.plan import collect_access, generate_plan, top_hot
+from gnnpipe.plan import generate_plan
 from gnnpipe.prefetch import (PrefetchError, Prefetcher, PulledRows,
-                              assemble_bundle)
+                              assemble_bundle, pull_window)
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
-from gnnpipe.train import _run_bundles
+from gnnpipe.train import _lookahead, _run_bundles
 
 
 def no_cache(shard):
@@ -20,10 +20,20 @@ def no_cache(shard):
                         np.empty((0, shard.feat_dim), dtype=np.float32))
 
 
+def no_hot_sets(plan):
+    return [np.empty(0, dtype=np.int64)] * plan.epochs
+
+
+def run_stream(plan, book, shard, client, cache, hot_sets, window=1):
+    """Worker 0's bundle stream for the run, over its own lookahead."""
+    return _run_bundles(plan, book, 0, shard, client, cache, hot_sets,
+                        _lookahead(plan, book, 0, client, hot_sets, window))
+
+
 def epoch0(plan, book, shard, client):
     """Epoch 0's bundles of worker 0's run stream, with a zero-row cache."""
     return itertools.islice(
-        _run_bundles(plan, book, 0, shard, client, no_cache(shard), 0),
+        run_stream(plan, book, shard, client, no_cache(shard), no_hot_sets(plan)),
         plan.num_batches(0))
 
 
@@ -47,8 +57,9 @@ class TestAssembleBundle:
     def test_rows_match_features(self, setup):
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
-        bundle = assemble_bundle(block, owner, 0, shard, client,
-                                 no_cache(shard), None)
+        cache = no_cache(shard)
+        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids, client)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled, None)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         n_local = np.count_nonzero(owner[block.input_nodes] == 0)
         assert n_local + bundle.n_fallback == len(block.input_nodes)
@@ -60,7 +71,9 @@ class TestAssembleBundle:
         remote = block.input_nodes[owner[block.input_nodes] != 0]
         cache = build_steady(remote[:5], client)
         acct = TransferAccount()
-        bundle = assemble_bundle(block, owner, 0, shard, client, cache, acct)
+        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
+                             client, acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled, acct)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         assert bundle.n_cache_hit == 5
         assert bundle.n_fallback == len(remote) - 5
@@ -72,7 +85,9 @@ class TestAssembleBundle:
         remote = block.input_nodes[owner[block.input_nodes] != 0]
         cache = build_steady(remote, client)
         acct = TransferAccount()
-        bundle = assemble_bundle(block, owner, 0, shard, client, cache, acct)
+        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
+                             client, acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled, acct)
         assert bundle.n_fallback == 0
         assert acct.snapshot() == (0, 0, 0)
 
@@ -80,7 +95,10 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 1)
         acct = TransferAccount()
-        assemble_bundle(block, owner, 0, shard, client, no_cache(shard), acct)
+        cache = no_cache(shard)
+        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
+                             client, acct)
+        assemble_bundle(block, owner, 0, shard, cache, pulled, acct)
         n_remote = int((owner[block.input_nodes] != 0).sum())
         assert acct.nodes_pulled == n_remote
         assert shard.rpc_calls == 0
@@ -89,20 +107,9 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
         remote = block.input_nodes[owner[block.input_nodes] != 0]
-
-        class NoPulls:
-            def sync_pull(self, ids, account=None):
-                raise AssertionError("a missing row was pulled")
-
         short = PulledRows(remote[1:], g.features[remote[1:]])
         with pytest.raises(LookupError, match="first id"):
-            assemble_bundle(block, owner, 0, shard, NoPulls(), no_cache(shard),
-                            None, short)
-
-
-def hot_cache(plan, book, client, n_hot):
-    return build_steady(top_hot(collect_access(plan, book, 0, epoch=0), n_hot),
-                        client)
+            assemble_bundle(block, owner, 0, shard, no_cache(shard), short, None)
 
 
 class TestLookaheadStream:
@@ -110,9 +117,10 @@ class TestLookaheadStream:
 
     def stream(self, setup, window):
         g, plan, book, owner, shard, client = setup
-        return list(_run_bundles(plan, book, 0, shard, client,
-                                 hot_cache(plan, book, client, self.N_HOT),
-                                 self.N_HOT, None, window))
+        hot_sets = epoch_hot_sets(plan, book, 0, self.N_HOT)
+        return list(run_stream(plan, book, shard, client,
+                               build_steady(hot_sets[0], client), hot_sets,
+                               window))
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_rows_bit_identical_to_depth_one(self, setup, depth):
@@ -121,7 +129,7 @@ class TestLookaheadStream:
         assert len(one) == len(windowed) == sum(
             plan.num_batches(e) for e in range(plan.epochs))
         for a, b in zip(one, windowed):
-            assert (a.epoch, a.batch) == (b.epoch, b.batch)
+            assert (a.block.epoch, a.block.batch) == (b.block.epoch, b.block.batch)
             assert np.array_equal(b.rows, g.features[b.block.input_nodes])
             assert np.array_equal(a.rows, b.rows)
             assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
@@ -131,13 +139,13 @@ class TestLookaheadStream:
         g, plan, book, owner, shard, client = setup
         bundles = self.stream(setup, depth)
         for e in range(plan.epochs):
-            in_epoch = [b for b in bundles if b.epoch == e]
+            in_epoch = [b for b in bundles if b.block.epoch == e]
             rpcs = [b.fallback.rpc_calls for b in in_epoch]
             # one remote shard: one RPC per window, on the window's first batch
-            assert rpcs == [int(b.batch % depth == 0) for b in in_epoch]
+            assert rpcs == [int(b.block.batch % depth == 0) for b in in_epoch]
             assert sum(rpcs) == -(-plan.num_batches(e) // depth)
             for b in in_epoch:
-                if b.batch % depth:
+                if b.block.batch % depth:
                     assert b.fallback.snapshot() == (0, 0, 0)
         # a window pulls the union of its batches' misses, never more rows
         one = self.stream(setup, 1)
@@ -151,7 +159,7 @@ class TestPrefetcher:
         pf = Prefetcher(epoch0(plan, book, shard, client), depth=3)
         seen = []
         while (b := pf.next_bundle()) is not None:
-            seen.append(b.batch)
+            seen.append(b.block.batch)
         assert seen == list(range(plan.num_batches(0)))
         assert pf.next_bundle() is None  # exhausted stays exhausted
 
@@ -160,8 +168,10 @@ class TestPrefetcher:
         pf = Prefetcher(epoch0(plan, book, shard, client), depth=2)
         i = 0
         while (b := pf.next_bundle()) is not None:
-            ref = assemble_bundle(plan.block(0, i), owner, 0, shard, client,
-                                  no_cache(shard), None)
+            block, cache = plan.block(0, i), no_cache(shard)
+            pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
+                                 client)
+            ref = assemble_bundle(block, owner, 0, shard, cache, pulled, None)
             assert np.array_equal(b.rows, ref.rows)
             i += 1
 
@@ -209,8 +219,8 @@ class TestPrefetcher:
             return block(e, i)
 
         plan.block = fail_in_epoch1
-        pf = Prefetcher(_run_bundles(plan, book, 0, shard, client,
-                                     no_cache(shard), 0), depth=2)
+        pf = Prefetcher(run_stream(plan, book, shard, client, no_cache(shard),
+                                   no_hot_sets(plan)), depth=2)
         with pytest.raises(PrefetchError) as exc:
             for _ in pf:
                 pass

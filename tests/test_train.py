@@ -8,8 +8,8 @@ from gnnpipe import cache, model, train, wire
 from gnnpipe.graph import synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
 from gnnpipe.prefetch import PrefetchError
-from gnnpipe.store import (StoreClient, StoreShard, TransferAccount,
-                           TransportError)
+from gnnpipe.store import (StoreClient, StoreShard, TcpTransport,
+                           TransferAccount, TransportError)
 from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig, read_metrics,
                            resolve_n_hot, run, worker_metrics_path,
                            write_metrics)
@@ -337,8 +337,52 @@ class TestRun:
 
         monkeypatch.setattr(StoreClient, "vector_pull", fail_secondary_fill)
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="cache fill for epoch 1 failed"):
+        with pytest.raises(RuntimeError, match="cache fill for epoch 1 failed") as exc:
             run(small_cfg(mode="rapid"))
+        assert isinstance(exc.value.__cause__, ConnectionError)
+        assert "injected" in cause_chain(exc.value)
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("mode, calls", [("rapid", 1 + SMALL["epochs"]),
+                                             ("baseline", 0)])
+    def test_access_counted_once_per_epoch(self, monkeypatch, mode, calls):
+        # rapid: one whole-plan count for n_hot and one count per epoch's
+        # hot set; baseline caches nothing and counts nothing
+        counts = {}
+        for module in (train, cache):
+            def counting(plan, book, part, *args, _orig=module.collect_access,
+                         **kwargs):
+                counts[part] = counts.get(part, 0) + 1
+                return _orig(plan, book, part, *args, **kwargs)
+            monkeypatch.setattr(module, "collect_access", counting)
+        results = run(small_cfg(mode=mode))
+        assert [counts.get(r.part, 0) for r in results] == [calls] * len(results)
+
+    def test_failed_connect_fails_run(self, monkeypatch):
+        # one worker's second connect fails after its first one succeeded
+        connect = TcpTransport.__init__
+        made: dict = {}
+        opened, failed = [], []
+        lock = threading.Lock()
+
+        def flaky(self, host, port):
+            me = threading.current_thread()
+            made[me] = made.get(me, 0) + 1
+            with lock:
+                fail = made[me] == 2 and not failed
+                if fail:
+                    failed.append(me)
+            if fail:
+                raise TransportError(f"connect to {host}:{port} failed")
+            connect(self, host, port)
+            opened.append((me, self))
+
+        monkeypatch.setattr(TcpTransport, "__init__", flaky)
+        before = set(threading.enumerate())
+        with pytest.raises(TransportError, match="connect to"):
+            run(small_cfg(mode="rapid", transport="tcp"))
+        (first,) = [t for me, t in opened if me is failed[0]]
+        assert first._sock.fileno() == -1  # closed
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_rapid_run(self, monkeypatch):
