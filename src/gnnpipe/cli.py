@@ -8,65 +8,63 @@ import sys
 
 import numpy as np
 
-from .graph import load_graph, save_graph, synth_powerlaw
-from .partition import (edge_cut, halo_expand, partition_edgecut,
-                        partition_random, save_partition)
+from .graph import save_graph, synth_powerlaw
+from .partition import edge_cut, save_partition
 from .plan import generate_plan
-from .train import RunConfig, _load_or_generate, labeled_path, run
-
-
-def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="RGF1 graph file (omit to generate)")
-    p.add_argument("--nodes", type=int, help="generated graph size")
-    p.add_argument("--edges-per-node", type=int, dest="edges_per_node")
-    p.add_argument("--feat-dim", type=int, dest="feat_dim")
-    p.add_argument("--classes", type=int, dest="classes")
-    p.add_argument("--partitions", type=int)
-    p.add_argument("--partitioner", choices=["random", "edgecut"])
-    p.add_argument("--partition-file", dest="partition_file")
-    p.add_argument("--seed", type=int, help="base seed s0")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--fanout", help="comma-separated per-layer fanouts, e.g. 10,25")
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--mode", choices=["baseline", "rapid"])
-    p.add_argument("--n-hot", dest="n_hot",
-                   help="hot-set size: absolute count or percent like 15%%")
-    p.add_argument("--prefetch-depth", type=int, dest="prefetch_depth")
-    p.add_argument("--latency-ms", type=float, dest="latency_ms")
-    p.add_argument("--transport", choices=["inproc", "tcp"])
-    p.add_argument("--metrics-out", dest="metrics_out")
-    p.add_argument("--dump-cache-keys", action="store_true", dest="dump_cache_keys")
-    p.add_argument("--config", help="key=value config file (CLI flags win)")
+from .train import (RunConfig, _load_or_generate, _partition, labeled_path,
+                    run)
 
 
 def _fanouts(text: str) -> list[int]:
     return [int(x) for x in str(text).split(",") if x]
 
 
-# flag dest, which is also the --config key -> (RunConfig field, converter)
-_CONFIG_KEYS = {
-    "graph": ("graph_path", str),
-    "nodes": ("gen_nodes", int),
-    "edges_per_node": ("gen_edges_per_node", int),
-    "feat_dim": ("feat_dim", int),
-    "classes": ("num_classes", int),
-    "partitions": ("partitions", int),
-    "partitioner": ("partitioner", str),
-    "partition_file": ("partition_path", str),
-    "seed": ("s0", int),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "fanout": ("fanouts", _fanouts),
-    "hidden_dim": ("hidden_dim", int),
-    "lr": ("lr", float),
-    "mode": ("mode", str),
-    "prefetch_depth": ("prefetch_depth", int),
-    "latency_ms": ("latency_ms", float),
-    "transport": ("transport", str),
-    "metrics_out": ("metrics_out", str),
+def _set_hot_size(cfg: RunConfig, size: str) -> None:
+    """Apply a hot-set size given as a count "N" or a percent "P%"."""
+    if size.endswith("%"):
+        cfg.n_hot = None
+        cfg.n_hot_pct = float(size[:-1])
+    else:
+        cfg.n_hot = int(size)
+
+
+def _field(attr: str, conv=str):
+    def setter(cfg: RunConfig, text: str) -> None:
+        setattr(cfg, attr, conv(text))
+    return setter
+
+
+# every setting of every command: flag -> (RunConfig setter taking the
+# flag's text, help). The flag's dest is also its --config key, and
+# RunConfig holds every default.
+_FLAGS = {
+    "--graph": (_field("graph_path"), "RGF1 graph file (omit to generate)"),
+    "--nodes": (_field("gen_nodes", int), "generated graph size"),
+    "--edges-per-node": (_field("gen_edges_per_node", int),
+                         "edges each generated node attaches"),
+    "--feat-dim": (_field("feat_dim", int), "generated feature width"),
+    "--classes": (_field("num_classes", int), "generated label classes"),
+    "--partitions": (_field("partitions", int), "number of partitions k"),
+    "--partitioner": (_field("partitioner"), "random or edgecut"),
+    "--partition-file": (_field("partition_path"), "RPB1 partition file"),
+    "--seed": (_field("s0", int), "base seed s0"),
+    "--epochs": (_field("epochs", int), "training epochs"),
+    "--batch-size": (_field("batch_size", int), "seeds per batch"),
+    "--fanout": (_field("fanouts", _fanouts),
+                 "comma-separated per-layer fanouts, e.g. 10,25"),
+    "--hidden-dim": (_field("hidden_dim", int), "hidden layer width"),
+    "--lr": (_field("lr", float), "SGD learning rate"),
+    "--mode": (_field("mode"), "baseline or rapid"),
+    "--n-hot": (_set_hot_size,
+                "hot-set size: absolute count or percent like 15%%"),
+    "--prefetch-depth": (_field("prefetch_depth", int), "prefetch depth Q"),
+    "--latency-ms": (_field("latency_ms", float),
+                     "injected latency per shard request"),
+    "--transport": (_field("transport"), "inproc or tcp"),
+    "--metrics-out": (_field("metrics_out"), "per-worker metrics CSV path"),
 }
+_KEYS = {flag[2:].replace("-", "_"): setter
+         for flag, (setter, _) in _FLAGS.items()}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -80,81 +78,49 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"bad config line: {line!r}")
             key, val = line.split("=", 1)
             key = key.strip()
-            if key not in _CONFIG_KEYS and key != "n_hot":
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r} in {path}")
             values[key] = val.strip()
     return values
 
 
-def _set_hot_size(cfg: RunConfig, size: str) -> None:
-    """Apply a hot-set size given as a count "N" or a percent "P%"."""
-    if size.endswith("%"):
-        cfg.n_hot = None
-        cfg.n_hot_pct = float(size[:-1])
-    else:
-        cfg.n_hot = int(size)
-
-
-def _build_run_config(args: argparse.Namespace,
-                      file_vals: dict[str, str]) -> RunConfig:
-    """The run config from the flags over the config file's values;
-    ValueError names the key of a value that does not convert."""
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The validated run config from the flags over the config file's
+    values; ValueError names the key of a value that does not convert."""
+    file_vals = _read_config_file(args.config) if args.config else {}
     cfg = RunConfig()
-
-    def pick(key: str):
-        v = getattr(args, key)
-        return file_vals.get(key) if v is None else v
-
-    try:
-        for key, (attr, conv) in _CONFIG_KEYS.items():
-            value = pick(key)
-            if value is not None:
-                setattr(cfg, attr, conv(value))
-        key = "n_hot"
-        n_hot = pick(key)
-        if n_hot is not None:
-            _set_hot_size(cfg, str(n_hot))
-    except ValueError:
-        raise ValueError(f"bad value for {key}: {pick(key)!r}") from None
+    for key, setter in _KEYS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_vals.get(key)
+        if value is not None:
+            try:
+                setter(cfg, value)
+            except ValueError:
+                raise ValueError(f"bad value for {key}: {value!r}") from None
+    if args.command == "gen":
+        cfg.graph_path = None  # gen always generates: check its generator
+    cfg.validate()
     return cfg
 
 
-def _checked_run_config(args: argparse.Namespace) -> RunConfig | None:
-    """The run config from the flags, or None after printing why it is
-    invalid."""
-    try:
-        file_vals = _read_config_file(args.config) if args.config else {}
-        cfg = _build_run_config(args, file_vals)
-        cfg.validate()
-    except (OSError, ValueError) as exc:  # OSError: an unreadable --config
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    return cfg
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
-    g = synth_powerlaw(args.nodes, args.edges_per_node, args.feat_dim,
-                       args.classes, args.seed)
+def _cmd_gen(args: argparse.Namespace, cfg: RunConfig) -> int:
+    g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
+                       cfg.num_classes, cfg.s0)
     save_graph(g, args.out)
     print(f"wrote {args.out}: {g.num_nodes} nodes, {g.num_edges} edge entries")
     return 0
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    if args.partitioner == "random":
-        book = partition_random(g, args.partitions, args.seed)
-    else:
-        book = partition_edgecut(g, args.partitions)
+def _cmd_partition(args: argparse.Namespace, cfg: RunConfig) -> int:
+    g = _load_or_generate(cfg)
+    book = _partition(g, cfg)
     save_partition(book, args.out)
     print(f"wrote {args.out}: k={book.k}, edge cut={edge_cut(g, book.owner)}")
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    cfg = _checked_run_config(args)
-    if cfg is None:
-        return 2
+def _cmd_plan(args: argparse.Namespace, cfg: RunConfig) -> int:
     g = _load_or_generate(cfg)
     plan = generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
                          cfg.batch_size, cfg.epochs, cfg.s0)
@@ -162,10 +128,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _checked_run_config(args)
-    if cfg is None:
-        return 2
+def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     results = run(cfg)
     for r in results:
         print(f"worker {r.part}: plan digest {r.plan_digest}")
@@ -178,10 +141,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _checked_run_config(args)
-    if cfg is None:
-        return 2
+def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     sweep = []
     for size in args.n_hot_list.split(";"):
         size = size.strip()
@@ -210,41 +170,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="gnnpipe")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a synthetic power-law graph")
-    p_gen.add_argument("--nodes", type=int, required=True)
-    p_gen.add_argument("--edges-per-node", type=int, default=5, dest="edges_per_node")
-    p_gen.add_argument("--feat-dim", type=int, default=32, dest="feat_dim")
-    p_gen.add_argument("--classes", type=int, default=8)
-    p_gen.add_argument("--seed", type=int, default=7)
-    p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_part = sub.add_parser("partition", help="partition a graph to an RPB1 file")
-    p_part.add_argument("--graph", required=True)
-    p_part.add_argument("--partitions", type=int, required=True)
-    p_part.add_argument("--partitioner", choices=["random", "edgecut"],
-                        default="edgecut")
-    p_part.add_argument("--seed", type=int, default=7)
-    p_part.add_argument("--out", required=True)
-    p_part.set_defaults(func=_cmd_partition)
-
-    p_plan = sub.add_parser("plan", help="print the 16-hex-digit plan digest")
-    _add_common_train_flags(p_plan)
-    p_plan.set_defaults(func=_cmd_plan)
-
-    p_train = sub.add_parser("train", help="run one training configuration")
-    _add_common_train_flags(p_train)
-    p_train.set_defaults(func=_cmd_train)
-
-    p_sweep = sub.add_parser("sweep", help="sweep hot-set sizes")
-    _add_common_train_flags(p_sweep)
-    p_sweep.add_argument("--n-hot-list", required=True, dest="n_hot_list",
-                         help="semicolon-separated sizes, e.g. '0;1%%;5%%;15%%'")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    commands = {
+        "gen": (_cmd_gen, "generate a synthetic power-law graph"),
+        "partition": (_cmd_partition, "partition a graph to an RPB1 file"),
+        "plan": (_cmd_plan, "print the 16-hex-digit plan digest"),
+        "train": (_cmd_train, "run one training configuration"),
+        "sweep": (_cmd_sweep, "sweep hot-set sizes"),
+    }
+    for name, (func, help_text) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, (_, flag_help) in _FLAGS.items():
+            p.add_argument(flag, help=flag_help)
+        p.add_argument("--config", help="key=value config file (CLI flags win)")
+        p.set_defaults(func=func)
+        if name in ("gen", "partition"):
+            p.add_argument("--out", required=True, help="file to write")
+        elif name == "train":
+            p.add_argument("--dump-cache-keys", action="store_true",
+                           help="print each rapid worker's final hot set")
+        elif name == "sweep":
+            p.add_argument("--n-hot-list", required=True,
+                           help="semicolon-separated sizes, e.g. '0;1%%;5%%;15%%'")
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _run_config(args)
+    except (OSError, ValueError) as exc:  # OSError: an unreadable --config
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import threading
 import time
 from collections.abc import Iterable, Iterator
@@ -150,8 +151,22 @@ class RunConfig:
             raise ValueError("batch size must be >= 1")
         if self.hidden_dim < 1:
             raise ValueError("hidden dim must be >= 1")
-        if self.latency_ms < 0:
-            raise ValueError("latency must be >= 0 ms")
+        if not (math.isfinite(self.latency_ms) and self.latency_ms >= 0):
+            raise ValueError(f"latency must be finite and >= 0 ms, "
+                             f"got {self.latency_ms}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.partitions < 1:
+            raise ValueError("partitions must be >= 1")
+        if self.feat_dim < 1:
+            raise ValueError("feat dim must be >= 1")
+        if self.num_classes < 1:
+            raise ValueError("classes must be >= 1")
+        if not self.graph_path and not (
+                self.gen_nodes > self.gen_edges_per_node >= 1):
+            raise ValueError(
+                f"a generated graph needs nodes > edges per node >= 1, got "
+                f"nodes={self.gen_nodes} edges_per_node={self.gen_edges_per_node}")
         if self.n_hot is not None and self.n_hot < 0:
             raise ValueError("n_hot must be >= 0")
         if not 0 <= self.n_hot_pct <= 100:
@@ -181,11 +196,10 @@ def _partition(g: Graph, cfg: RunConfig) -> PartitionBook:
         if len(book.owner) != g.num_nodes:
             raise ValueError(f"partition file covers {len(book.owner)} nodes, "
                              f"graph has {g.num_nodes}")
-    elif cfg.partitioner == "random":
-        book = partition_random(g, cfg.partitions, cfg.s0)
-    else:
-        book = partition_edgecut(g, cfg.partitions)
-    return halo_expand(g, book)
+        return book
+    if cfg.partitioner == "random":
+        return partition_random(g, cfg.partitions, cfg.s0)
+    return partition_edgecut(g, cfg.partitions)
 
 
 def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:
@@ -269,7 +283,10 @@ def _run_worker(
     shard: StoreShard,
     client: StoreClient,
     cfg: RunConfig,
+    stop: threading.Event,
 ) -> WorkerResult:
+    """Train worker `part` over the whole plan; raise once `stop` is set,
+    checked before every batch."""
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
                                len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG))
     fill = TransferAccount()
@@ -296,6 +313,9 @@ def _run_worker(
             hits = misses = 0
             pulled = TransferAccount()
             for bundle in itertools.islice(bundles, plan.num_batches(e)):
+                if stop.is_set():
+                    raise RuntimeError(f"worker {part} stopped: another "
+                                       f"worker failed")
                 loss, grads = model.loss_and_grad(bundle.block, bundle.rows,
                                                   g.labels, params)
                 params = model.sgd_step(params, grads, cfg.lr)
@@ -345,7 +365,10 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
     """Execute the pipeline for every partition's worker; write CSVs."""
     cfg.validate()
     g = _load_or_generate(cfg)
-    book = _partition(g, cfg)
+    book = halo_expand(g, _partition(g, cfg))
+    train_nodes = np.flatnonzero(g.train_mask)
+    plan = generate_plan(g, train_nodes, cfg.fanouts, cfg.batch_size,
+                         cfg.epochs, cfg.s0)
     shards = build_shards(g, book, cfg.latency_ms)
 
     servers: list[TcpShardServer] = []
@@ -354,34 +377,36 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
             return InprocTransport(shards[p])
         return TcpTransport(*servers[p].address)
 
-    if cfg.transport == "tcp":
-        servers = [TcpShardServer(s) for s in shards]
-
-    train_nodes = np.flatnonzero(g.train_mask)
-    plan = generate_plan(g, train_nodes, cfg.fanouts, cfg.batch_size,
-                         cfg.epochs, cfg.s0)
-
     results: list[WorkerResult | None] = [None] * book.k
-    errors: list[BaseException] = []
+    errors: list[BaseException] = []  # in the order the workers failed
+    stop = threading.Event()  # set after the first worker error is recorded
 
     def worker(p: int) -> None:
         client = StoreClient(book.owner, [], g.feat_dim)
         try:  # after a failed connect, close() closes the ones made
             for q in range(book.k):
                 client.transports.append(connect(q))
-            results[p] = _run_worker(p, g, book, plan, shards[p], client, cfg)
+            results[p] = _run_worker(p, g, book, plan, shards[p], client, cfg,
+                                     stop)
         except BaseException as exc:
             errors.append(exc)
+            stop.set()
         finally:
             client.close()
 
-    threads = [threading.Thread(target=worker, args=(p,)) for p in range(book.k)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for srv in servers:
-        srv.close()
+    try:
+        if cfg.transport == "tcp":
+            for s in shards:
+                servers.append(TcpShardServer(s))
+        threads = [threading.Thread(target=worker, args=(p,))
+                   for p in range(book.k)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        for srv in servers:
+            srv.close()
     if errors:
         raise errors[0]
 

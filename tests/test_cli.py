@@ -3,8 +3,9 @@ import pytest
 
 from gnnpipe import cli
 from gnnpipe.cli import main
-from gnnpipe.graph import load_graph
-from gnnpipe.partition import load_partition
+from gnnpipe.graph import load_graph, save_graph, synth_powerlaw
+from gnnpipe.partition import (load_partition, partition_edgecut,
+                               partition_random, save_partition)
 from gnnpipe.train import read_metrics
 
 GEN = ["gen", "--nodes", "400", "--edges-per-node", "3", "--feat-dim", "8",
@@ -240,3 +241,106 @@ def test_sweep_rejects_sizes_that_share_metrics_files(tmp_path, no_runs, capsys,
     captured = capsys.readouterr()
     assert "would overwrite the metrics of an earlier size" in captured.err
     assert captured.out == ""
+
+
+COMMANDS = ["gen", "partition", "plan", "train", "sweep"]
+
+
+def command_args(command, tmp_path) -> list[str]:
+    """The arguments `command` needs besides its settings."""
+    if command in ("gen", "partition"):
+        return ["--out", str(tmp_path / f"{command}.out")]
+    if command == "sweep":
+        return ["--n-hot-list", "0"]
+    return []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", "x", "bad value for epochs: 'x'"),
+    ("lr", "fast", "bad value for lr: 'fast'"),
+    ("mode", "turbo", "unknown mode 'turbo'"),
+    ("partitioner", "metis", "unknown partitioner 'metis'"),
+    ("transport", "udp", "unknown transport 'udp'"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_command_rejects_bad_settings_alike(tmp_path, no_runs, capsys,
+                                                   command, key, value,
+                                                   message, source):
+    if source == "flag":
+        settings = ["--" + key.replace("_", "-"), value]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        settings = ["--config", str(cfgfile)]
+    assert main([command] + settings + command_args(command, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / f"{command}.out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flags, message", [
+    (["--partitions", "0"], "partitions must be >= 1"),
+    (["--classes", "0"], "classes must be >= 1"),
+    (["--feat-dim", "0"], "feat dim must be >= 1"),
+    (["--nodes", "3", "--edges-per-node", "5"],
+     "a generated graph needs nodes > edges per node >= 1"),
+    (["--lr", "inf"], "lr must be finite and > 0"),
+    (["--latency-ms", "nan"], "latency must be finite"),
+])
+def test_every_command_rejects_values_that_fail_later(tmp_path, no_runs, capsys,
+                                                      command, flags, message):
+    assert main([command] + flags + command_args(command, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / f"{command}.out").exists()
+
+
+GEN_SETTINGS = {"nodes": "400", "edges_per_node": "3", "feat_dim": "8",
+                "classes": "4", "seed": "11"}
+
+
+def settings_from(source, settings, tmp_path) -> list[str]:
+    """`settings` as flags or as a --config file."""
+    if source == "flag":
+        return [arg for key, value in settings.items()
+                for arg in ("--" + key.replace("_", "-"), value)]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return ["--config", str(cfgfile)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_gen_writes_what_the_generator_makes(tmp_path, capsys, source):
+    want, got = tmp_path / "want.rgf", tmp_path / "got.rgf"
+    save_graph(synth_powerlaw(400, 3, 8, 4, 11), want)
+    args = settings_from(source, GEN_SETTINGS, tmp_path)
+    assert main(["gen"] + args + ["--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("partitioner", ["edgecut", "random"])
+@pytest.mark.parametrize("from_file", [True, False])
+def test_partition_writes_what_the_partitioner_makes(tmp_path, capsys, source,
+                                                      partitioner, from_file):
+    g = synth_powerlaw(400, 3, 8, 4, 11)
+    if partitioner == "random":
+        book = partition_random(g, 3, 11)
+    else:
+        book = partition_edgecut(g, 3)
+    want, got = tmp_path / "want.rpb", tmp_path / "got.rpb"
+    save_partition(book, want)
+    settings = {"partitions": "3", "partitioner": partitioner, "seed": "11"}
+    if from_file:  # other generator values: the graph file is what counts
+        gpath = tmp_path / "g.rgf"
+        save_graph(g, gpath)
+        settings.update(graph=str(gpath), nodes="50", classes="2")
+    else:
+        settings.update(GEN_SETTINGS)
+    args = settings_from(source, settings, tmp_path)
+    assert main(["partition"] + args + ["--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()

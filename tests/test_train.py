@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gnnpipe import cache, model, train, wire
-from gnnpipe.graph import synth_powerlaw
+from gnnpipe.graph import save_graph, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
 from gnnpipe.prefetch import PrefetchError
 from gnnpipe.store import (StoreClient, StoreShard, TcpTransport,
@@ -71,6 +71,33 @@ def kill_shard_after(monkeypatch, part: int, n: int) -> list:
 
     monkeypatch.setattr(StoreShard, "handle", dying)
     return served
+
+
+def fail_second_connect(monkeypatch) -> tuple[list, list]:
+    """The first worker to make a second TCP connect fails it.
+
+    Returns the (thread, transport) pairs of the connects made and the
+    failing worker's thread.
+    """
+    connect = TcpTransport.__init__
+    made: dict = {}
+    opened, failed = [], []
+    lock = threading.Lock()
+
+    def flaky(self, host, port):
+        me = threading.current_thread()
+        made[me] = made.get(me, 0) + 1
+        with lock:
+            fail = made[me] == 2 and not failed
+            if fail:
+                failed.append(me)
+        if fail:
+            raise TransportError(f"connect to {host}:{port} failed")
+        connect(self, host, port)
+        opened.append((me, self))
+
+    monkeypatch.setattr(TcpTransport, "__init__", flaky)
+    return opened, failed
 
 
 def cause_chain(exc: BaseException) -> str:
@@ -159,6 +186,26 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="percent"):
             small_cfg(n_hot_pct=250.0).validate()
         small_cfg(n_hot=0, n_hot_pct=100.0, latency_ms=0.0).validate()
+        # generator fields are not used with a graph file
+        small_cfg(graph_path="g.rgf", gen_nodes=3,
+                  gen_edges_per_node=5).validate()
+
+    @pytest.mark.parametrize("over, message", [
+        (dict(partitions=0), "partitions must be >= 1"),
+        (dict(num_classes=0), "classes must be >= 1"),
+        (dict(feat_dim=0), "feat dim must be >= 1"),
+        (dict(gen_nodes=3, gen_edges_per_node=5), "nodes > edges per node"),
+        (dict(gen_nodes=5, gen_edges_per_node=5), "nodes > edges per node"),
+        (dict(gen_edges_per_node=0), "nodes > edges per node"),
+        (dict(lr=float("inf")), "lr must be finite and > 0"),
+        (dict(lr=float("nan")), "lr must be finite and > 0"),
+        (dict(lr=0.0), "lr must be finite and > 0"),
+        (dict(latency_ms=float("nan")), "latency must be finite"),
+        (dict(latency_ms=float("inf")), "latency must be finite"),
+    ])
+    def test_validate_rejects_values_that_fail_later(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            small_cfg(**over).validate()
 
     @pytest.mark.parametrize("fanouts", [[-3, 0], [3, 0], [0], [5, -1]])
     def test_validate_rejects_fanout_below_one(self, fanouts):
@@ -360,29 +407,41 @@ class TestRun:
 
     def test_failed_connect_fails_run(self, monkeypatch):
         # one worker's second connect fails after its first one succeeded
-        connect = TcpTransport.__init__
-        made: dict = {}
-        opened, failed = [], []
-        lock = threading.Lock()
-
-        def flaky(self, host, port):
-            me = threading.current_thread()
-            made[me] = made.get(me, 0) + 1
-            with lock:
-                fail = made[me] == 2 and not failed
-                if fail:
-                    failed.append(me)
-            if fail:
-                raise TransportError(f"connect to {host}:{port} failed")
-            connect(self, host, port)
-            opened.append((me, self))
-
-        monkeypatch.setattr(TcpTransport, "__init__", flaky)
+        opened, failed = fail_second_connect(monkeypatch)
         before = set(threading.enumerate())
         with pytest.raises(TransportError, match="connect to"):
             run(small_cfg(mode="rapid", transport="tcp"))
         (first,) = [t for me, t in opened if me is failed[0]]
         assert first._sock.fileno() == -1  # closed
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("mode", ["rapid", "baseline"])
+    def test_failing_worker_stops_the_others(self, monkeypatch, mode):
+        fail_second_connect(monkeypatch)
+        calls = []
+        loss_and_grad = model.loss_and_grad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loss_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr(model, "loss_and_grad", counting)
+        before = set(threading.enumerate())
+        cfg = small_cfg(mode=mode, transport="tcp")
+        with pytest.raises(TransportError, match="connect to"):
+            run(cfg)
+        assert len(calls) < batches_per_epoch(cfg)
+        assert set(threading.enumerate()) <= before
+
+    def test_failed_plan_leaves_no_server(self, tmp_path):
+        g = synth_powerlaw(SMALL["gen_nodes"], SMALL["gen_edges_per_node"],
+                           SMALL["feat_dim"], SMALL["num_classes"], SMALL["s0"])
+        g.train_mask[:] = False
+        path = tmp_path / "untrainable.rgf"
+        save_graph(g, path)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="empty train set"):
+            run(small_cfg(graph_path=str(path), transport="tcp"))
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_rapid_run(self, monkeypatch):
