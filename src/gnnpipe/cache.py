@@ -17,23 +17,11 @@ caller, which counts per bundle.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .plan import BatchPlan, collect_access, top_hot
-from .store import StoreClient, TransferAccount
-
-
-@dataclass
-class CacheLookup:
-    """Partition of a request into cache-resident and missing ids, with
-    the request positions needed to reassemble rows in order."""
-
-    found_pos: np.ndarray  # positions in the request
-    found_rows: np.ndarray
-    missing_pos: np.ndarray
-    missing_ids: np.ndarray
+from .store import StoreClient, TransferAccount, find
 
 
 def epoch_hot_sets(plan: BatchPlan, book, part: int,
@@ -53,19 +41,11 @@ class FeatureCache:
         self._builder: threading.Thread | None = None
         self._filled: tuple[np.ndarray, np.ndarray] | Exception | None = None
 
-    def lookup(self, node_ids: np.ndarray) -> CacheLookup:
-        ids = np.asarray(node_ids, dtype=np.int64)
-        pos = np.searchsorted(self.hot_ids, ids)
-        hit = pos < len(self.hot_ids)
-        hit[hit] = self.hot_ids[pos[hit]] == ids[hit]
-        found_pos = np.flatnonzero(hit)
-        missing_pos = np.flatnonzero(~hit)
-        return CacheLookup(
-            found_pos=found_pos,
-            found_rows=self.rows[pos[found_pos]],
-            missing_pos=missing_pos,
-            missing_ids=ids[missing_pos],
-        )
+    def lookup(self, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`(hit, rows)`: a mask over the request of the ids the cache
+        holds, and their rows in request order."""
+        pos, hit = find(self.hot_ids, np.asarray(node_ids, dtype=np.int64))
+        return hit, self.rows[pos[hit]]
 
     def start_secondary_build(
         self,

@@ -193,12 +193,11 @@ def main(argv: list[str] | None = None) -> int:
                            help="semicolon-separated sizes, e.g. '0;1%%;5%%;15%%'")
 
     args = parser.parse_args(argv)
-    try:
-        cfg = _run_config(args)
-    except (OSError, ValueError) as exc:  # OSError: an unreadable --config
+    try:  # OSError: an unreadable file or a failed TCP transport
+        return args.func(args, _run_config(args))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cache import FeatureCache
 from .sampler import ComputationBlock
-from .store import StoreClient, StoreShard, TransferAccount
+from .store import StoreClient, StoreShard, TransferAccount, find
 
 
 class PrefetchError(RuntimeError):
@@ -60,12 +60,10 @@ class PulledRows:
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         """The rows of `ids`; raises LookupError if any was not pulled."""
-        pos = np.searchsorted(self.ids, ids)
-        found = pos < len(self.ids)
-        found[found] = self.ids[pos[found]] == ids[found]
-        if not found.all():
-            raise LookupError(f"{np.count_nonzero(~found)} rows were not pulled "
-                              f"with the window, first id {ids[~found][0]}")
+        pos, held = find(self.ids, ids)
+        if not held.all():
+            raise LookupError(f"{np.count_nonzero(~held)} rows were not pulled "
+                              f"with the window, first id {ids[~held][0]}")
         return self.rows[pos]
 
 
@@ -97,8 +95,8 @@ def pull_window(
     misses nothing is pulled.
     """
     ids = np.unique(np.concatenate(input_sets))
-    ids = np.setdiff1d(ids[owner[ids] != my_part], hot_ids,
-                       assume_unique=True)
+    ids = ids[owner[ids] != my_part]
+    ids = ids[~find(hot_ids, ids)[1]]
     if len(ids) == 0:
         return PulledRows(ids, np.empty((0, client.feat_dim), dtype=np.float32))
     return PulledRows(ids, client.sync_pull(ids, account))
@@ -123,24 +121,19 @@ def assemble_bundle(
     """
     ids = block.input_nodes
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
-    local_pos = np.flatnonzero(owner[ids] == my_part)
-    remote_pos = np.flatnonzero(owner[ids] != my_part)
-    if len(local_pos):
-        rows[local_pos] = shard.rows_for_local(ids[local_pos])
-    n_hit = n_fallback = 0
-    if len(remote_pos):
-        res = cache.lookup(ids[remote_pos])
-        if len(res.found_pos):
-            rows[remote_pos[res.found_pos]] = res.found_rows
-        if len(res.missing_pos):
-            rows[remote_pos[res.missing_pos]] = pulled.take(res.missing_ids)
-        n_hit = len(res.found_pos)
-        n_fallback = len(res.missing_pos)
+    local = owner[ids] == my_part
+    local_pos = np.flatnonzero(local)
+    remote_pos = np.flatnonzero(~local)
+    rows[local_pos] = shard.rows_for_local(ids[local_pos])
+    hit, hit_rows = cache.lookup(ids[remote_pos])
+    rows[remote_pos[hit]] = hit_rows
+    miss_pos = remote_pos[~hit]
+    rows[miss_pos] = pulled.take(ids[miss_pos])
     return FeatureBundle(
         block=block,
         rows=rows,
-        n_cache_hit=n_hit,
-        n_fallback=n_fallback,
+        n_cache_hit=len(hit_rows),
+        n_fallback=len(miss_pos),
         fallback=TransferAccount() if account is None else account,
     )
 

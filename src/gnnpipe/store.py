@@ -22,6 +22,16 @@ class TransportError(ConnectionError):
     shard failed while handling the request."""
 
 
+def find(sorted_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`(pos, held)`: whether each of `ids` is in `sorted_ids`, ascending
+    and unique, and where it is, its position there. The positions of
+    ids not held are meaningless and may be out of range."""
+    pos = np.searchsorted(sorted_ids, ids)
+    held = pos < len(sorted_ids)
+    held[held] = sorted_ids[pos[held]] == ids[held]
+    return pos, held
+
+
 def bytes_for(n: int, d: int) -> int:
     """Network bytes for n feature rows of dimension d (float32)."""
     return n * d * 4
@@ -82,11 +92,10 @@ class StoreShard:
             _msg_type, ids = wire.decode_request(payload)
         except wire.WireError:
             return wire.encode_response(wire.STATUS_MALFORMED, None, self.feat_dim)
-        pos = np.searchsorted(self.owned_ids, ids)
-        pos_clip = np.minimum(pos, len(self.owned_ids) - 1) if len(self.owned_ids) else pos
-        if len(self.owned_ids) == 0 or not np.array_equal(self.owned_ids[pos_clip], ids):
+        pos, held = find(self.owned_ids, ids)
+        if not held.all():
             return wire.encode_response(wire.STATUS_NOT_OWNED, None, self.feat_dim)
-        rows = self.rows[pos_clip]
+        rows = self.rows[pos]
         with self._lock:
             self.rpc_calls += 1
             self.nodes_served += len(ids)
@@ -193,8 +202,6 @@ class StoreClient:
               account: TransferAccount | None) -> np.ndarray:
         ids = np.asarray(node_ids, dtype=np.int64)
         out = np.empty((len(ids), self.feat_dim), dtype=np.float32)
-        if len(ids) == 0:
-            return out
         owners = self.owner[ids]
         rpcs = 0
         for p in np.unique(owners):

@@ -33,7 +33,8 @@ import math
 import threading
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -48,11 +49,6 @@ from .prefetch import (FeatureBundle, Lookahead, Prefetcher, assemble_bundle,
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
-
-CSV_HEADER = [
-    "epoch", "mode", "t_e_ms", "rpc_calls", "nodes_pulled", "bytes_pulled",
-    "cache_hits", "cache_misses", "reuse_ratio", "loss", "train_acc",
-]
 
 _PARAM_SEED_TAG = 0x70617261
 
@@ -72,39 +68,30 @@ class MetricsRecord:
     train_acc: float
 
 
+# the metrics CSV has one column per MetricsRecord field, in field order
+CSV_HEADER = [f.name for f in fields(MetricsRecord)]
+
+
 def write_metrics(records: list[MetricsRecord], path) -> None:
-    """CSV with the fixed header; reuse_ratio is empty when undefined."""
+    """CSV with the fixed header; reuse_ratio is empty when undefined.
+    csv writes None as an empty cell and a float as its repr."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(CSV_HEADER)
-        for r in records:
-            w.writerow([
-                r.epoch, r.mode, repr(r.t_e_ms), r.rpc_calls, r.nodes_pulled,
-                r.bytes_pulled, r.cache_hits, r.cache_misses,
-                "" if r.reuse_ratio is None else repr(r.reuse_ratio),
-                repr(r.loss), repr(r.train_acc),
-            ])
+        w.writerows(astuple(r) for r in records)
 
 
 def read_metrics(path) -> list[MetricsRecord]:
+    kinds = get_type_hints(MetricsRecord)
+
+    def cell(name: str, text: str):
+        if kinds[name] in (int, str, float):
+            return kinds[name](text)
+        return None if text == "" else float(text)  # float | None
+
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        out = []
-        for row in reader:
-            out.append(MetricsRecord(
-                epoch=int(row["epoch"]),
-                mode=row["mode"],
-                t_e_ms=float(row["t_e_ms"]),
-                rpc_calls=int(row["rpc_calls"]),
-                nodes_pulled=int(row["nodes_pulled"]),
-                bytes_pulled=int(row["bytes_pulled"]),
-                cache_hits=int(row["cache_hits"]),
-                cache_misses=int(row["cache_misses"]),
-                reuse_ratio=None if row["reuse_ratio"] == "" else float(row["reuse_ratio"]),
-                loss=float(row["loss"]),
-                train_acc=float(row["train_acc"]),
-            ))
-        return out
+        return [MetricsRecord(**{k: cell(k, row[k]) for k in CSV_HEADER})
+                for row in csv.DictReader(f)]
 
 
 @dataclass
@@ -145,6 +132,8 @@ class RunConfig:
             raise ValueError("fanouts must list one value per layer")
         if min(self.fanouts) < 1:
             raise ValueError(f"fanouts must be >= 1, got {self.fanouts}")
+        if self.s0 < 0:
+            raise ValueError(f"seed must be >= 0, got {self.s0}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -191,15 +180,21 @@ def _load_or_generate(cfg: RunConfig) -> Graph:
 
 
 def _partition(g: Graph, cfg: RunConfig) -> PartitionBook:
-    if cfg.partition_path:
-        book = load_partition(cfg.partition_path)
-        if len(book.owner) != g.num_nodes:
-            raise ValueError(f"partition file covers {len(book.owner)} nodes, "
-                             f"graph has {g.num_nodes}")
+    """The partition file's book, or the partitioner's; either has at
+    most one partition per node of `g`."""
+    book = load_partition(cfg.partition_path) if cfg.partition_path else None
+    if book is not None and len(book.owner) != g.num_nodes:
+        raise ValueError(f"partition file covers {len(book.owner)} nodes, "
+                         f"graph has {g.num_nodes}")
+    k = cfg.partitions if book is None else book.k
+    if k > g.num_nodes:
+        raise ValueError(f"{k} partitions for a graph of {g.num_nodes} "
+                         f"nodes: at most one partition per node")
+    if book is not None:
         return book
     if cfg.partitioner == "random":
-        return partition_random(g, cfg.partitions, cfg.s0)
-    return partition_edgecut(g, cfg.partitions)
+        return partition_random(g, k, cfg.s0)
+    return partition_edgecut(g, k)
 
 
 def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:

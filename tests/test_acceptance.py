@@ -424,10 +424,10 @@ def test_criterion_09_transparency():
     ok = True
     for _ in range(100):
         ids = rng.integers(0, 200, size=int(rng.integers(1, 50)))
-        res = cache.lookup(ids)
+        hit, rows = cache.lookup(ids)
         got = np.empty((len(ids), 5), dtype=np.float32)
-        got[res.found_pos] = res.found_rows
-        got[res.missing_pos] = client.sync_pull(res.missing_ids)
+        got[hit] = rows
+        got[~hit] = client.sync_pull(ids[~hit])
         ok = ok and np.array_equal(got, client.sync_pull(ids))
 
     g = synth_powerlaw(400, 3, 8, 4, seed=9)

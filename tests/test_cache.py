@@ -19,28 +19,30 @@ class TestLookup:
     def test_hits_and_misses_partitioned(self):
         feats, client = make_client()
         cache = build_steady(np.array([2, 5, 9]), client)
-        res = cache.lookup(np.array([5, 1, 9, 30]))
-        assert res.found_pos.tolist() == [0, 2]
-        assert res.missing_pos.tolist() == [1, 3]
-        assert res.missing_ids.tolist() == [1, 30]
-        assert np.array_equal(res.found_rows, feats[[5, 9]])
+        ids = np.array([5, 1, 9, 30])
+        hit, rows = cache.lookup(ids)
+        assert np.flatnonzero(hit).tolist() == [0, 2]
+        assert np.flatnonzero(~hit).tolist() == [1, 3]
+        assert ids[~hit].tolist() == [1, 30]
+        assert np.array_equal(rows, feats[[5, 9]])
 
     def test_reassembly_covers_request(self):
         feats, client = make_client()
         cache = build_steady(np.array([0, 7, 12]), client)
         ids = np.array([12, 3, 0, 7, 22])
-        res = cache.lookup(ids)
+        hit, rows = cache.lookup(ids)
         out = np.empty((len(ids), 4), dtype=np.float32)
-        out[res.found_pos] = res.found_rows
-        out[res.missing_pos] = feats[res.missing_ids]
+        out[hit] = rows
+        out[~hit] = feats[ids[~hit]]
         assert np.array_equal(out, feats[ids])
 
     def test_empty_cache_all_miss(self):
         _, client = make_client()
         cache = build_steady(np.empty(0, dtype=np.int64), client)
-        res = cache.lookup(np.array([1, 2]))
-        assert len(res.found_pos) == 0
-        assert res.missing_ids.tolist() == [1, 2]
+        ids = np.array([1, 2])
+        hit, _ = cache.lookup(ids)
+        assert np.count_nonzero(hit) == 0
+        assert ids[~hit].tolist() == [1, 2]
 
 
 class TestBuildAccounting:
@@ -103,8 +105,8 @@ class TestDoubleBuffer:
         assert np.array_equal(cache.hot_ids, hot[1])
         assert acct.nodes_pulled == len(hot[1])
         # swapped rows really are the features of the new hot set
-        res = cache.lookup(hot[1])
-        assert np.array_equal(res.found_rows, g.features[hot[1]])
+        _, rows = cache.lookup(hot[1])
+        assert np.array_equal(rows, g.features[hot[1]])
 
     def test_failed_build_keeps_steady(self, pipeline):
         g, plan, book, client = pipeline
@@ -120,9 +122,9 @@ class TestDoubleBuffer:
         with pytest.raises(ConnectionError, match="injected"):
             cache.swap()
         assert cache.hot_ids.tolist() == [3, 4]
-        res = cache.lookup(np.array([3, 4, 5]))
-        assert res.found_pos.tolist() == [0, 1]
-        assert np.array_equal(res.found_rows, g.features[[3, 4]])
+        hit, rows = cache.lookup(np.array([3, 4, 5]))
+        assert np.flatnonzero(hit).tolist() == [0, 1]
+        assert np.array_equal(rows, g.features[[3, 4]])
 
     def test_steady_serves_during_build(self, pipeline):
         # lookups during an in-flight build must come from the old buffer
@@ -140,9 +142,9 @@ class TestDoubleBuffer:
 
         cache = build_steady(np.array([2, 6]), client)
         cache.start_secondary_build(np.array([7, 9]), Slow())
-        res = cache.lookup(np.array([2, 6]))
-        assert len(res.found_pos) == 2
-        assert np.array_equal(res.found_rows, g.features[[2, 6]])
+        hit, rows = cache.lookup(np.array([2, 6]))
+        assert np.count_nonzero(hit) == 2
+        assert np.array_equal(rows, g.features[[2, 6]])
         gate.set()
         cache.swap()
         assert cache.hot_ids.tolist() == [7, 9]

@@ -6,6 +6,7 @@ from gnnpipe.cli import main
 from gnnpipe.graph import load_graph, save_graph, synth_powerlaw
 from gnnpipe.partition import (load_partition, partition_edgecut,
                                partition_random, save_partition)
+from gnnpipe.store import TransportError
 from gnnpipe.train import read_metrics
 
 GEN = ["gen", "--nodes", "400", "--edges-per-node", "3", "--feat-dim", "8",
@@ -115,6 +116,52 @@ def test_train_rejects_bad_flag_values(capsys):
     rc = main(["train"] + TRAIN_SMALL + ["--prefetch-depth", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_partition_rejects_more_partitions_than_nodes(tmp_path, capsys):
+    gpath, out = tmp_path / "g.rgf", tmp_path / "p.rpb"
+    save_graph(synth_powerlaw(6, 2, 4, 2, 7), gpath)
+    assert main(["partition", "--graph", str(gpath), "--partitions", "7",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: 7 partitions for a graph of 6 nodes" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("uncovered", "partition file covers 200 nodes, graph has 400"),
+    ("untrainable", "empty train set"),
+    ("missing", "No such file or directory"),
+])
+def test_errors_after_validation_exit_2(tmp_path, capsys, case, message):
+    g = synth_powerlaw(400, 3, 8, 4, 7)
+    gpath = tmp_path / "g.rgf"
+    settings = ["--graph", str(gpath)]
+    if case == "uncovered":
+        ppath = tmp_path / "p.rpb"
+        save_partition(partition_edgecut(synth_powerlaw(200, 3, 8, 4, 7), 2),
+                       ppath)
+        settings += ["--partition-file", str(ppath)]
+    elif case == "untrainable":
+        g.train_mask[:] = False
+    if case != "missing":
+        save_graph(g, gpath)
+    args = ["train"] + settings + ["--epochs", "1", "--batch-size", "32",
+                                   "--fanout", "3,5"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_transport_error_is_an_error(monkeypatch, capsys):
+    def refused(cfg):
+        raise TransportError("connect to 127.0.0.1:9 failed")
+
+    monkeypatch.setattr(cli, "run", refused)
+    assert main(["train"] + TRAIN_SMALL) == 2
+    assert "error: connect to 127.0.0.1:9 failed" in capsys.readouterr().err
 
 
 def test_n_hot_percent_and_absolute(capsys):
@@ -289,6 +336,7 @@ def test_every_command_rejects_bad_settings_alike(tmp_path, no_runs, capsys,
      "a generated graph needs nodes > edges per node >= 1"),
     (["--lr", "inf"], "lr must be finite and > 0"),
     (["--latency-ms", "nan"], "latency must be finite"),
+    (["--seed", "-1"], "seed must be >= 0"),
 ])
 def test_every_command_rejects_values_that_fail_later(tmp_path, no_runs, capsys,
                                                       command, flags, message):

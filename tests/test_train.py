@@ -202,6 +202,7 @@ class TestRunConfig:
         (dict(lr=0.0), "lr must be finite and > 0"),
         (dict(latency_ms=float("nan")), "latency must be finite"),
         (dict(latency_ms=float("inf")), "latency must be finite"),
+        (dict(s0=-1), "seed must be >= 0"),
     ])
     def test_validate_rejects_values_that_fail_later(self, over, message):
         with pytest.raises(ValueError, match=message):
@@ -541,6 +542,27 @@ class TestRun:
         save_partition(PartitionBook(k=2, owner=owner), path)
         with pytest.raises(ValueError, match="out of range"):
             run(small_cfg(partition_path=str(path)))
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_more_partitions_than_nodes_rejected_before_any_shard(
+            self, tmp_path, monkeypatch, from_file):
+        gpath = tmp_path / "tiny.rgf"
+        save_graph(synth_powerlaw(6, 2, 4, 2, 7), gpath)
+        cfg = small_cfg(graph_path=str(gpath), partitions=7)  # nodes + 1
+        if from_file:
+            ppath = tmp_path / "k7.rpb"
+            save_partition(PartitionBook(k=7, owner=np.arange(6)), ppath)
+            cfg = small_cfg(graph_path=str(gpath), partition_path=str(ppath))
+
+        def no_shards(*args):
+            raise AssertionError("shards were built")
+
+        monkeypatch.setattr(train, "build_shards", no_shards)
+        before = threading.enumerate()
+        with pytest.raises(ValueError,
+                           match="7 partitions for a graph of 6 nodes"):
+            run(cfg)
+        assert threading.enumerate() == before
 
     def test_loss_trends_down(self, rapid_results):
         for r in rapid_results:

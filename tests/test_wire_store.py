@@ -5,13 +5,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnnpipe import wire
 from gnnpipe.store import (InprocTransport, LookupError_, StoreClient,
                            StoreShard, TcpShardServer, TcpTransport,
-                           TransferAccount, TransportError, bytes_for)
+                           TransferAccount, TransportError, bytes_for, find)
 
 # request: u8 type, u32 count, u64 ids; all little-endian
 GOLDEN_REQUEST = bytes.fromhex(
@@ -175,6 +175,21 @@ def test_bytes_for_values():
     assert bytes_for(0, 10) == 0
 
 
+@settings(max_examples=100)
+@given(
+    table=st.sets(st.integers(min_value=-5, max_value=40), max_size=20),
+    ids=st.lists(st.integers(min_value=-10, max_value=50), max_size=30),
+)
+@example(table=set(), ids=[3, 3])  # empty table
+@example(table={1, 4}, ids=[])  # empty request
+@example(table={2, 4, 6}, ids=[-1, 7, 4, 4, 2])  # below, above, repeated
+def test_find_matches_a_set(table, ids):
+    sorted_ids = np.array(sorted(table), dtype=np.int64)
+    pos, held = find(sorted_ids, np.array(ids, dtype=np.int64))
+    assert held.tolist() == [i in table for i in ids]
+    assert sorted_ids[pos[held]].tolist() == [i for i in ids if i in table]
+
+
 def make_store(two_shards=True):
     """Two shards: even ids on shard 0, odd ids on shard 1, 10 nodes, d=3."""
     rng = np.random.default_rng(42)
@@ -215,6 +230,17 @@ class TestShardAndClient:
         # force a request for an odd id at the even shard
         payload = wire.encode_request(wire.MSG_SYNC_PULL, np.array([1]))
         status, _, _ = wire.decode_response(shards[0].handle(payload))
+        assert status == wire.STATUS_NOT_OWNED
+
+    def test_shard_with_no_rows_answers_an_empty_request(self):
+        shard = StoreShard(0, np.empty(0, dtype=np.int64),
+                           np.empty((0, 3), dtype=np.float32))
+        empty = wire.encode_request(wire.MSG_SYNC_PULL,
+                                    np.empty(0, dtype=np.int64))
+        status, rows, dim = wire.decode_response(shard.handle(empty))
+        assert (status, rows.shape, dim) == (wire.STATUS_OK, (0, 3), 3)
+        one = wire.encode_request(wire.MSG_SYNC_PULL, np.array([1]))
+        status, _, _ = wire.decode_response(shard.handle(one))
         assert status == wire.STATUS_NOT_OWNED
 
     def test_not_owned_raises_at_client(self):
