@@ -275,9 +275,12 @@ def load_graph(path) -> Graph:
     indices = take("<u8", num_edges).astype(np.int64)
     features = take("<f4", num_nodes * feat_dim).reshape(num_nodes, feat_dim).copy()
     labels = take("<u4", num_nodes).astype(np.int64)
-    train = take("<u1", num_nodes).astype(bool)
-    val = take("<u1", num_nodes).astype(bool)
-    test = take("<u1", num_nodes).astype(bool)
+    masks = take("<u1", 3 * num_nodes)
+    if np.any(masks > 1):
+        raise GraphFormatError(f"mask byte {masks[masks > 1][0]} is not 0 or 1")
+    if off != len(data):
+        raise GraphFormatError(f"{len(data) - off} bytes after the RGF1 payload")
+    train, val, test = masks.astype(bool).reshape(3, num_nodes)
     g = Graph(
         num_nodes=num_nodes,
         num_edges=num_edges,

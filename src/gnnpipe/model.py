@@ -1,13 +1,13 @@
 """Mean-aggregator GNN with analytic gradients.
 
-Per layer: h_v' = relu(W_self h_v + W_neigh mean_{u in sampled(v)} h_u + b),
-with the relu dropped on the output layer. An empty sampled neighborhood
-contributes a zero vector as its mean. Every scatter-add runs as
-np.add.at on flat 1-D views (row r, column j at r*d + j), which adds
-each element's terms one by one in the order the index lists them. The
-block's edges come sorted by (dst, src), so every neighbor sum, forward
-and backward, runs in that fixed edge order and is bit-reproducible;
-the baseline/pipelined mode-equivalence guarantee rests on that.
+Per layer: h_v' = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b),
+with the relu dropped on the output layer; an empty N(v) has a zero
+mean. Training (N(v) sampled into a block) and evaluation (the graph's
+own lists) run the same layers. A forward neighbor sum is a unit-weight
+CSR product, a backward one np.add.at on flat 1-D views; each adds the
+terms one by one from zero in the order listed. The block's edges come
+sorted by (dst, src), so every neighbor sum is bit-reproducible; the
+baseline/pipelined mode-equivalence guarantee rests on that.
 """
 
 from __future__ import annotations
@@ -61,6 +61,24 @@ def _scatter_add(out: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(out.reshape(-1), flat, rows.reshape(-1))
 
 
+def _layers(h: np.ndarray, params: list[LayerParams], hops):
+    """Run every layer from input rows h; returns the output plus backprop
+    state. hops[l] = (src_pos, indptr, self_pos): layer l's row i averages
+    rows src_pos[indptr[i]:indptr[i+1]] of its input h, and h[self_pos]
+    holds each row's own input row."""
+    saved = []
+    for l, (p, (src_pos, indptr, self_pos)) in enumerate(zip(params, hops)):
+        adj = sp.csr_array((np.ones(len(src_pos), h.dtype), src_pos, indptr),
+                           shape=(len(indptr) - 1, len(h)))
+        denom = np.maximum(np.diff(indptr), 1).astype(h.dtype)[:, None]
+        mean = (adj @ h) / denom
+        h_self = h[self_pos]
+        z = h_self @ p.w_self + mean @ p.w_neigh + p.bias
+        saved.append((h, h_self, mean, z, denom))
+        h = np.maximum(z, 0) if l < len(params) - 1 else z
+    return h, saved
+
+
 def _forward_pass(block: ComputationBlock, rows: np.ndarray,
                   params: list[LayerParams]):
     """Run the layers; returns logits for frontiers[0] plus backprop state."""
@@ -69,23 +87,12 @@ def _forward_pass(block: ComputationBlock, rows: np.ndarray,
             f"block has {block.num_layers} layers, params have {len(params)}")
     if rows.shape[0] != len(block.input_nodes):
         raise ValueError("rows not aligned to block.input_nodes")
-    num_layers = len(params)
-    h = rows
-    saved = []
-    for l, p in enumerate(params):
-        d = num_layers - 1 - l
-        num_dst = len(block.frontiers[d])
+    hops = []
+    for d in reversed(range(block.num_layers)):
         src_pos, dst_pos, self_pos = block.positions[d]
-        counts = np.bincount(dst_pos, minlength=num_dst).astype(h.dtype)
-        sums = np.zeros((num_dst, h.shape[1]), dtype=h.dtype)
-        _scatter_add(sums, dst_pos, h[src_pos])
-        denom = np.maximum(counts, 1)[:, None]
-        mean = sums / denom
-        h_self = h[self_pos]
-        z = h_self @ p.w_self + mean @ p.w_neigh + p.bias
-        saved.append((h, h_self, mean, z, block.positions[d], denom))
-        h = np.maximum(z, 0) if l < num_layers - 1 else z
-    return h, saved
+        counts = np.bincount(dst_pos, minlength=len(block.frontiers[d]))
+        hops.append((src_pos, np.concatenate(([0], np.cumsum(counts))), self_pos))
+    return _layers(rows, params, hops)
 
 
 def forward(block: ComputationBlock, rows: np.ndarray,
@@ -118,7 +125,8 @@ def loss_and_grad(block: ComputationBlock, rows: np.ndarray, labels: np.ndarray,
     grads: list[LayerParams | None] = [None] * num_layers
     for l in range(num_layers - 1, -1, -1):
         p = params[l]
-        h, h_self, mean, z, (src_pos, dst_pos, self_pos), denom = saved[l]
+        h, h_self, mean, z, denom = saved[l]
+        src_pos, dst_pos, self_pos = block.positions[num_layers - 1 - l]
         if l < num_layers - 1:
             dz = dz * (z > 0)
         grads[l] = LayerParams(
@@ -148,19 +156,9 @@ def sgd_step(params: list[LayerParams], grads: list[LayerParams],
 
 def full_forward(g: Graph, params: list[LayerParams]) -> np.ndarray:
     """Full-neighborhood (no sampling) forward over every node."""
-    dtype = params[0].w_self.dtype
-    deg = g.degrees()
-    src = np.repeat(np.arange(g.num_nodes, dtype=np.int64), deg)
-    inv_deg = 1.0 / np.maximum(deg, 1)
-    adj = sp.csr_matrix(
-        (np.repeat(inv_deg, deg).astype(dtype), (src, g.indices)),
-        shape=(g.num_nodes, g.num_nodes),
-    )
-    h = g.features.astype(dtype)
-    for l, p in enumerate(params):
-        z = h @ p.w_self + (adj @ h) @ p.w_neigh + p.bias
-        h = np.maximum(z, 0) if l < len(params) - 1 else z
-    return h
+    hop = (g.indices, g.indptr, slice(None))  # each node is its own self row
+    return _layers(g.features.astype(params[0].w_self.dtype), params,
+                   [hop] * len(params))[0]
 
 
 def evaluate(g: Graph, params: list[LayerParams], mask: np.ndarray) -> float | None:

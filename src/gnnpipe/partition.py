@@ -117,6 +117,8 @@ def load_partition(path) -> PartitionBook:
     expected = _RPB_HEADER.size + 4 * num_nodes
     if len(data) < expected:
         raise OSError("truncated RPB1 payload")
+    if len(data) > expected:
+        raise ValueError(f"{len(data) - expected} bytes after the RPB1 payload")
     owner = np.frombuffer(data, dtype="<u4", count=num_nodes, offset=_RPB_HEADER.size)
     if num_nodes and int(owner.max()) >= k:
         raise ValueError(f"owner {int(owner.max())} out of range for k={k}")

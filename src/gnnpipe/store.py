@@ -14,7 +14,7 @@ from . import wire
 
 
 class LookupError_(KeyError):
-    """Pull for a node id the contacted shard does not own."""
+    """Pull or local read for a node id the shard does not own."""
 
 
 class TransportError(ConnectionError):
@@ -80,8 +80,12 @@ class StoreShard:
         self.payload_bytes = 0
 
     def rows_for_local(self, ids: np.ndarray) -> np.ndarray:
-        """Direct memory read for the owning worker; no RPC, no counters."""
-        pos = np.searchsorted(self.owned_ids, ids)
+        """Direct memory read for the owning worker; no RPC, no counters.
+        The rows come in request order; an id not owned raises."""
+        pos, held = find(self.owned_ids, ids)
+        if not held.all():
+            raise LookupError_(f"shard {self.part} does not own node "
+                               f"{int(ids[np.argmin(held)])}")
         return self.rows[pos]
 
     def handle(self, payload: bytes) -> bytes:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import threading
 import time
 from collections.abc import Iterable, Iterator
@@ -359,6 +360,8 @@ def build_shards(g: Graph, book: PartitionBook, latency_ms: float = 0.0) -> list
 def run(cfg: RunConfig) -> list[WorkerResult]:
     """Execute the pipeline for every partition's worker; write CSVs."""
     cfg.validate()
+    if cfg.metrics_out and not os.path.isdir(os.path.dirname(cfg.metrics_out) or "."):
+        raise FileNotFoundError(f"metrics_out {cfg.metrics_out!r}: no such directory")
     g = _load_or_generate(cfg)
     book = halo_expand(g, _partition(g, cfg))
     train_nodes = np.flatnonzero(g.train_mask)

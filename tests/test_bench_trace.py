@@ -63,6 +63,10 @@ def test_traced_run_fits_the_wrappers(tmp_path):
     metrics, _ = layers.layer_metrics(spans, facts)
     assert set(metrics) == set(layers.PER_LAYER) - {"trace.overhead_pct"}
     assert metrics["train.batch_visits_per_plan_batch"] == len(results)
+    # evaluation shares the layers but not `_forward_pass`, so every
+    # `model.forward` span is one training step's forward
+    names = [s.name for s in spans]
+    assert names.count("model.forward") == names.count("model.loss_and_grad")
     assert metrics["store.sync_pull_rows"] == sum(rec.nodes_pulled for rec in recs)
     # every bundle the trainer waited for is tagged with its epoch and batch
     waits = [s for s in spans if s.name == "prefetch.wait"]

@@ -155,6 +155,19 @@ def test_errors_after_validation_exit_2(tmp_path, capsys, case, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_metrics_out_in_missing_directory_exits_2(tmp_path, capsys, command):
+    args = [command] + TRAIN_SMALL + ["--metrics-out",
+                                      str(tmp_path / "missing" / "run.csv")]
+    if command == "sweep":
+        args += ["--n-hot-list", "0;5%"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "no such directory" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_transport_error_is_an_error(monkeypatch, capsys):
     def refused(cfg):
         raise TransportError("connect to 127.0.0.1:9 failed")

@@ -98,6 +98,26 @@ def test_truncated(tmp_path, small_graph):
         load_graph(p)
 
 
+def test_trailing_bytes_rejected(tmp_path, small_graph):
+    p = tmp_path / "g.rgf"
+    save_graph(small_graph, p)
+    p.write_bytes(p.read_bytes() + b"garbage!")
+    with pytest.raises(GraphFormatError, match="8 bytes after the RGF1 payload"):
+        load_graph(p)
+
+
+def test_mask_byte_other_than_0_or_1_rejected(tmp_path, small_graph):
+    p = tmp_path / "g.rgf"
+    save_graph(small_graph, p)
+    data = bytearray(p.read_bytes())
+    # the three u8 masks end the file; flip a set train-mask byte to 7
+    off = len(data) - 3 * small_graph.num_nodes
+    data[off + int(np.argmax(small_graph.train_mask))] = 7
+    p.write_bytes(bytes(data))
+    with pytest.raises(GraphFormatError, match="mask byte 7 is not 0 or 1"):
+        load_graph(p)
+
+
 def test_out_of_range_index(tmp_path):
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     p = tmp_path / "g.rgf"

@@ -166,15 +166,25 @@ class TestGradients:
 
 
 class TestFullForward:
-    def test_agrees_with_full_fanout_block(self, small_graph):
-        g = small_graph
+    @pytest.mark.parametrize("dtype, rtol, atol", [
+        (np.float32, 2e-4, 2e-5), (np.float64, 1e-12, 1e-13)])
+    @pytest.mark.parametrize("graph", ["small_graph", "multigraph"])
+    def test_agrees_with_full_fanout_block(self, request, graph, dtype, rtol,
+                                           atol):
+        """The multigraph adds zero-degree nodes and repeated neighbours,
+        which both passes must count alike. allclose, not equality: BLAS
+        may block the rows of the two products differently."""
+        g = request.getfixturevalue(graph)
         max_deg = int(g.degrees().max())
-        params = init_params(g.feat_dim, 16, g.num_classes, 2, seed=5)
-        seeds = np.arange(12)
+        params = [p.astype(dtype)
+                  for p in init_params(g.feat_dim, 16, g.num_classes, 2, seed=5)]
+        seeds = np.arange(min(12, g.num_nodes))
         block = sample_block(g, seeds, [max_deg, max_deg], 1)
-        sampled = forward(block, g.features[block.input_nodes], params)
+        sampled = forward(block, g.features[block.input_nodes].astype(dtype),
+                          params)
         dense = full_forward(g, params)[block.frontiers[0]]
-        np.testing.assert_allclose(sampled, dense, rtol=2e-4, atol=2e-5)
+        assert sampled.dtype == dense.dtype == dtype
+        np.testing.assert_allclose(sampled, dense, rtol=rtol, atol=atol)
 
     def test_evaluate_bounds_and_empty(self, small_graph):
         g = small_graph

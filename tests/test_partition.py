@@ -134,6 +134,14 @@ def test_rpb_bad_magic(tmp_path, small_graph):
         load_partition(p)
 
 
+def test_rpb_trailing_bytes_rejected(tmp_path, small_graph):
+    p = tmp_path / "b.rpb"
+    save_partition(partition_random(small_graph, 2, 1), p)
+    p.write_bytes(p.read_bytes() + b"\x00\x00")
+    with pytest.raises(ValueError, match="2 bytes after the RPB1 payload"):
+        load_partition(p)
+
+
 def test_rpb_owner_out_of_range_rejected(tmp_path):
     p = tmp_path / "b.rpb"
     save_partition(PartitionBook(k=2, owner=np.array([0, 1, 5, 0])), p)

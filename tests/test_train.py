@@ -564,6 +564,17 @@ class TestRun:
             run(cfg)
         assert threading.enumerate() == before
 
+    def test_metrics_out_in_missing_directory_rejected_before_any_shard(
+            self, tmp_path, monkeypatch):
+        def no_shards(*args):
+            raise AssertionError("shards were built")
+
+        monkeypatch.setattr(train, "build_shards", no_shards)
+        before = threading.enumerate()
+        with pytest.raises(FileNotFoundError, match="no such directory"):
+            run(small_cfg(metrics_out=str(tmp_path / "missing" / "run.csv")))
+        assert threading.enumerate() == before
+
     def test_loss_trends_down(self, rapid_results):
         for r in rapid_results:
             losses = [rec.loss for rec in r.records]

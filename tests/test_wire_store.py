@@ -268,6 +268,16 @@ class TestShardAndClient:
         assert np.array_equal(got, feats[[4, 0]])
         assert shards[0].rpc_calls == 0
 
+    def test_local_read_serves_owned_ids_only(self):
+        """Rows come in request order. An id between owned ids or past the
+        last one is named, not answered with a neighbour's row."""
+        rows = np.eye(3, dtype=np.float32)
+        shard = StoreShard(0, np.array([0, 2, 4]), rows)
+        assert np.array_equal(shard.rows_for_local(np.array([4, 0])), rows[[2, 0]])
+        for missing in (1, 5):
+            with pytest.raises(LookupError_, match=f"does not own node {missing}"):
+                shard.rows_for_local(np.array([0, missing, 4]))
+
     def test_duplicate_ids_served(self):
         feats, _, _, client = make_store()
         ids = np.array([2, 2, 4])
