@@ -48,6 +48,10 @@ class Graph:
         return self.indptr[1:] - self.indptr[:-1]
 
     def validate(self) -> None:
+        if self.feat_dim < 1:
+            raise GraphValidationError("feat dim must be >= 1")
+        if self.num_classes < 1:
+            raise GraphValidationError("classes must be >= 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.num_edges:
             raise GraphValidationError("indptr endpoints do not match edge count")
         if np.any(np.diff(self.indptr) < 0):

@@ -7,7 +7,11 @@ own lists) run the same layers. A forward neighbor sum is a unit-weight
 CSR product, a backward one np.add.at on flat 1-D views; each adds the
 terms one by one from zero in the order listed. The block's edges come
 sorted by (dst, src), so every neighbor sum is bit-reproducible; the
-baseline/pipelined mode-equivalence guarantee rests on that.
+baseline/pipelined mode-equivalence guarantee rests on that. The
+weight gradients (`h.T @ dz`) sum over thousands of block rows, and a
+multi-threaded BLAS splits that sum across threads, so their bits also
+depend on the BLAS thread count; `train.run()` pins numpy's OpenBLAS
+to one thread.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ are their sums.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import math
 import os
@@ -357,9 +358,34 @@ def build_shards(g: Graph, book: PartitionBook, latency_ms: float = 0.0) -> list
     return shards
 
 
+def _openblas_threads(lib: str = np.linalg._umath_linalg.__file__):
+    """The (set, get) thread-count functions of the OpenBLAS that numpy
+    loaded, or None when numpy uses another BLAS. A numpy extension's own
+    handle finds the symbols of every library it loaded."""
+    handle = ctypes.CDLL(lib)
+    for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+        try:
+            set_n = getattr(handle, f"{prefix}openblas_set_num_threads{suffix}")
+            get_n = getattr(handle, f"{prefix}openblas_get_num_threads{suffix}")
+        except AttributeError:
+            continue
+        set_n.argtypes, set_n.restype = [ctypes.c_int], None
+        get_n.argtypes, get_n.restype = [], ctypes.c_int
+        return set_n, get_n
+    return None
+
+
 def run(cfg: RunConfig) -> list[WorkerResult]:
-    """Execute the pipeline for every partition's worker; write CSVs."""
+    """Execute the pipeline for every partition's worker; write CSVs.
+
+    Pins numpy's OpenBLAS to one thread first, so the parameters do not
+    depend on `OPENBLAS_NUM_THREADS`. The pin holds for the whole
+    process, not only this call, and is not undone.
+    """
     cfg.validate()
+    blas = _openblas_threads()
+    if blas is not None:  # before any thread starts
+        blas[0](1)
     if cfg.metrics_out and not os.path.isdir(os.path.dirname(cfg.metrics_out) or "."):
         raise FileNotFoundError(f"metrics_out {cfg.metrics_out!r}: no such directory")
     g = _load_or_generate(cfg)

@@ -157,3 +157,23 @@ def test_roundtrip_property(tmp_path_factory, n, m, seed):
     p = tmp_path_factory.mktemp("rt") / "g.rgf"
     save_graph(g, p)
     assert load_graph(p).equals(g)
+
+
+
+@pytest.mark.parametrize("field, message", [("dim", "feat dim must be >= 1"),
+                                            ("classes", "classes must be >= 1")])
+def test_no_features_or_no_classes_rejected(tmp_path, small_graph, field, message):
+    p = tmp_path / "g.rgf"
+    save_graph(small_graph, p)
+    data = bytearray(p.read_bytes())
+    magic, version, n, m, dim, classes = _HEADER.unpack_from(data)
+    if field == "dim":  # the feature block goes with its columns
+        off = _HEADER.size + 8 * (n + 1) + 8 * m
+        del data[off : off + 4 * n * dim]
+        dim = 0
+    else:
+        classes = 0
+    _HEADER.pack_into(data, 0, magic, version, n, m, dim, classes)
+    p.write_bytes(bytes(data))
+    with pytest.raises(GraphValidationError, match=message):
+        load_graph(p)
