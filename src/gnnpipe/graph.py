@@ -89,6 +89,20 @@ class Graph:
         )
 
 
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """np.unique(ids) for a 1-d integer array: a sort, then a mask that
+    keeps each value that differs from its left neighbour.
+
+    numpy >= 2.3 answers a plain np.unique of integers from a hash
+    table, several times slower than sorting on the id arrays here.
+    """
+    s = np.sort(ids)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def from_edge_list(
     num_nodes: int,
     edges: list[tuple[int, int]],

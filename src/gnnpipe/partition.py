@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sorted_unique
 from .rng import GOLDEN, mix64, mix64_array
 
 RPB1_MAGIC = b"RPB1"
@@ -42,14 +43,20 @@ def partition_edgecut(g: Graph, k: int) -> PartitionBook:
     partition maximizing |assigned neighbors in p| * (1 - size_p/capacity)
     with capacity = ceil(1.05 * n / k); ties break to the least-loaded
     partition, then to the lowest index.
+
+    The per-node work runs on Python scalars. Every count and size is
+    below 2^53 and int/int division is correctly rounded, so each score
+    is the same float64 a numpy evaluation of the formula gives.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = g.num_nodes
     capacity = int(np.ceil(1.05 * n / k))
-    owner = np.full(n, -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
+    indptr = g.indptr.tolist()
+    indices = g.indices.tolist()
+    owner = [-1] * n
+    sizes = [0] * k
+    visited = [False] * n
     queue: deque[int] = deque()
     next_start = 0
     for _ in range(n):
@@ -59,22 +66,27 @@ def partition_edgecut(g: Graph, k: int) -> PartitionBook:
             queue.append(next_start)
             visited[next_start] = True
         v = queue.popleft()
-        nbrs = g.neighbors(v)
-        assigned = owner[nbrs]
-        counts = np.bincount(assigned[assigned >= 0], minlength=k).astype(np.float64)
-        scores = counts * (1.0 - sizes / capacity)
-        scores[sizes >= capacity] = -np.inf
+        nbrs = indices[indptr[v] : indptr[v + 1]]
+        counts = [0] * k
+        for u in nbrs:
+            q = owner[u]
+            if q >= 0:
+                counts[q] += 1
         # ties (e.g. the zero-score start of a new component) go to the
         # least-loaded partition, then to the lowest index
-        best = np.flatnonzero(scores == scores.max())
-        p = int(best[np.argmin(sizes[best])])
+        p, best = 0, -math.inf
+        for q in range(k):
+            size = sizes[q]
+            score = counts[q] * (1.0 - size / capacity) if size < capacity else -math.inf
+            if score > best or (score == best and size < sizes[p]):
+                p, best = q, score
         owner[v] = p
         sizes[p] += 1
         for u in nbrs:
             if not visited[u]:
                 visited[u] = True
-                queue.append(int(u))
-    return PartitionBook(k=k, owner=owner)
+                queue.append(u)
+    return PartitionBook(k=k, owner=np.array(owner, dtype=np.int64))
 
 
 def halo_expand(g: Graph, book: PartitionBook) -> PartitionBook:
@@ -84,7 +96,7 @@ def halo_expand(g: Graph, book: PartitionBook) -> PartitionBook:
     halos = []
     for p in range(book.k):
         mask = (book.owner[src] == p) & (book.owner[dst] != p)
-        halos.append(np.unique(dst[mask]))
+        halos.append(sorted_unique(dst[mask]))
     return PartitionBook(k=book.k, owner=book.owner, halo=halos)
 
 

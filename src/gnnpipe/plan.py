@@ -10,7 +10,8 @@ import numpy as np
 
 from .graph import Graph
 from .partition import PartitionBook
-from .sampler import ComputationBlock, SeedSchedule, epoch_batches, sample_block, seed_for
+from .sampler import (ComputationBlock, SeedSchedule, epoch_batches, input_nodes,
+                      sample_block, seed_for)
 
 
 @dataclass
@@ -87,10 +88,10 @@ def generate_plan(
         seeds_e = epoch_batches(train_nodes, batch_size, schedule, e)
         inputs_e = []
         for i, seeds in enumerate(seeds_e):
-            block = sample_block(g, seeds, fanouts, seed_for(schedule, e, i), e, i)
-            inputs_e.append(block.input_nodes)
+            inputs = input_nodes(g, seeds, fanouts, seed_for(schedule, e, i))
+            inputs_e.append(inputs)
             h.update(np.array([e, i], dtype="<u8").tobytes())
-            h.update(block.input_nodes.astype("<u8").tobytes())
+            h.update(inputs.astype("<u8").tobytes())
         batch_seeds.append(seeds_e)
         input_sets.append(inputs_e)
     digest = int.from_bytes(h.digest(), "little")

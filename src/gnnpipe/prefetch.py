@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import FeatureCache
+from .graph import sorted_unique
 from .sampler import ComputationBlock
 from .store import StoreClient, StoreShard, TransferAccount, find
 
@@ -94,7 +95,7 @@ def pull_window(
     union costs one RPC per owning shard, charged to `account`. With no
     misses nothing is pulled.
     """
-    ids = np.unique(np.concatenate(input_sets))
+    ids = sorted_unique(np.concatenate(input_sets))
     ids = ids[owner[ids] != my_part]
     ids = ids[~find(hot_ids, ids)[1]]
     if len(ids) == 0:

@@ -17,7 +17,9 @@ which gives np.lexsort's order because keys never tie within a group
 (or tie only between equal values). The next frontier and every
 position in it come from one np.unique over the frontier and the
 sampled sources, so a step costs what its frontier and edges cost, not
-the size of the graph.
+the size of the graph. `input_nodes` runs the same steps for callers
+that need only the input node set, and skips the edge order and the
+positions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, sorted_unique
 from .rng import GOLDEN, MASK64, mix64, mix64_array, shuffled
 
 _SHUFFLE_TAG = 0x73687566  # domain-separates batch shuffling from sampling
@@ -156,6 +158,25 @@ def _sample_neighbors(
             np.concatenate([few_pos, hubs[group[kept]]]))
 
 
+def _steps(fanouts: list[int], rng_seed: int) -> list[tuple[int, int]]:
+    """(fanout, step seed) of each expansion step, seeds outward; step d
+    uses fanouts[len(fanouts)-1-d]."""
+    if len(fanouts) == 0:
+        raise ValueError("fanouts must be nonempty")
+    if min(fanouts) < 1:
+        raise ValueError(f"fanouts must be >= 1, got {list(fanouts)}")
+    num_layers = len(fanouts)
+    return [(fanouts[num_layers - 1 - d], mix64(rng_seed ^ ((d + 1) * GOLDEN)))
+            for d in range(num_layers)]
+
+
+def _seed_frontier(seeds: np.ndarray) -> np.ndarray:
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if len(seeds) == 0:
+        raise ValueError("seeds must be nonempty")
+    return sorted_unique(seeds)
+
+
 def sample_block(
     g: Graph,
     seeds: np.ndarray,
@@ -172,21 +193,13 @@ def sample_block(
     fanout keep their whole neighborhood; zero-degree nodes simply
     contribute no edges.
     """
-    if len(fanouts) == 0:
-        raise ValueError("fanouts must be nonempty")
-    if min(fanouts) < 1:
-        raise ValueError(f"fanouts must be >= 1, got {list(fanouts)}")
+    steps = _steps(fanouts, rng_seed)
     seeds = np.asarray(seeds, dtype=np.int64)
-    if len(seeds) == 0:
-        raise ValueError("seeds must be nonempty")
-    num_layers = len(fanouts)
-    frontier = np.unique(seeds)
+    frontier = _seed_frontier(seeds)
     frontiers = [frontier]
     edges: list[tuple[np.ndarray, np.ndarray]] = []
     positions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for d in range(num_layers):
-        fanout = fanouts[num_layers - 1 - d]
-        step_seed = mix64(rng_seed ^ ((d + 1) * GOLDEN))
+    for fanout, step_seed in steps:
         src, dst_pos = _sample_neighbors(g, frontier, fanout, step_seed)
         order = _group_order(dst_pos, src)
         src, dst_pos = src[order], dst_pos[order]
@@ -197,3 +210,18 @@ def sample_block(
         frontiers.append(frontier)
     return ComputationBlock(epoch=epoch, batch=batch, seeds=seeds,
                             frontiers=frontiers, edges=edges, positions=positions)
+
+
+def input_nodes(
+    g: Graph, seeds: np.ndarray, fanouts: list[int], rng_seed: int
+) -> np.ndarray:
+    """sample_block(g, seeds, fanouts, rng_seed).input_nodes, without
+    ordering the edges or locating positions: each step samples the
+    same neighbors and the next frontier is their sorted union with the
+    current one."""
+    steps = _steps(fanouts, rng_seed)
+    frontier = _seed_frontier(seeds)
+    for fanout, step_seed in steps:
+        src, _ = _sample_neighbors(g, frontier, fanout, step_seed)
+        frontier = sorted_unique(np.concatenate([frontier, src]))
+    return frontier

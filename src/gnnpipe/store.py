@@ -208,7 +208,7 @@ class StoreClient:
         out = np.empty((len(ids), self.feat_dim), dtype=np.float32)
         owners = self.owner[ids]
         rpcs = 0
-        for p in np.unique(owners):
+        for p in np.flatnonzero(np.bincount(owners, minlength=len(self.transports))):
             sel = np.flatnonzero(owners == p)
             payload = wire.encode_request(msg_type, ids[sel])
             resp = self.transports[p].request(

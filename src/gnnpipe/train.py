@@ -36,6 +36,7 @@ import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import astuple, dataclass, field, fields
+from fractions import Fraction
 from typing import get_type_hints
 
 import numpy as np
@@ -200,9 +201,12 @@ def _partition(g: Graph, cfg: RunConfig) -> PartitionBook:
 
 
 def resolve_n_hot(cfg: RunConfig, num_remote: int) -> int:
+    """The hot-set size: n_hot, or the floor of n_hot_pct percent of
+    num_remote taken at the percentage's decimal value, so 2.3% of 3,000
+    is 69 although 3000 * 2.3 / 100.0 is 68.99999999999999."""
     if cfg.n_hot is not None:
         return cfg.n_hot
-    return int(num_remote * cfg.n_hot_pct / 100.0)
+    return Fraction(repr(float(cfg.n_hot_pct))) * num_remote // 100
 
 
 def _lookahead(

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnnpipe.graph import (_HEADER, GraphFormatError, GraphValidationError,
                            from_edge_list, load_graph, save_graph,
-                           synth_powerlaw)
+                           sorted_unique, synth_powerlaw)
 
 
 def test_synth_deterministic():
@@ -177,3 +177,15 @@ def test_no_features_or_no_classes_rejected(tmp_path, small_graph, field, messag
     p.write_bytes(bytes(data))
     with pytest.raises(GraphValidationError, match=message):
         load_graph(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1)))
+@example([])
+@example([5])
+@example([-3, -3, -3, -3])
+@example([0, 2**63 - 1, -2**63, 0, 2**63 - 1])
+def test_sorted_unique_equals_np_unique(values):
+    ids = np.array(values, dtype=np.int64)
+    got, want = sorted_unique(ids), np.unique(ids)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -154,3 +155,78 @@ def test_rpb_k_zero_rejected(tmp_path):
     save_partition(PartitionBook(k=0, owner=np.zeros(4, dtype=np.int64)), p)
     with pytest.raises(ValueError, match="k must be"):
         load_partition(p)
+
+
+def _reference_edgecut(g, k):
+    """The linear deterministic greedy rule with numpy arrays per node:
+    bincount the assigned neighbours, score every partition, then pick
+    the best score, the least-loaded, the lowest index."""
+    n = g.num_nodes
+    capacity = int(np.ceil(1.05 * n / k))
+    owner = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    queue = deque()
+    next_start = 0
+    for _ in range(n):
+        if not queue:
+            while visited[next_start]:
+                next_start += 1
+            queue.append(next_start)
+            visited[next_start] = True
+        v = queue.popleft()
+        nbrs = g.neighbors(v)
+        assigned = owner[nbrs]
+        counts = np.bincount(assigned[assigned >= 0], minlength=k).astype(np.float64)
+        scores = counts * (1.0 - sizes / capacity)
+        scores[sizes >= capacity] = -np.inf
+        best = np.flatnonzero(scores == scores.max())
+        p = int(best[np.argmin(sizes[best])])
+        owner[v] = p
+        sizes[p] += 1
+        for u in nbrs:
+            if not visited[u]:
+                visited[u] = True
+                queue.append(int(u))
+    return owner
+
+
+def _random_graph(seed):
+    """A few components of random edges, plus isolated nodes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 120))
+    edges = []
+    for lo, hi in ((0, n // 3), (n // 3, 2 * n // 3)):
+        if hi - lo >= 2:
+            a = rng.integers(lo, hi, size=2 * (hi - lo))
+            b = rng.integers(lo, hi, size=2 * (hi - lo))
+            edges += [(int(x), int(y)) for x, y in zip(a, b) if x != y]
+    return from_edge_list(n, edges)
+
+
+K_VALUES = (1, 2, 3, 4, 7)
+
+
+def _assert_edgecut_matches_reference(g):
+    for k in K_VALUES:
+        got = partition_edgecut(g, k).owner
+        want = _reference_edgecut(g, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want), k
+
+
+class TestEdgecutReferenceEquality:
+    """partition_edgecut on Python scalars against the numpy-per-node
+    loop it replaced: the same owner array, byte for byte."""
+
+    @pytest.mark.parametrize("nodes, edges_per_node", [(20_000, 5), (3_000, 3)])
+    def test_powerlaw(self, nodes, edges_per_node):
+        g = synth_powerlaw(nodes, edges_per_node, 4, 2, 7)
+        _assert_edgecut_matches_reference(g)
+
+    def test_fixtures(self, small_graph, path_graph, star_graph):
+        for g in (small_graph, path_graph, star_graph):
+            _assert_edgecut_matches_reference(g)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_components_and_isolated_nodes(self, seed):
+        _assert_edgecut_matches_reference(_random_graph(seed))

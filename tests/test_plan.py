@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from gnnpipe.graph import synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import (FrequencyTable, collect_access, generate_plan,
                           top_hot)
+from gnnpipe.train import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +134,27 @@ def test_skewed_access_histogram(small_graph):
     order = np.argsort(-freq.counts, kind="stable")
     share = freq.counts[order[:n_hot]].sum() / freq.total()
     assert share >= 0.25
+
+
+# The replay config and the remote config of the benchmark, with the
+# edge-cut owner digest (blake2b-8 of the owner array as <i8) and the plan
+# digest the program has always produced for them.
+PINNED = [
+    (RunConfig(), "ba387ee1fcb85f85", "31a0e51d3b2d9a8c"),
+    (RunConfig(gen_nodes=3000, gen_edges_per_node=3, feat_dim=16, num_classes=4,
+               batch_size=32, fanouts=[5, 10]),
+     "b742876f4534a2d6", "55982d0d85e0b0cd"),
+]
+
+
+@pytest.mark.parametrize("cfg, owner_digest, plan_digest", PINNED,
+                         ids=["replay", "remote"])
+def test_pinned_config_digests(cfg, owner_digest, plan_digest):
+    g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
+                       cfg.num_classes, cfg.s0)
+    owner = partition_edgecut(g, cfg.partitions).owner
+    assert hashlib.blake2b(owner.astype("<i8").tobytes(),
+                           digest_size=8).hexdigest() == owner_digest
+    plan = generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
+                         cfg.batch_size, cfg.epochs, cfg.s0)
+    assert plan.digest_hex() == plan_digest

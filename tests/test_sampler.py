@@ -5,7 +5,7 @@ from scipy import stats
 from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.rng import GOLDEN, MASK64, mix64, mix64_array
 from gnnpipe.sampler import (SeedSchedule, _group_order, epoch_batches,
-                             sample_block, seed_for)
+                             input_nodes, sample_block, seed_for)
 
 
 def schedule(s0=0, epochs=10, batches=100):
@@ -136,16 +136,18 @@ class TestSampleBlock:
             assert np.all(np.isin(inner, outer))
         assert np.array_equal(block.input_nodes, np.unique(block.input_nodes))
 
-    def test_errors(self, small_graph):
-        with pytest.raises(ValueError):
-            sample_block(small_graph, np.array([]), [3], 0)
-        with pytest.raises(ValueError):
-            sample_block(small_graph, np.array([0]), [], 0)
+    @pytest.mark.parametrize("sample", [sample_block, input_nodes])
+    def test_errors(self, small_graph, sample):
+        with pytest.raises(ValueError, match="seeds must be nonempty"):
+            sample(small_graph, np.array([]), [3], 0)
+        with pytest.raises(ValueError, match="fanouts must be nonempty"):
+            sample(small_graph, np.array([0]), [], 0)
 
+    @pytest.mark.parametrize("sample", [sample_block, input_nodes])
     @pytest.mark.parametrize("fanouts", [[3, 0], [-3, 5], [0]])
-    def test_fanout_below_one_rejected(self, small_graph, fanouts):
+    def test_fanout_below_one_rejected(self, small_graph, fanouts, sample):
         with pytest.raises(ValueError, match="fanouts must be >= 1"):
-            sample_block(small_graph, np.arange(4), fanouts, 0)
+            sample(small_graph, np.arange(4), fanouts, 0)
 
 
 def _reference_sample_neighbors(g, frontier, fanout, step_seed):
@@ -207,12 +209,14 @@ def _assert_matches_reference(g, seeds, fanouts, rng_seed):
         _assert_same(src_pos, np.searchsorted(frontiers[d + 1], ref_src))
         _assert_same(dst_pos, np.searchsorted(frontiers[d], ref_dst))
         _assert_same(self_pos, np.searchsorted(frontiers[d + 1], frontiers[d]))
+    _assert_same(input_nodes(g, seeds, fanouts, rng_seed), frontiers[-1])
     return block
 
 
 class TestReferenceEquality:
     """sample_block against the plain keys-for-every-entry sampler it
-    replaced: same frontiers, edges and dtypes, bit for bit."""
+    replaced: same frontiers, edges and dtypes, bit for bit; and
+    input_nodes gives the same input node set."""
 
     def test_replay_sized_power_law(self):
         g = synth_powerlaw(20_000, 5, 4, 8, seed=7)

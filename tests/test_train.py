@@ -220,6 +220,16 @@ class TestRunConfig:
         assert resolve_n_hot(small_cfg(n_hot_pct=15.0), 1000) == 150
         assert resolve_n_hot(small_cfg(n_hot_pct=1.0), 50) == 0
 
+    @pytest.mark.parametrize("pct, num_remote, n_hot", [
+        (2.3, 3000, 69), (0.57, 10_000, 57), (33.3, 3000, 999),
+        (1.0, 3000, 30), (5.0, 3000, 150), (15.0, 3000, 450),
+        (15.0, 2999, 449), (100.0, 7, 7), (0.0, 7, 0)])
+    def test_resolve_n_hot_is_exact_percent(self, pct, num_remote, n_hot):
+        # the floor of pct% of num_remote, with pct read as the decimal
+        # it was written as; float arithmetic gives 68, 56 and 998 for
+        # the first three
+        assert resolve_n_hot(small_cfg(n_hot_pct=pct), num_remote) == n_hot
+
     def test_worker_metrics_path(self):
         assert worker_metrics_path("out.csv", 0) == "out.w0.csv"
         assert worker_metrics_path("a/b/run.csv", 3) == "a/b/run.w3.csv"
