@@ -2,11 +2,13 @@
 
 Per layer: h_v' = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b),
 with the relu dropped on the output layer; an empty N(v) has a zero
-mean. Training (N(v) sampled into a block) and evaluation (the graph's
-own lists) run the same layers. A forward neighbor sum is a unit-weight
-CSR product, a backward one np.add.at on flat 1-D views; each adds the
-terms one by one from zero in the order listed. The block's edges come
-sorted by (dst, src), so every neighbor sum is bit-reproducible; the
+mean. Training and evaluation run the same layers over one CSR triple
+per layer: a block's hop as the sampler emits it, or the graph's own
+lists. A forward neighbor sum is a unit-weight CSR product; the backward
+repeats each row's gradient once per entry of its CSR row and adds them
+with np.add.at on flat 1-D views. Each adds the terms one by one from
+zero in the order listed, and a block's rows list their sources in
+ascending order, so every neighbor sum is bit-reproducible; the
 baseline/pipelined mode-equivalence guarantee rests on that. The
 weight gradients (`h.T @ dz`) sum over thousands of block rows, and a
 multi-threaded BLAS splits that sum across threads, so their bits also
@@ -71,14 +73,15 @@ def _layers(h: np.ndarray, params: list[LayerParams], hops):
     rows src_pos[indptr[i]:indptr[i+1]] of its input h, and h[self_pos]
     holds each row's own input row."""
     saved = []
-    for l, (p, (src_pos, indptr, self_pos)) in enumerate(zip(params, hops)):
+    for l, (p, hop) in enumerate(zip(params, hops)):
+        src_pos, indptr, self_pos = hop
         adj = sp.csr_array((np.ones(len(src_pos), h.dtype), src_pos, indptr),
                            shape=(len(indptr) - 1, len(h)))
         denom = np.maximum(np.diff(indptr), 1).astype(h.dtype)[:, None]
         mean = (adj @ h) / denom
         h_self = h[self_pos]
         z = h_self @ p.w_self + mean @ p.w_neigh + p.bias
-        saved.append((h, h_self, mean, z, denom))
+        saved.append((h, h_self, mean, z, denom, hop))
         h = np.maximum(z, 0) if l < len(params) - 1 else z
     return h, saved
 
@@ -91,12 +94,7 @@ def _forward_pass(block: ComputationBlock, rows: np.ndarray,
             f"block has {block.num_layers} layers, params have {len(params)}")
     if rows.shape[0] != len(block.input_nodes):
         raise ValueError("rows not aligned to block.input_nodes")
-    hops = []
-    for d in reversed(range(block.num_layers)):
-        src_pos, dst_pos, self_pos = block.positions[d]
-        counts = np.bincount(dst_pos, minlength=len(block.frontiers[d]))
-        hops.append((src_pos, np.concatenate(([0], np.cumsum(counts))), self_pos))
-    return _layers(rows, params, hops)
+    return _layers(rows, params, block.hops[::-1])
 
 
 def forward(block: ComputationBlock, rows: np.ndarray,
@@ -129,8 +127,7 @@ def loss_and_grad(block: ComputationBlock, rows: np.ndarray, labels: np.ndarray,
     grads: list[LayerParams | None] = [None] * num_layers
     for l in range(num_layers - 1, -1, -1):
         p = params[l]
-        h, h_self, mean, z, denom = saved[l]
-        src_pos, dst_pos, self_pos = block.positions[num_layers - 1 - l]
+        h, h_self, mean, z, denom, (src_pos, indptr, self_pos) = saved[l]
         if l < num_layers - 1:
             dz = dz * (z > 0)
         grads[l] = LayerParams(
@@ -143,7 +140,8 @@ def loss_and_grad(block: ComputationBlock, rows: np.ndarray, labels: np.ndarray,
             # self_pos is unique, so this adds each row once onto zeros
             dh[self_pos] += dz @ p.w_self.T
             dmean = dz @ p.w_neigh.T
-            _scatter_add(dh, src_pos, (dmean / denom)[dst_pos])
+            _scatter_add(dh, src_pos,
+                         np.repeat(dmean / denom, np.diff(indptr), axis=0))
             dz = dh
     return loss, grads  # type: ignore[return-value]
 

@@ -14,12 +14,14 @@ and each step's edges are ordered by (dst, src) the same way: an argsort
 of the keys, then a stable argsort of the group index in the narrowest
 unsigned dtype that holds it (numpy radix-sorts 8- and 16-bit integers),
 which gives np.lexsort's order because keys never tie within a group
-(or tie only between equal values). The next frontier and every
-position in it come from one np.unique over the frontier and the
-sampled sources, so a step costs what its frontier and edges cost, not
-the size of the graph. `input_nodes` runs the same steps for callers
-that need only the input node set, and skips the edge order and the
-positions.
+(or tie only between equal values). So a step's edges come out as one
+CSR row per frontier node, each row's sources ascending, and the row
+offsets are the running sum of the kept counts min(deg, fanout). The
+next frontier and every position in it come from one np.unique over the
+frontier and the sampled sources, so a step costs what its frontier and
+edges cost, not the size of the graph. `input_nodes` runs the same
+steps for callers that need only the input node set, and skips the edge
+order and the positions.
 """
 
 from __future__ import annotations
@@ -73,24 +75,22 @@ def epoch_batches(
 
 @dataclass
 class ComputationBlock:
-    """Layered subgraph for one mini-batch.
+    """Layered subgraph for one mini-batch, in positions only.
 
     frontiers[0] is the sorted unique seed set; frontiers[d+1] extends
     frontiers[d] with the neighbors sampled at expansion step d, so the
     frontiers are nested and frontiers[-1] is the input node set.
-    edges[d] holds (src, dst) pairs with dst in frontiers[d], sorted by
-    (dst, src) so aggregation order is fixed. positions[d] holds
-    (src_pos, dst_pos, self_pos): the index of each edge's src in
-    frontiers[d+1] and of its dst in frontiers[d], and the index of each
-    node of frontiers[d] in frontiers[d+1].
+    hops[d] = (src_pos, indptr, self_pos) is step d as a CSR from
+    frontiers[d] into frontiers[d+1]: node i of frontiers[d] has the
+    sampled neighbors frontiers[d+1][src_pos[indptr[i]:indptr[i+1]]],
+    in ascending order so aggregation order is fixed, and is itself
+    frontiers[d+1][self_pos[i]].
     """
 
     epoch: int
     batch: int
-    seeds: np.ndarray
     frontiers: list[np.ndarray]
-    edges: list[tuple[np.ndarray, np.ndarray]]
-    positions: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    hops: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def input_nodes(self) -> np.ndarray:
@@ -98,7 +98,7 @@ class ComputationBlock:
 
     @property
     def num_layers(self) -> int:
-        return len(self.edges)
+        return len(self.hops)
 
 
 def _group_order(group: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -124,9 +124,10 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _sample_neighbors(
     g: Graph, frontier: np.ndarray, fanout: int, step_seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample min(fanout, deg(v)) distinct neighbor entries for each
-    frontier node; returns (neighbor ids, frontier positions), unordered.
+    frontier node; returns (neighbor ids, frontier positions), unordered,
+    and each frontier node's kept count min(fanout, deg(v)).
 
     A node with degree at most fanout keeps every entry and draws no
     keys. A hub's entries get keys and its fanout smallest win.
@@ -155,7 +156,8 @@ def _sample_neighbors(
     # rank in its hub is the pos_in_slice of the entry at its place
     kept = _group_order(group, keys)[pos_in_slice < fanout]
     return (np.concatenate([g.indices[few_edges], g.indices[hub_edges[kept]]]),
-            np.concatenate([few_pos, hubs[group[kept]]]))
+            np.concatenate([few_pos, hubs[group[kept]]]),
+            np.minimum(deg, fanout))
 
 
 def _steps(fanouts: list[int], rng_seed: int) -> list[tuple[int, int]]:
@@ -194,22 +196,18 @@ def sample_block(
     contribute no edges.
     """
     steps = _steps(fanouts, rng_seed)
-    seeds = np.asarray(seeds, dtype=np.int64)
     frontier = _seed_frontier(seeds)
     frontiers = [frontier]
-    edges: list[tuple[np.ndarray, np.ndarray]] = []
-    positions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    hops: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for fanout, step_seed in steps:
-        src, dst_pos = _sample_neighbors(g, frontier, fanout, step_seed)
-        order = _group_order(dst_pos, src)
-        src, dst_pos = src[order], dst_pos[order]
+        src, dst_pos, counts = _sample_neighbors(g, frontier, fanout, step_seed)
+        src = src[_group_order(dst_pos, src)]
         nxt, pos = np.unique(np.concatenate([frontier, src]), return_inverse=True)
-        edges.append((src, frontier[dst_pos]))
-        positions.append((pos[len(frontier):], dst_pos, pos[:len(frontier)]))
+        hops.append((pos[len(frontier):], np.concatenate(([0], np.cumsum(counts))),
+                     pos[:len(frontier)]))
         frontier = nxt
         frontiers.append(frontier)
-    return ComputationBlock(epoch=epoch, batch=batch, seeds=seeds,
-                            frontiers=frontiers, edges=edges, positions=positions)
+    return ComputationBlock(epoch=epoch, batch=batch, frontiers=frontiers, hops=hops)
 
 
 def input_nodes(
@@ -222,6 +220,6 @@ def input_nodes(
     steps = _steps(fanouts, rng_seed)
     frontier = _seed_frontier(seeds)
     for fanout, step_seed in steps:
-        src, _ = _sample_neighbors(g, frontier, fanout, step_seed)
+        src, _, _ = _sample_neighbors(g, frontier, fanout, step_seed)
         frontier = sorted_unique(np.concatenate([frontier, src]))
     return frontier

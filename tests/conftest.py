@@ -59,6 +59,13 @@ def multigraph():
     return g
 
 
+def edge_ids(block, d: int):
+    """(src, dst) node ids of the block's step-d edges, in CSR order."""
+    src_pos, indptr, _ = block.hops[d]
+    return (block.frontiers[d + 1][src_pos],
+            np.repeat(block.frontiers[d], np.diff(indptr)))
+
+
 def two_cliques(size: int = 6):
     """Two disconnected cliques of `size` nodes each."""
     edges = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import record_criterion
+from conftest import edge_ids, record_criterion
 from gnnpipe import wire
 from gnnpipe.cache import build_steady
 from gnnpipe.graph import from_edge_list, synth_powerlaw
@@ -359,7 +359,7 @@ def test_criterion_08_sampling_and_estimator():
     counts = np.zeros(20, dtype=np.int64)
     for s in range(10_000):
         block = sample_block(star, np.array([0]), [5], s)
-        counts[block.edges[0][0] - 1] += 1
+        counts[edge_ids(block, 0)[0] - 1] += 1
     _, p_value = stats.chisquare(counts)
     uniform_ok = p_value > 0.01
 

