@@ -5,13 +5,13 @@ The precomputed plan fixes every epoch's remote accesses, so
 the epoch's n_hot most-accessed remote nodes. A cache serves lookups for
 the current epoch while a background thread pulls the next epoch's
 rows; `swap` at the epoch boundary joins that thread and installs them.
-One thread, the one that runs the worker's bundle stream, calls
+One thread, the worker's own, which runs its training loop, calls
 `lookup`, `start_secondary_build` and `swap`; the fill thread only
 pulls. A failed fill raises its exception from `swap` and leaves the
 current rows installed. A cache built from no hot ids holds no rows and
 answers every lookup with misses; baseline mode uses one. The cache
 keeps no hit or miss counters; each lookup's split is returned to the
-caller, which counts per bundle.
+caller, which counts per batch.
 """
 
 from __future__ import annotations

@@ -119,8 +119,9 @@ def collect_access(
 ) -> FrequencyTable:
     """Count remote input-node appearances, one per batch.
 
-    With epoch=None the counts aggregate the whole plan (global hot
-    scope); otherwise only that epoch's batches contribute.
+    With epoch=None the counts aggregate the whole plan: the worker's
+    remote node set, whose size `n_hot_pct` is a percent of. Otherwise
+    only that epoch's batches contribute.
     """
     epochs = range(plan.epochs) if epoch is None else [epoch]
     chunks = []

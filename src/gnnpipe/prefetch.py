@@ -4,13 +4,15 @@
 batches with one sync pull, one RPC per owning shard; the precomputed
 plan names every batch's input nodes, and the hot set of its epoch,
 before its block is sampled. A `Lookahead` is one batch's share of such
-a pull. `assemble_bundle` gathers one batch's feature rows with no I/O:
-local shard reads, cache hits, and the cache misses taken from the
-window pulled for it. A cache with no rows, as in baseline mode, makes
-every remote row a miss. `Prefetcher` runs any iterator, such as a
-worker's run of lookahead pulls, on a single producer thread into a
-bounded queue of depth Q; the consumer takes the items strictly in
-order.
+a pull, with the traffic charged to that batch: the pull's on the
+window's first batch, none on the others. `assemble_bundle` gathers one
+batch's feature rows with no I/O: local shard reads, cache hits, and
+the cache misses taken from the window pulled for it. A cache with no
+rows, as in baseline mode, makes every remote row a miss. `Prefetcher`
+runs any iterator, such as a worker's run of lookahead pulls, on a
+single producer thread into a bounded queue of depth Q; the consumer,
+such as the worker's training loop taking one item per batch, takes the
+items strictly in order.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ class PrefetchError(RuntimeError):
     """
 
     def __init__(self, batch: int, cause: BaseException):
-        super().__init__(f"prefetching failed at item {batch} of the "
-                         f"stream: {cause}")
+        super().__init__(f"prefetching failed at item {batch}: {cause}")
         self.batch = batch
         self.__cause__ = cause
 
@@ -49,7 +50,6 @@ class FeatureBundle:
     rows: np.ndarray  # |input_nodes| x feat_dim, aligned to input_nodes
     n_cache_hit: int
     n_fallback: int
-    fallback: TransferAccount  # traffic of the pulls charged to this bundle
 
 
 @dataclass
@@ -71,13 +71,13 @@ class PulledRows:
 @dataclass
 class Lookahead:
     """One batch's share of a window pull: the rows the window pulled,
-    and the pull's traffic on the window's first batch (None on the
-    others)."""
+    and the traffic charged to the batch, the pull's on the window's
+    first batch and none on the others."""
 
     epoch: int
     batch: int
     pulled: PulledRows
-    account: TransferAccount | None
+    account: TransferAccount
 
 
 def pull_window(
@@ -110,15 +110,13 @@ def assemble_bundle(
     shard: StoreShard,
     cache: FeatureCache,
     pulled: PulledRows,
-    account: TransferAccount | None = None,
 ) -> FeatureBundle:
     """Gather the feature rows a block needs, in input_nodes order.
 
     Locally owned rows are read straight from the worker's shard memory
     (zero RPC). Remote rows go through the cache; the misses come from
     `pulled`, the window pulled ahead for this block, which must hold
-    every one of them. `account`, the traffic charged to this bundle (a
-    fresh, empty one when None), travels with it as `bundle.fallback`.
+    every one of them.
     """
     ids = block.input_nodes
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
@@ -135,7 +133,6 @@ def assemble_bundle(
         rows=rows,
         n_cache_hit=len(hit_rows),
         n_fallback=len(miss_pos),
-        fallback=TransferAccount() if account is None else account,
     )
 
 
@@ -161,21 +158,13 @@ class Prefetcher:
         n = 0
         try:
             for item in items:
-                self._put(item)
+                self._queue.put(item)
                 if self._stop.is_set():
                     return
                 n += 1
-            self._put(None)  # end-of-stream marker
+            self._queue.put(None)  # end-of-stream marker
         except BaseException as exc:  # surfaced on the consumer side
-            self._put(PrefetchError(n, exc))
-
-    def _put(self, item) -> None:
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return
-            except queue.Full:
-                continue
+            self._queue.put(PrefetchError(n, exc))
 
     def next_bundle(self):
         """Block for the next in-order item; None once the iterator is done."""
@@ -195,7 +184,12 @@ class Prefetcher:
             yield item
 
     def drain(self) -> None:
-        """Stop the producer and discard anything buffered; idempotent."""
+        """Stop the producer and discard anything buffered; idempotent.
+
+        Once the queue is emptied the producer puts at most one more
+        item before it sees `_stop`, so its puts never block and the
+        join returns.
+        """
         self._stop.set()
         while True:
             try:

@@ -1,28 +1,28 @@
 """End-to-end runner: partition, plan, caches, prefetch, SGD loop, metrics.
 
-Each worker trains over one bundle stream for the whole run, one bundle
-per batch of the plan, taking each epoch's batch count from it. The
-stream runs on the worker's own thread: it samples each block,
-assembles its bundle and turns the cache over at epoch boundaries, so
-only that thread looks up or swaps the cache. Before training, each
-worker chooses every epoch's hot set once (`cache.epoch_hot_sets`); the
-first cache fill, the lookahead and the stream's turnover all read that
-list. The cache misses of every bundle come from the run's lookahead,
-which pulls the misses of each window of consecutive batches in one
-request; the plan fixes every batch's input nodes and every epoch's hot
-set, so the lookahead never waits for the stream. The mode decides three things only: the size of
-the worker's hot-node cache, how many batches a window holds, and
-whether a prefetcher runs the lookahead. `rapid` caches each epoch's
-n_hot most-accessed remote nodes, pulls windows of Q = prefetch_depth
-batches and runs the lookahead on a prefetcher's producer thread, at
-most Q+1 batches ahead of the stream. `baseline` has a cache with no
-rows, so every remote row is a miss, and pulls each batch's misses on
-its own, on the worker's thread, as the stream reaches the batch. Both
-modes consume bit-identical feature rows in the same order, so they
-produce bit-identical parameter trajectories for the same plan. Each
-bundle carries its own cache hits and misses, and the first bundle of
-each window carries the window's pull traffic; the per-epoch columns
-are their sums.
+Each worker runs one loop over the plan's epochs and batches on its own
+thread. For each batch it takes the batch's `Lookahead`, samples the
+block, assembles its feature rows and trains; at each epoch boundary it
+turns the cache over. So only that thread looks up or swaps the cache.
+Before training, each worker chooses every epoch's hot set once
+(`cache.epoch_hot_sets`); the first cache fill, the lookahead and the
+turnover all read that list. The cache misses of every batch come from
+the run's lookahead, which pulls the misses of each window of
+consecutive batches in one request; the plan fixes every batch's input
+nodes and every epoch's hot set, so the lookahead never waits for the
+loop. The mode decides three things only: the size of the worker's
+hot-node cache, how many batches a window holds, and whether a
+prefetcher runs the lookahead. `rapid` caches each epoch's n_hot
+most-accessed remote nodes, pulls windows of Q = prefetch_depth batches
+and runs the lookahead on a prefetcher's producer thread, at most Q+1
+batches ahead of the loop. `baseline` has a cache with no rows, so every
+remote row is a miss, and pulls each batch's misses on its own, on the
+worker's thread, as the loop reaches the batch. Both modes consume
+bit-identical feature rows in the same order, so they produce
+bit-identical parameter trajectories for the same plan. An epoch's
+columns sum its batches' cache hits and misses and the traffic of its
+lookahead items; a window's first item carries the window's pull, the
+others an empty account.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 import os
 import threading
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from typing import get_type_hints
@@ -47,8 +47,7 @@ from .graph import Graph, load_graph, synth_powerlaw
 from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 from .plan import BatchPlan, collect_access, generate_plan
-from .prefetch import (FeatureBundle, Lookahead, Prefetcher, assemble_bundle,
-                       pull_window)
+from .prefetch import Lookahead, Prefetcher, assemble_bundle, pull_window
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
@@ -224,7 +223,7 @@ def _lookahead(
     window's batches, their remote input nodes outside the epoch's hot
     set in `hot_sets`, are pulled in one sync pull (one RPC per owning
     shard), and that pull's traffic is charged to the window's first
-    batch.
+    batch; the others carry an empty account.
     """
     for e in range(plan.epochs):
         n = plan.num_batches(e)
@@ -234,46 +233,9 @@ def _lookahead(
             pulled = pull_window([plan.input_sets[e][i] for i in batches],
                                  book.owner, part, hot_sets[e], client, account)
             for i in batches:
-                yield Lookahead(e, i, pulled, account if i == first else None)
+                yield Lookahead(e, i, pulled,
+                                account if i == first else TransferAccount())
             del pulled  # the window's rows live as long as its Lookaheads
-
-
-def _run_bundles(
-    plan: BatchPlan,
-    book: PartitionBook,
-    part: int,
-    shard: StoreShard,
-    client: StoreClient,
-    cache: cache_mod.FeatureCache,
-    hot_sets: list[np.ndarray],
-    ahead: Iterable[Lookahead],
-    fill: TransferAccount | None = None,
-) -> Iterator[FeatureBundle]:
-    """Every epoch's feature bundles in plan order, for the whole run.
-
-    Each bundle takes its cache misses from its `Lookahead` in `ahead`.
-    When any epoch has hot nodes the cache turns over: as epoch e
-    starts, the stream starts filling e+1's set from `hot_sets`, charged
-    to `fill`, and swaps it in after e's last bundle. The lookahead
-    pulled e+1's misses for that set, so a failed fill raises.
-    """
-    turn_over = any(len(hot) for hot in hot_sets)
-    ahead = iter(ahead)
-    for e in range(plan.epochs):
-        turn = turn_over and e + 1 < plan.epochs
-        if turn:
-            cache.start_secondary_build(hot_sets[e + 1], client, fill)
-        for i in range(plan.num_batches(e)):
-            la = next(ahead)
-            yield assemble_bundle(plan.block(e, i), book.owner, part, shard,
-                                  cache, la.pulled, la.account)
-        if turn:
-            try:
-                cache.swap()
-            except Exception as exc:
-                raise RuntimeError(
-                    f"the cache fill for epoch {e + 1} failed, and its "
-                    f"lookahead pulls assume that fill's hot set") from exc
 
 
 def _run_worker(
@@ -287,7 +249,14 @@ def _run_worker(
     stop: threading.Event,
 ) -> WorkerResult:
     """Train worker `part` over the whole plan; raise once `stop` is set,
-    checked before every batch."""
+    checked before every batch.
+
+    Each batch takes its cache misses from its `Lookahead`. When any
+    epoch has hot nodes the cache turns over at the start of every epoch
+    e, inside its timed region: e swaps in the fill started during e-1,
+    then starts filling e+1's hot set, charged to `fill`. The lookahead
+    pulled e's misses for e's hot set, so a failed fill raises.
+    """
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
                                len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG))
     fill = TransferAccount()
@@ -303,30 +272,40 @@ def _run_worker(
                        cfg.prefetch_depth if rapid else 1)
     pf = None
     if rapid:
-        ahead = pf = Prefetcher(ahead, cfg.prefetch_depth)
-    bundles = _run_bundles(plan, book, part, shard, client, fcache, hot_sets,
-                           ahead, fill)
+        pf = Prefetcher(ahead, cfg.prefetch_depth)
+        ahead = iter(pf)
+    turn_over = any(len(hot) for hot in hot_sets)
     records: list[MetricsRecord] = []
     try:
-        for e in range(cfg.epochs):
+        for e in range(plan.epochs):
             t_start = time.perf_counter()
+            if turn_over and e > 0:
+                try:
+                    fcache.swap()
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"the cache fill for epoch {e} failed, and its "
+                        f"lookahead pulls assume that fill's hot set") from exc
+            if turn_over and e + 1 < plan.epochs:
+                fcache.start_secondary_build(hot_sets[e + 1], client, fill)
             loss_sum = 0.0
             hits = misses = 0
             pulled = TransferAccount()
-            for bundle in itertools.islice(bundles, plan.num_batches(e)):
+            for i in range(plan.num_batches(e)):
                 if stop.is_set():
                     raise RuntimeError(f"worker {part} stopped: another "
                                        f"worker failed")
+                la = next(ahead)
+                bundle = assemble_bundle(plan.block(e, i), book.owner, part,
+                                         shard, fcache, la.pulled)
                 loss, grads = model.loss_and_grad(bundle.block, bundle.rows,
                                                   g.labels, params)
                 params = model.sgd_step(params, grads, cfg.lr)
                 loss_sum += loss
                 hits += bundle.n_cache_hit
                 misses += bundle.n_fallback
-                pulled.add(bundle.fallback)
+                pulled.add(la.account)
             t_e_ms = (time.perf_counter() - t_start) * 1000.0
-            acc = model.evaluate(g, params, g.train_mask)
-            n_batches = plan.num_batches(e)
             records.append(MetricsRecord(
                 epoch=e,
                 mode=cfg.mode,
@@ -337,8 +316,8 @@ def _run_worker(
                 cache_hits=hits,
                 cache_misses=misses,
                 reuse_ratio=hits / (hits + misses) if hits + misses else None,
-                loss=loss_sum / n_batches if n_batches else float("nan"),
-                train_acc=acc if acc is not None else float("nan"),
+                loss=loss_sum / plan.num_batches(e),
+                train_acc=model.evaluate(g, params, g.train_mask),
             ))
     finally:
         if pf is not None:

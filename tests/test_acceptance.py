@@ -443,11 +443,13 @@ def test_criterion_09_transparency():
         block = sample_block(g, np.sort(rng.choice(400, 20, replace=False)),
                              [3, 5], s)
         empty = build_steady(np.empty(0, np.int64), gclient)
+        acct = TransferAccount()
         pulled = pull_window([block.input_nodes], book.owner, 0, empty.hot_ids,
-                             gclient)
+                             gclient, acct)
         bundle = assemble_bundle(block, book.owner, 0, gshards[0], empty,
-                                 pulled, None)
+                                 pulled)
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])
+        ok = ok and acct.nodes_pulled == bundle.n_fallback
 
     # hot-set selection equals the brute-force optimum with least-id ties
     for t in range(30):

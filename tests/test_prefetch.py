@@ -1,4 +1,3 @@
-import itertools
 import time
 
 import numpy as np
@@ -11,7 +10,7 @@ from gnnpipe.prefetch import (PrefetchError, Prefetcher, PulledRows,
                               assemble_bundle, pull_window)
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
-from gnnpipe.train import _lookahead, _run_bundles
+from gnnpipe.train import _lookahead
 
 
 def no_cache(shard):
@@ -24,17 +23,25 @@ def no_hot_sets(plan):
     return [np.empty(0, dtype=np.int64)] * plan.epochs
 
 
-def run_stream(plan, book, shard, client, cache, hot_sets, window=1):
-    """Worker 0's bundle stream for the run, over its own lookahead."""
-    return _run_bundles(plan, book, 0, shard, client, cache, hot_sets,
-                        _lookahead(plan, book, 0, client, hot_sets, window))
+def run_ahead(plan, book, client, window=1):
+    """Worker 0's lookahead items for the whole run, with no hot sets."""
+    return _lookahead(plan, book, 0, client, no_hot_sets(plan), window)
 
 
-def epoch0(plan, book, shard, client):
-    """Epoch 0's bundles of worker 0's run stream, with a zero-row cache."""
-    return itertools.islice(
-        run_stream(plan, book, shard, client, no_cache(shard), no_hot_sets(plan)),
-        plan.num_batches(0))
+class CountingClient:
+    """Forwards pulls to `client`, counting them; the pull with index
+    `fail_at`, if any, raises instead."""
+
+    def __init__(self, client, fail_at=None):
+        self.client, self.fail_at = client, fail_at
+        self.feat_dim = client.feat_dim
+        self.calls = 0
+
+    def sync_pull(self, ids, account=None):
+        self.calls += 1
+        if self.calls - 1 == self.fail_at:
+            raise ConnectionError("injected")
+        return self.client.sync_pull(ids, account)
 
 
 @pytest.fixture()
@@ -58,12 +65,15 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
         cache = no_cache(shard)
-        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids, client)
-        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled, None)
+        acct = TransferAccount()
+        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
+                             client, acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         n_local = np.count_nonzero(owner[block.input_nodes] == 0)
         assert n_local + bundle.n_fallback == len(block.input_nodes)
         assert bundle.n_cache_hit == 0
+        assert acct.nodes_pulled == bundle.n_fallback
 
     def test_cache_splits_remote_traffic(self, setup):
         g, plan, book, owner, shard, client = setup
@@ -73,7 +83,7 @@ class TestAssembleBundle:
         acct = TransferAccount()
         pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
                              client, acct)
-        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled, acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         assert bundle.n_cache_hit == 5
         assert bundle.n_fallback == len(remote) - 5
@@ -87,7 +97,7 @@ class TestAssembleBundle:
         acct = TransferAccount()
         pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
                              client, acct)
-        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled, acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
         assert bundle.n_fallback == 0
         assert acct.snapshot() == (0, 0, 0)
 
@@ -98,7 +108,7 @@ class TestAssembleBundle:
         cache = no_cache(shard)
         pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
                              client, acct)
-        assemble_bundle(block, owner, 0, shard, cache, pulled, acct)
+        assemble_bundle(block, owner, 0, shard, cache, pulled)
         n_remote = int((owner[block.input_nodes] != 0).sum())
         assert acct.nodes_pulled == n_remote
         assert shard.rpc_calls == 0
@@ -109,23 +119,29 @@ class TestAssembleBundle:
         remote = block.input_nodes[owner[block.input_nodes] != 0]
         short = PulledRows(remote[1:], g.features[remote[1:]])
         with pytest.raises(LookupError, match="first id"):
-            assemble_bundle(block, owner, 0, shard, no_cache(shard), short, None)
+            assemble_bundle(block, owner, 0, shard, no_cache(shard), short)
 
 
 class TestLookaheadStream:
     N_HOT = 20
 
-    def stream(self, setup, window):
+    def items(self, setup, window):
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, self.N_HOT)
-        return list(run_stream(plan, book, shard, client,
-                               build_steady(hot_sets[0], client), hot_sets,
-                               window))
+        return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets, window))
+
+    def bundles(self, setup, window):
+        """Every batch's bundle, each epoch against a cache of its hot set."""
+        g, plan, book, owner, shard, client = setup
+        hot_sets, items = self.items(setup, window)
+        caches = [build_steady(hot, client) for hot in hot_sets]
+        return [assemble_bundle(plan.block(la.epoch, la.batch), owner, 0, shard,
+                                caches[la.epoch], la.pulled) for la in items]
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_rows_bit_identical_to_depth_one(self, setup, depth):
         g, plan, book, owner, shard, client = setup
-        one, windowed = self.stream(setup, 1), self.stream(setup, depth)
+        one, windowed = self.bundles(setup, 1), self.bundles(setup, depth)
         assert len(one) == len(windowed) == sum(
             plan.num_batches(e) for e in range(plan.epochs))
         for a, b in zip(one, windowed):
@@ -135,107 +151,102 @@ class TestLookaheadStream:
             assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
-    def test_window_traffic_rides_on_its_first_bundle(self, setup, depth):
+    def test_window_traffic_rides_on_its_first_item(self, setup, depth):
         g, plan, book, owner, shard, client = setup
-        bundles = self.stream(setup, depth)
+        _, items = self.items(setup, depth)
+        assert [(la.epoch, la.batch) for la in items] == [
+            (e, i) for e in range(plan.epochs) for i in range(plan.num_batches(e))]
         for e in range(plan.epochs):
-            in_epoch = [b for b in bundles if b.block.epoch == e]
-            rpcs = [b.fallback.rpc_calls for b in in_epoch]
+            in_epoch = [la for la in items if la.epoch == e]
+            rpcs = [la.account.rpc_calls for la in in_epoch]
             # one remote shard: one RPC per window, on the window's first batch
-            assert rpcs == [int(b.block.batch % depth == 0) for b in in_epoch]
+            assert rpcs == [int(la.batch % depth == 0) for la in in_epoch]
             assert sum(rpcs) == -(-plan.num_batches(e) // depth)
-            for b in in_epoch:
-                if b.block.batch % depth:
-                    assert b.fallback.snapshot() == (0, 0, 0)
+            for la in in_epoch:
+                assert isinstance(la.account, TransferAccount)
+                if la.batch % depth:
+                    assert la.account.snapshot() == (0, 0, 0)
         # a window pulls the union of its batches' misses, never more rows
-        one = self.stream(setup, 1)
-        assert (sum(b.fallback.nodes_pulled for b in bundles)
-                <= sum(b.fallback.nodes_pulled for b in one))
+        _, one = self.items(setup, 1)
+        assert (sum(la.account.nodes_pulled for la in items)
+                <= sum(la.account.nodes_pulled for la in one))
 
 
 class TestPrefetcher:
     def test_in_order_and_complete(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(epoch0(plan, book, shard, client), depth=3)
+        pf = Prefetcher(run_ahead(plan, book, client), depth=3)
         seen = []
-        while (b := pf.next_bundle()) is not None:
-            seen.append(b.block.batch)
-        assert seen == list(range(plan.num_batches(0)))
+        while (la := pf.next_bundle()) is not None:
+            seen.append((la.epoch, la.batch))
+        assert seen == [(e, i) for e in range(plan.epochs)
+                        for i in range(plan.num_batches(e))]
         assert pf.next_bundle() is None  # exhausted stays exhausted
 
-    def test_bundles_match_synchronous_assembly(self, setup):
+    def test_rows_match_synchronous_assembly(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(epoch0(plan, book, shard, client), depth=2)
-        i = 0
-        while (b := pf.next_bundle()) is not None:
-            block, cache = plan.block(0, i), no_cache(shard)
+        pf = Prefetcher(run_ahead(plan, book, client), depth=2)
+        n = 0
+        for la in pf:
+            block, cache = plan.block(la.epoch, la.batch), no_cache(shard)
+            got = assemble_bundle(block, owner, 0, shard, cache, la.pulled)
             pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
                                  client)
-            ref = assemble_bundle(block, owner, 0, shard, cache, pulled, None)
-            assert np.array_equal(b.rows, ref.rows)
-            i += 1
+            ref = assemble_bundle(block, owner, 0, shard, cache, pulled)
+            assert np.array_equal(got.rows, ref.rows)
+            n += 1
+        assert n == sum(plan.num_batches(e) for e in range(plan.epochs))
 
     def test_bounded_runahead(self, setup):
         g, plan, book, owner, shard, client = setup
-        assembled = []
-        orig = shard.rows_for_local
-
-        def spy(ids):
-            assembled.append(1)
-            return orig(ids)
-
-        shard.rows_for_local = spy
-        pf = Prefetcher(epoch0(plan, book, shard, client), depth=2)
+        # at window 1 every batch with a remote input costs one sync pull
+        assert all((owner[ids] != 0).any() for ids in plan.input_sets[0][:4])
+        counting = CountingClient(client)
+        pf = Prefetcher(run_ahead(plan, book, counting), depth=2)
         deadline = time.monotonic() + 2
-        while len(assembled) < 3 and time.monotonic() < deadline:
+        while counting.calls < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
         time.sleep(0.2)  # producer should now be blocked on the full queue
-        # queue depth 2 plus the one bundle in the producer's hand
-        assert len(assembled) <= 3
+        # queue depth 2 plus the one item in the producer's hand
+        assert counting.calls == 3
         pf.drain()
-        shard.rows_for_local = orig
 
     def test_error_propagates_with_batch(self, setup):
         g, plan, book, owner, shard, client = setup
-
-        class Boom:
-            def sync_pull(self, ids, account=None):
-                raise ConnectionError("injected")
-
-        pf = Prefetcher(epoch0(plan, book, shard, Boom()), depth=2)
+        pf = Prefetcher(run_ahead(plan, book, CountingClient(client, fail_at=0)),
+                        depth=2)
         with pytest.raises(PrefetchError) as exc:
             while pf.next_bundle() is not None:
                 pass
         assert exc.value.batch == 0
+        assert "injected" in str(exc.value.__cause__)
         pf.drain()
 
     def test_error_batch_counts_from_run_start(self, setup):
         g, plan, book, owner, shard, client = setup
-        block = plan.block
-
-        def fail_in_epoch1(e, i):
-            if e == 1:
-                raise ConnectionError("injected")
-            return block(e, i)
-
-        plan.block = fail_in_epoch1
-        pf = Prefetcher(run_stream(plan, book, shard, client, no_cache(shard),
-                                   no_hot_sets(plan)), depth=2)
+        # at window 1 every batch of epoch 0 pulls once, so epoch 1's first
+        # pull is the pull with index num_batches(0)
+        assert all((owner[ids] != 0).any() for ids in plan.input_sets[0])
+        failing = CountingClient(client, fail_at=plan.num_batches(0))
+        pf = Prefetcher(run_ahead(plan, book, failing), depth=2)
+        seen = []
         with pytest.raises(PrefetchError) as exc:
-            for _ in pf:
-                pass
+            for la in pf:
+                seen.append((la.epoch, la.batch))
         assert exc.value.batch == plan.num_batches(0)
+        assert seen == [(0, i) for i in range(plan.num_batches(0))]
         pf.drain()
 
     def test_drain_idempotent_and_unblocks_producer(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(epoch0(plan, book, shard, client), depth=1)
+        pf = Prefetcher(run_ahead(plan, book, client), depth=1)
         pf.next_bundle()
         pf.drain()
         pf.drain()
         assert pf.next_bundle() is None
+        assert not pf._producer.is_alive()
 
     def test_bad_depth(self, setup):
         g, plan, book, owner, shard, client = setup
         with pytest.raises(ValueError):
-            Prefetcher(epoch0(plan, book, shard, client), depth=0)
+            Prefetcher(run_ahead(plan, book, client), depth=0)

@@ -54,19 +54,25 @@ def count_thread_starts(monkeypatch) -> list:
     return started
 
 
-def kill_shard_after(monkeypatch, part: int, n: int) -> list:
-    """Shard `part` serves `n` requests, then raises on every request.
+def kill_shard_after(monkeypatch, part: int, n: int, refuse=None) -> list:
+    """Shard `part` serves its first `n` requests of a message type in
+    `refuse` (every type when None), then raises on every later one;
+    it serves requests of other types throughout.
 
     Returns the message types of the requests it served.
     """
     handle = StoreShard.handle
     served = []
 
+    def counted(msg_type) -> bool:
+        return refuse is None or msg_type in refuse
+
     def dying(self, payload):
         if self.part == part:
-            if len(served) >= n:
+            msg_type = wire.decode_request(payload)[0]
+            if counted(msg_type) and sum(map(counted, served)) >= n:
                 raise RuntimeError("shard died")
-            served.append(wire.decode_request(payload)[0])
+            served.append(msg_type)
         return handle(self, payload)
 
     monkeypatch.setattr(StoreShard, "handle", dying)
@@ -304,15 +310,21 @@ class TestRun:
             for rec in r.records:
                 assert rec.cache_hits == 0
 
-    @pytest.mark.parametrize("over", [dict(n_hot=0), dict(partitions=1)])
-    def test_no_hot_set_starts_no_cache_builds(self, monkeypatch, over):
-        # nothing to turn over: per worker, its own thread and one producer
+    @pytest.mark.parametrize("over, fills", [
+        (dict(n_hot=0), 0), (dict(partitions=1), 0), ({}, SMALL["epochs"] - 1)])
+    def test_no_hot_set_starts_no_cache_builds(self, monkeypatch, over, fills):
+        # per worker, its own thread and one producer; with a hot set, the
+        # cache also turns over at each of the E - 1 epoch boundaries,
+        # each fill on a thread of its own
         started = count_thread_starts(monkeypatch)
         results = run(small_cfg(mode="rapid", **over))
-        assert len(started) == 2 * len(results)
+        assert len(started) == (2 + fills) * len(results)
         for r in results:
-            assert len(r.cache_keys) == 0
-            assert r.cache_fill.snapshot() == (0, 0, 0)
+            if fills:
+                assert len(r.cache_keys) > 0 and r.cache_fill.rpc_calls > 0
+            else:
+                assert len(r.cache_keys) == 0
+                assert r.cache_fill.snapshot() == (0, 0, 0)
 
     def test_dump_cache_keys(self, baseline_results):
         results = run(small_cfg(mode="rapid", epochs=2))
@@ -324,7 +336,7 @@ class TestRun:
     def test_one_stream_per_worker(self, monkeypatch):
         # each rapid worker builds one Prefetcher for the run's lookahead
         # pulls, which run on its producer thread, and every cache lookup
-        # and swap runs on the worker's own thread, which runs the stream
+        # and swap runs on the worker's own thread, which runs its loop
         made = []
         owners = set()
 
@@ -456,7 +468,11 @@ class TestRun:
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_rapid_run(self, monkeypatch):
-        served = kill_shard_after(monkeypatch, part=1, n=5)
+        # only worker 0's producer sync-pulls from shard 1, in plan order,
+        # so refusing sync pulls alone fixes which request fails first;
+        # the cache fills' vector pulls are served throughout
+        served = kill_shard_after(monkeypatch, part=1, n=5,
+                                  refuse={wire.MSG_SYNC_PULL})
         before = set(threading.enumerate())
         cfg = small_cfg(mode="rapid", transport="tcp")
         with pytest.raises(PrefetchError) as exc:
@@ -468,7 +484,20 @@ class TestRun:
         # batch, so the failing item is the first batch after the windows
         # the shard served
         windows = window_sizes(cfg)
+        assert served.count(wire.MSG_SYNC_PULL) == 5
         assert exc.value.batch == sum(windows[:served.count(wire.MSG_SYNC_PULL)])
+        assert set(threading.enumerate()) <= before
+
+    def test_dying_shard_fails_rapid_cache_fill(self, monkeypatch):
+        # shard 1 serves worker 0's steady fill, then refuses every vector
+        # pull: epoch 1's fill fails and the swap at its start ends the run
+        kill_shard_after(monkeypatch, part=1, n=1, refuse={wire.MSG_VECTOR_PULL})
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError,
+                           match="cache fill for epoch 1 failed") as exc:
+            run(small_cfg(mode="rapid", transport="tcp"))
+        assert isinstance(exc.value.__cause__, TransportError)
+        assert "shard died" in cause_chain(exc.value)
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_baseline_run(self, monkeypatch):
