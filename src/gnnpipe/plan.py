@@ -36,8 +36,10 @@ class BatchPlan:
     """The precomputed schedule: per-(epoch, batch) seed descriptors plus
     the materialized input-node sets.
 
-    Full blocks are re-derived on demand from (seeds, rng_seed); the
-    stored input_nodes make frequency counting cheap and back the digest.
+    Full blocks are re-derived on demand from (seeds, rng_seed); a run
+    derives each batch's block once, on one sampler thread, and every
+    worker trains on that block. The stored input_nodes make frequency
+    counting cheap and back the digest.
     """
 
     graph: Graph

@@ -9,15 +9,14 @@ window's first batch, none on the others. `assemble_bundle` gathers one
 batch's feature rows with no I/O: local shard reads, cache hits, and
 the cache misses taken from the window pulled for it. A cache with no
 rows, as in baseline mode, makes every remote row a miss. `Prefetcher`
-runs any iterator, such as a worker's run of lookahead pulls, on a
-single producer thread into a bounded queue of depth Q; the consumer,
-such as the worker's training loop taking one item per batch, takes the
-items strictly in order.
+runs any iterator on a single producer thread into a bounded ring of
+depth Q that k readers take from, each reader every item strictly in
+order: a worker's run of lookahead pulls with its training loop as the
+one reader, or the run's blocks with every worker as a reader.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -33,9 +32,9 @@ from .store import StoreClient, StoreShard, TransferAccount, find
 class PrefetchError(RuntimeError):
     """The prefetched iterator raised after yielding `batch` items.
 
-    `batch` counts from the start of the iterator; for a worker's run of
-    lookahead pulls, one item per batch, that is the batch's index in the
-    run, not in its epoch.
+    `batch` counts from the start of the iterator; for a run of
+    lookahead pulls or of blocks, one item per batch, that is the batch's
+    index in the run, not in its epoch.
     """
 
     def __init__(self, batch: int, cause: BaseException):
@@ -137,64 +136,84 @@ def assemble_bundle(
 
 
 class Prefetcher:
-    """Runs an iterator ahead of its consumer on one producer thread.
+    """Runs an iterator ahead of its `readers` consumers on one producer
+    thread; every reader takes every item, strictly in order.
 
-    At most `depth` items wait in the queue, plus the one the producer
-    holds while blocked on a full queue. Everything the iterator does
+    Items wait in a ring until every reader has taken them. At most
+    `depth` items wait there, plus the one the producer holds while the
+    slowest reader is `depth` items behind. Everything the iterator does
     runs on that thread.
     """
 
-    def __init__(self, items: Iterable, depth: int = 3):
+    def __init__(self, items: Iterable, depth: int = 3, readers: int = 1):
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._exhausted = False
+        if readers < 1:
+            raise ValueError("a prefetcher needs at least one reader")
+        self._depth = depth
+        self._cond = threading.Condition()
+        self._ring: dict[int, object] = {}  # item index -> item
+        self._next = [0] * readers  # each reader's next item index
+        self._made = 0  # items the iterator has yielded
+        self._done = False  # the iterator is exhausted or raised
+        self._error: BaseException | None = None  # what it raised at _made
+        self._closed = False
         self._producer = threading.Thread(target=self._produce, args=(items,),
                                           daemon=True)
         self._producer.start()
 
     def _produce(self, items: Iterable) -> None:
-        n = 0
+        error = None
         try:
             for item in items:
-                self._queue.put(item)
-                if self._stop.is_set():
-                    return
-                n += 1
-            self._queue.put(None)  # end-of-stream marker
-        except BaseException as exc:  # surfaced on the consumer side
-            self._queue.put(PrefetchError(n, exc))
+                with self._cond:
+                    while not self._closed and len(self._ring) >= self._depth:
+                        self._cond.wait()
+                    if self._closed:
+                        return
+                    self._ring[self._made] = item
+                    self._made += 1
+                    self._cond.notify_all()
+        except BaseException as exc:  # surfaced on the readers' side
+            error = exc
+        with self._cond:
+            self._done, self._error = True, error
+            self._cond.notify_all()
+
+    def take(self, reader: int):
+        """Block for `reader`'s next in-order item; None once the iterator
+        is done or the prefetcher is closed. Raises `PrefetchError` at the
+        item the iterator raised on, and at every later take."""
+        with self._cond:
+            n = self._next[reader]
+            while not self._closed and n == self._made and not self._done:
+                self._cond.wait()
+            if self._closed:
+                return None
+            if n < self._made:
+                item = self._ring[n]
+                self._next[reader] = n + 1
+                if min(self._next) > n:  # every reader has taken it
+                    del self._ring[n]
+                    self._cond.notify_all()
+                return item
+            if self._error is not None:
+                raise PrefetchError(n, self._error)
+            return None
 
     def next_bundle(self):
-        """Block for the next in-order item; None once the iterator is done."""
-        if self._exhausted:
-            return None
-        item = self._queue.get()
-        if item is None:
-            self._exhausted = True
-            return None
-        if isinstance(item, PrefetchError):
-            self._exhausted = True
-            raise item
-        return item
+        """The only reader's next item; None once the iterator is done."""
+        return self.take(0)
 
     def __iter__(self) -> Iterator:
         while (item := self.next_bundle()) is not None:
             yield item
 
-    def drain(self) -> None:
-        """Stop the producer and discard anything buffered; idempotent.
-
-        Once the queue is emptied the producer puts at most one more
-        item before it sees `_stop`, so its puts never block and the
-        join returns.
-        """
-        self._stop.set()
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
+    def close(self) -> None:
+        """Stop the producer, drop every waiting item and wake every
+        waiter; idempotent. Every later take returns None."""
+        with self._cond:
+            self._closed = True
+            self._ring.clear()
+            self._cond.notify_all()
         self._producer.join()
-        self._exhausted = True

@@ -1,9 +1,13 @@
 """End-to-end runner: partition, plan, caches, prefetch, SGD loop, metrics.
 
 Each worker runs one loop over the plan's epochs and batches on its own
-thread. For each batch it takes the batch's `Lookahead`, samples the
-block, assembles its feature rows and trains; at each epoch boundary it
-turns the cache over. So only that thread looks up or swaps the cache.
+thread. For each batch it takes the batch's `Lookahead` and its block,
+assembles its feature rows and trains; at each epoch boundary it turns
+the cache over. So only that thread looks up or swaps the cache. A
+block is a pure function of (epoch, batch), so the run samples each one
+once: one sampler thread, a `Prefetcher` with every worker as a reader,
+derives the blocks in plan order, at most _BLOCK_DEPTH ahead of the
+slowest worker, and hands each worker the same read-only block.
 Before training, each worker chooses every epoch's hot set once
 (`cache.epoch_hot_sets`); the first cache fill, the lookahead and the
 turnover all read that list. The cache misses of every batch come from
@@ -49,10 +53,15 @@ from .partition import (PartitionBook, halo_expand, load_partition,
 from .plan import BatchPlan, collect_access, generate_plan
 from .prefetch import Lookahead, Prefetcher, assemble_bundle, pull_window
 from .rng import mix64
+from .sampler import ComputationBlock
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
 
 _PARAM_SEED_TAG = 0x70617261
+# blocks the sampler may run ahead of the slowest worker; on a 2-vCPU VM
+# the two replay workers waited on it 430-570 ms per run at depth 2 and
+# 150-390 ms at depth 8
+_BLOCK_DEPTH = 8
 
 
 @dataclass
@@ -238,6 +247,17 @@ def _lookahead(
             del pulled  # the window's rows live as long as its Lookaheads
 
 
+def _plan_blocks(plan: BatchPlan) -> Iterator[ComputationBlock]:
+    """Every batch's block in plan order, its arrays read-only, since
+    every worker trains on the same block object."""
+    for e in range(plan.epochs):
+        for i in range(plan.num_batches(e)):
+            block = plan.block(e, i)
+            for a in (*block.frontiers, *itertools.chain(*block.hops)):
+                a.setflags(write=False)
+            yield block
+
+
 def _run_worker(
     part: int,
     g: Graph,
@@ -246,16 +266,18 @@ def _run_worker(
     shard: StoreShard,
     client: StoreClient,
     cfg: RunConfig,
-    stop: threading.Event,
+    blocks: Prefetcher,
 ) -> WorkerResult:
-    """Train worker `part` over the whole plan; raise once `stop` is set,
-    checked before every batch.
+    """Train worker `part` over the whole plan; raise once `blocks` is
+    closed, which a take before every batch sees.
 
-    Each batch takes its cache misses from its `Lookahead`. When any
-    epoch has hot nodes the cache turns over at the start of every epoch
-    e, inside its timed region: e swaps in the fill started during e-1,
-    then starts filling e+1's hot set, charged to `fill`. The lookahead
-    pulled e's misses for e's hot set, so a failed fill raises.
+    Each batch takes its block from `blocks`, the run's one sampled
+    stream, as reader `part`, so it samples nothing itself, and its
+    cache misses from its `Lookahead`. When any epoch has hot nodes the
+    cache turns over at the start of every epoch e, inside its timed
+    region: e swaps in the fill started during e-1, then starts filling
+    e+1's hot set, charged to `fill`. The lookahead pulled e's misses
+    for e's hot set, so a failed fill raises.
     """
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
                                len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG))
@@ -292,12 +314,13 @@ def _run_worker(
             hits = misses = 0
             pulled = TransferAccount()
             for i in range(plan.num_batches(e)):
-                if stop.is_set():
+                block = blocks.take(part)
+                if block is None:
                     raise RuntimeError(f"worker {part} stopped: another "
                                        f"worker failed")
                 la = next(ahead)
-                bundle = assemble_bundle(plan.block(e, i), book.owner, part,
-                                         shard, fcache, la.pulled)
+                bundle = assemble_bundle(block, book.owner, part, shard,
+                                         fcache, la.pulled)
                 loss, grads = model.loss_and_grad(bundle.block, bundle.rows,
                                                   g.labels, params)
                 params = model.sgd_step(params, grads, cfg.lr)
@@ -321,7 +344,7 @@ def _run_worker(
             ))
     finally:
         if pf is not None:
-            pf.drain()
+            pf.close()
         fcache.wait_secondary()
     return WorkerResult(
         part=part,
@@ -363,7 +386,9 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
 
     Pins numpy's OpenBLAS to one thread first, so the parameters do not
     depend on `OPENBLAS_NUM_THREADS`. The pin holds for the whole
-    process, not only this call, and is not undone.
+    process, not only this call, and is not undone. One sampler thread
+    then derives every batch's block once for all the workers; the first
+    worker to fail closes its stream, which wakes the others.
     """
     cfg.validate()
     blas = _openblas_threads()
@@ -386,7 +411,6 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
 
     results: list[WorkerResult | None] = [None] * book.k
     errors: list[BaseException] = []  # in the order the workers failed
-    stop = threading.Event()  # set after the first worker error is recorded
 
     def worker(p: int) -> None:
         client = StoreClient(book.owner, [], g.feat_dim)
@@ -394,13 +418,14 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
             for q in range(book.k):
                 client.transports.append(connect(q))
             results[p] = _run_worker(p, g, book, plan, shards[p], client, cfg,
-                                     stop)
+                                     blocks)
         except BaseException as exc:
             errors.append(exc)
-            stop.set()
+            blocks.close()
         finally:
             client.close()
 
+    blocks = Prefetcher(_plan_blocks(plan), _BLOCK_DEPTH, book.k)
     try:
         if cfg.transport == "tcp":
             for s in shards:
@@ -412,6 +437,7 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
         for t in threads:
             t.join()
     finally:
+        blocks.close()
         for srv in servers:
             srv.close()
     if errors:

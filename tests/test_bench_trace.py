@@ -63,6 +63,8 @@ def test_traced_run_fits_the_wrappers(tmp_path):
     metrics, _ = layers.layer_metrics(spans, facts)
     assert set(metrics) == set(layers.PER_LAYER) - {"trace.overhead_pct"}
     assert metrics["train.batch_visits_per_plan_batch"] == len(results)
+    # the run samples each plan batch once, for every worker
+    assert metrics["sampler.calls_per_trained_batch"] == 1.0
     # evaluation shares the layers but not `_forward_pass`, so every
     # `model.forward` span is one training step's forward
     names = [s.name for s in spans]

@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 
 import numpy as np
@@ -209,7 +211,7 @@ class TestPrefetcher:
         time.sleep(0.2)  # producer should now be blocked on the full queue
         # queue depth 2 plus the one item in the producer's hand
         assert counting.calls == 3
-        pf.drain()
+        pf.close()
 
     def test_error_propagates_with_batch(self, setup):
         g, plan, book, owner, shard, client = setup
@@ -220,7 +222,7 @@ class TestPrefetcher:
                 pass
         assert exc.value.batch == 0
         assert "injected" in str(exc.value.__cause__)
-        pf.drain()
+        pf.close()
 
     def test_error_batch_counts_from_run_start(self, setup):
         g, plan, book, owner, shard, client = setup
@@ -235,14 +237,14 @@ class TestPrefetcher:
                 seen.append((la.epoch, la.batch))
         assert exc.value.batch == plan.num_batches(0)
         assert seen == [(0, i) for i in range(plan.num_batches(0))]
-        pf.drain()
+        pf.close()
 
-    def test_drain_idempotent_and_unblocks_producer(self, setup):
+    def test_close_idempotent_and_unblocks_producer(self, setup):
         g, plan, book, owner, shard, client = setup
         pf = Prefetcher(run_ahead(plan, book, client), depth=1)
         pf.next_bundle()
-        pf.drain()
-        pf.drain()
+        pf.close()
+        pf.close()
         assert pf.next_bundle() is None
         assert not pf._producer.is_alive()
 
@@ -250,3 +252,97 @@ class TestPrefetcher:
         g, plan, book, owner, shard, client = setup
         with pytest.raises(ValueError):
             Prefetcher(run_ahead(plan, book, client), depth=0)
+        with pytest.raises(ValueError):
+            Prefetcher(run_ahead(plan, book, client), readers=0)
+
+
+def wait_for(cond, seconds=2.0):
+    deadline = time.monotonic() + seconds
+    while not cond() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.1)  # let the producer go on if it is not blocked
+
+
+class Counted:
+    """Yields 0, 1, ... up to `n`, counting the items made; raises
+    ValueError after `fail_after` items, if given."""
+
+    def __init__(self, n, fail_after=None):
+        self.n, self.fail_after = n, fail_after
+        self.made = 0
+
+    def __iter__(self):
+        for x in range(self.n):
+            if x == self.fail_after:
+                raise ValueError("injected")
+            self.made += 1
+            yield x
+
+
+def take_all(pf, reader, out):
+    while (item := pf.take(reader)) is not None:
+        out.append(item)
+
+
+class TestSharedPrefetcher:
+    def test_every_reader_takes_every_item(self):
+        # more readers than cores and a short switch interval, so a lost
+        # update to the ring or a reader's position would show
+        items = [object() for _ in range(400)]
+        pf = Prefetcher(iter(items), depth=2, readers=5)
+        seen = [[] for _ in range(5)]
+        threads = [threading.Thread(target=take_all, args=(pf, r, seen[r]))
+                   for r in range(5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in seen:
+            assert len(got) == len(items)
+            assert all(a is b for a, b in zip(got, items))
+        assert pf._ring == {}  # every item dropped once all readers took it
+        pf.close()
+
+    def test_slowest_reader_bounds_the_producer(self):
+        src = Counted(10)
+        pf = Prefetcher(src, depth=2, readers=2)
+        assert [pf.take(0), pf.take(0)] == [0, 1]
+        wait_for(lambda: src.made >= 3)
+        # reader 1 has taken nothing: the ring holds 2, the producer 1 more
+        assert src.made == 3
+        assert pf.take(1) == 0
+        wait_for(lambda: src.made >= 4)
+        assert src.made == 4
+        assert [pf.take(0), pf.take(1), pf.take(1)] == [2, 1, 2]
+        pf.close()
+        assert not pf._producer.is_alive()
+
+    def test_error_reaches_every_reader(self):
+        pf = Prefetcher(Counted(10, fail_after=3), depth=4, readers=2)
+        for r in range(2):
+            assert [pf.take(r) for _ in range(3)] == [0, 1, 2]
+            for _ in range(2):  # and again at every later take
+                with pytest.raises(PrefetchError, match="item 3") as exc:
+                    pf.take(r)
+                assert exc.value.batch == 3
+                assert isinstance(exc.value.__cause__, ValueError)
+        pf.close()
+
+    def test_close_wakes_a_waiting_reader(self):
+        # reader 1 never reads, so reader 0 waits once it is `depth` ahead
+        pf = Prefetcher(Counted(10), depth=2, readers=2)
+        seen = []
+        reader = threading.Thread(target=take_all, args=(pf, 0, seen))
+        reader.start()
+        wait_for(lambda: len(seen) >= 2)
+        assert seen == [0, 1] and reader.is_alive()
+        pf.close()
+        reader.join(10)
+        assert not reader.is_alive() and not pf._producer.is_alive()
+        assert pf.take(1) is None

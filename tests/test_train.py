@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from gnnpipe import cache, model, train, wire
+from gnnpipe import cache, model, plan, train, wire
 from gnnpipe.graph import save_graph, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
 from gnnpipe.prefetch import PrefetchError
@@ -313,12 +313,12 @@ class TestRun:
     @pytest.mark.parametrize("over, fills", [
         (dict(n_hot=0), 0), (dict(partitions=1), 0), ({}, SMALL["epochs"] - 1)])
     def test_no_hot_set_starts_no_cache_builds(self, monkeypatch, over, fills):
-        # per worker, its own thread and one producer; with a hot set, the
-        # cache also turns over at each of the E - 1 epoch boundaries,
-        # each fill on a thread of its own
+        # one sampler per run; per worker, its own thread and one
+        # producer; with a hot set, the cache also turns over at each of
+        # the E - 1 epoch boundaries, each fill on a thread of its own
         started = count_thread_starts(monkeypatch)
         results = run(small_cfg(mode="rapid", **over))
-        assert len(started) == (2 + fills) * len(results)
+        assert len(started) == 1 + (2 + fills) * len(results)
         for r in results:
             if fills:
                 assert len(r.cache_keys) > 0 and r.cache_fill.rpc_calls > 0
@@ -334,17 +334,16 @@ class TestRun:
         assert all(r.cache_keys is None for r in baseline_results)
 
     def test_one_stream_per_worker(self, monkeypatch):
-        # each rapid worker builds one Prefetcher for the run's lookahead
-        # pulls, which run on its producer thread, and every cache lookup
-        # and swap runs on the worker's own thread, which runs its loop
-        made = []
-        owners = set()
+        # the run builds one Prefetcher for its blocks, and each rapid
+        # worker one for the run's lookahead pulls, which run on its
+        # producer thread; every cache lookup and swap runs on the
+        # worker's own thread, which runs its loop
+        made = {}  # Prefetcher -> the thread that built it
 
         class Spy(train.Prefetcher):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                made.append(self)
-                owners.add(threading.current_thread())
+                made[self] = threading.current_thread()
 
         callers = {"lookup": set(), "swap": set(), "sync_pull": set()}
         for cls, name in ((cache.FeatureCache, "lookup"),
@@ -355,23 +354,22 @@ class TestRun:
                 _seen.add(threading.current_thread())
                 return _orig(self, *args, **kwargs)
             monkeypatch.setattr(cls, name, spy)
-        started = []
-        start = threading.Thread.start
-
-        def count_start(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", count_start)
+        started = count_thread_starts(monkeypatch)
         monkeypatch.setattr(train, "Prefetcher", Spy)
         run(small_cfg(mode="rapid"))
-        producers = {pf._producer for pf in made}
-        assert len(made) == 2 and len(producers) == 2 and len(owners) == 2
+        main = threading.current_thread()
+        samplers = [pf for pf, by in made.items() if by is main]
+        lookaheads = [pf for pf, by in made.items() if by is not main]
+        owners = {made[pf] for pf in lookaheads}
+        producers = {pf._producer for pf in lookaheads}
+        assert len(samplers) == 1
+        assert len(lookaheads) == 2 and len(producers) == 2 and len(owners) == 2
         assert callers["lookup"] == owners
         assert callers["swap"] == owners
         assert callers["sync_pull"] == producers
-        # per worker: its own thread, one producer and E - 1 cache builds
-        assert len(started) == 2 * (1 + SMALL["epochs"])
+        # one sampler; per worker: its own thread, one producer and E - 1
+        # cache builds
+        assert len(started) == 1 + 2 * (1 + SMALL["epochs"])
 
     def test_failed_run_leaves_no_thread(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -436,6 +434,94 @@ class TestRun:
             run(small_cfg(mode="rapid", transport="tcp"))
         (first,) = [t for me, t in opened if me is failed[0]]
         assert first._sock.fileno() == -1  # closed
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("mode", ["rapid", "baseline"])
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_each_block_sampled_once(self, monkeypatch, mode, partitions):
+        sampled = []
+        block = plan.BatchPlan.block
+
+        def counting(self, e, i):
+            sampled.append((e, i))
+            return block(self, e, i)
+
+        monkeypatch.setattr(plan.BatchPlan, "block", counting)
+        cfg = small_cfg(mode=mode, partitions=partitions)
+        results = run(cfg)
+        assert len(results) == partitions
+        assert sampled == [(e, i) for e in range(cfg.epochs)
+                           for i in range(batches_per_epoch(cfg))]
+
+    def test_workers_share_read_only_blocks(self, monkeypatch):
+        trained = {}  # worker thread -> the blocks it trained on
+        loss_and_grad = model.loss_and_grad
+
+        def keeping(block, *args, **kwargs):
+            trained.setdefault(threading.current_thread(), []).append(block)
+            return loss_and_grad(block, *args, **kwargs)
+
+        monkeypatch.setattr(model, "loss_and_grad", keeping)
+        run(small_cfg(mode="rapid"))
+        first, second = trained.values()
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+        for block in first:
+            arrays = [*block.frontiers, *(a for hop in block.hops for a in hop)]
+            assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0].hops[0][0][0] = 0
+
+    def test_failing_worker_wakes_the_one_waiting_on_blocks(self, monkeypatch):
+        # worker 0 fails at a mid-epoch batch once worker 1 has trained
+        # every block the sampler may make ahead of worker 0; worker 1
+        # then waits on the block stream until worker 0's failure ends it
+        cfg = small_cfg(mode="rapid")
+        n = batches_per_epoch(cfg)
+        failing = n + 2  # run index of (epoch 1, batch 2)
+        last = failing + train._BLOCK_DEPTH
+        assert last + 1 < cfg.epochs * n
+        reached = threading.Event()
+        assembled = {0: [], 1: []}
+        assemble = train.assemble_bundle
+
+        def failing_worker(block, owner, part, *args):
+            at = block.epoch * n + block.batch
+            assembled[part].append(at)
+            if part == 1 and at == last:
+                reached.set()
+            if part == 0 and at == failing:
+                if not reached.wait(10):
+                    raise TimeoutError("worker 1 never caught up")
+                time.sleep(0.2)  # worker 1 trains `last` and waits for more
+                raise RuntimeError("worker 0 injected")
+            return assemble(block, owner, part, *args)
+
+        monkeypatch.setattr(train, "assemble_bundle", failing_worker)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="worker 0 injected"):
+            run(cfg)
+        assert assembled[1] == list(range(last + 1))
+        assert set(threading.enumerate()) <= before
+
+    def test_failed_sampling_fails_every_worker(self, monkeypatch):
+        block = plan.BatchPlan.block
+
+        def failing(self, e, i):
+            if (e, i) == (1, 3):
+                raise ValueError("injected sampling error")
+            return block(self, e, i)
+
+        monkeypatch.setattr(plan.BatchPlan, "block", failing)
+        cfg = small_cfg(mode="rapid")
+        before = set(threading.enumerate())
+        with pytest.raises(PrefetchError) as exc:
+            run(cfg)
+        item = batches_per_epoch(cfg) + 3
+        assert exc.value.batch == item
+        assert f"item {item}" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ValueError)
+        assert "injected sampling error" in str(exc.value.__cause__)
         assert set(threading.enumerate()) <= before
 
     @pytest.mark.parametrize("mode", ["rapid", "baseline"])
