@@ -4,12 +4,12 @@ Per layer: h_v' = relu(W_self h_v + W_neigh mean_{u in N(v)} h_u + b),
 with the relu dropped on the output layer; an empty N(v) has a zero
 mean. Training and evaluation run the same layers over one CSR triple
 per layer: a block's hop as the sampler emits it, or the graph's own
-lists. A forward neighbor sum is a unit-weight CSR product; the backward
-repeats each row's gradient once per entry of its CSR row and adds them
-with np.add.at on flat 1-D views. Each adds the terms one by one from
-zero in the order listed, and a block's rows list their sources in
-ascending order, so every neighbor sum is bit-reproducible; the
-baseline/pipelined mode-equivalence guarantee rests on that. The
+lists. A forward neighbor sum is a unit-weight CSR product; the
+backward is one unit-weight CSC product, the forward operator
+transposed beside the self-row selection. Each adds the terms one by
+one from zero in the order listed, and a block's rows list their
+sources in ascending order, so every neighbor sum is bit-reproducible;
+the baseline/pipelined mode-equivalence guarantee rests on that. The
 weight gradients (`h.T @ dz`) sum over thousands of block rows, and a
 multi-threaded BLAS splits that sum across threads, so their bits also
 depend on the BLAS thread count; `train.run()` pins numpy's OpenBLAS
@@ -57,14 +57,6 @@ def init_params(feat_dim: int, hidden_dim: int, num_classes: int,
             bias=np.zeros(d_out, dtype=dtype),
         ))
     return params
-
-
-def _scatter_add(out: np.ndarray, pos: np.ndarray, rows: np.ndarray) -> None:
-    """out[pos[e]] += rows[e] for each e in turn, on flat views of
-    C-contiguous 2-D arrays, so numpy's 1-D np.add.at fast path applies."""
-    width = out.shape[1]
-    flat = (pos[:, None] * width + np.arange(width)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, rows.reshape(-1))
 
 
 def _layers(h: np.ndarray, params: list[LayerParams], hops):
@@ -136,13 +128,17 @@ def loss_and_grad(block: ComputationBlock, rows: np.ndarray, labels: np.ndarray,
             bias=dz.sum(axis=0),
         )
         if l > 0:
-            dh = np.zeros(h.shape, dtype=h.dtype)
-            # self_pos is unique, so this adds each row once onto zeros
-            dh[self_pos] += dz @ p.w_self.T
-            dmean = dz @ p.w_neigh.T
-            _scatter_add(dh, src_pos,
-                         np.repeat(dmean / denom, np.diff(indptr), axis=0))
-            dz = dh
+            # Column i sends row i's self term to h[self_pos[i]], column
+            # n + i its neighbor terms to h[src_pos[indptr[i]:indptr[i+1]]].
+            # The product adds column by column: each input row gets its
+            # self term first, then its neighbor terms in edge order.
+            n = len(indptr) - 1
+            back = sp.csc_array(
+                (np.ones(n + len(src_pos), h.dtype),
+                 np.concatenate([self_pos, src_pos]),
+                 np.concatenate([np.arange(n), n + indptr])),
+                shape=(len(h), 2 * n))
+            dz = back @ np.vstack([dz @ p.w_self.T, (dz @ p.w_neigh.T) / denom])
     return loss, grads  # type: ignore[return-value]
 
 

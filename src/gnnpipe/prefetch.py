@@ -45,7 +45,6 @@ class PrefetchError(RuntimeError):
 
 @dataclass
 class FeatureBundle:
-    block: ComputationBlock
     rows: np.ndarray  # |input_nodes| x feat_dim, aligned to input_nodes
     n_cache_hit: int
     n_fallback: int
@@ -128,7 +127,6 @@ def assemble_bundle(
     miss_pos = remote_pos[~hit]
     rows[miss_pos] = pulled.take(ids[miss_pos])
     return FeatureBundle(
-        block=block,
         rows=rows,
         n_cache_hit=len(hit_rows),
         n_fallback=len(miss_pos),

@@ -321,8 +321,8 @@ def _run_worker(
                 la = next(ahead)
                 bundle = assemble_bundle(block, book.owner, part, shard,
                                          fcache, la.pulled)
-                loss, grads = model.loss_and_grad(bundle.block, bundle.rows,
-                                                  g.labels, params)
+                loss, grads = model.loss_and_grad(block, bundle.rows, g.labels,
+                                                  params)
                 params = model.sgd_step(params, grads, cfg.lr)
                 loss_sum += loss
                 hits += bundle.n_cache_hit

@@ -7,7 +7,7 @@ from gnnpipe.graph import sorted_unique, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import (FrequencyTable, collect_access, generate_plan,
                           top_hot)
-from gnnpipe.train import RunConfig
+from gnnpipe.train import RunConfig, run
 
 
 @pytest.fixture(scope="module")
@@ -138,14 +138,16 @@ def test_skewed_access_histogram(small_graph):
     assert share >= 0.25
 
 
+# The graph and model of the benchmark's remote workloads.
+REMOTE_MODEL = dict(gen_nodes=3000, gen_edges_per_node=3, feat_dim=16,
+                    num_classes=4, batch_size=32, fanouts=[5, 10], hidden_dim=16)
+
 # The replay config and the remote config of the benchmark, with the
 # edge-cut owner digest (blake2b-8 of the owner array as <i8) and the plan
 # digest the program has always produced for them.
 PINNED = [
     (RunConfig(), "ba387ee1fcb85f85", "31a0e51d3b2d9a8c"),
-    (RunConfig(gen_nodes=3000, gen_edges_per_node=3, feat_dim=16, num_classes=4,
-               batch_size=32, fanouts=[5, 10]),
-     "b742876f4534a2d6", "55982d0d85e0b0cd"),
+    (RunConfig(**REMOTE_MODEL), "b742876f4534a2d6", "55982d0d85e0b0cd"),
 ]
 
 
@@ -160,3 +162,26 @@ def test_pinned_config_digests(cfg, owner_digest, plan_digest):
     plan = generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
                          cfg.batch_size, cfg.epochs, cfg.s0)
     assert plan.digest_hex() == plan_digest
+
+
+# The params digest (blake2b-8 over each layer's w_self, w_neigh and bias
+# bytes) every worker ends a run of the benchmark's replay and remote
+# configs with, at no latency; baseline and rapid train bit-identically.
+PINNED_PARAMS = [
+    (RunConfig(), "e472956e68a32da6"),
+    (RunConfig(**REMOTE_MODEL, mode="rapid"), "6110f5b6fe925eb6"),
+    (RunConfig(**REMOTE_MODEL, mode="baseline"), "6110f5b6fe925eb6"),
+]
+
+
+@pytest.mark.parametrize("cfg, params_digest", PINNED_PARAMS,
+                         ids=["replay", "remote-rapid", "remote-baseline"])
+def test_pinned_params_digests(cfg, params_digest):
+    results = run(cfg)
+    assert len(results) == cfg.partitions
+    for r in results:
+        h = hashlib.blake2b(digest_size=8)
+        for p in r.params:
+            for a in (p.w_self, p.w_neigh, p.bias):
+                h.update(a.tobytes())
+        assert h.hexdigest() == params_digest, f"worker {r.part}"

@@ -133,12 +133,15 @@ class TestLookaheadStream:
         return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets, window))
 
     def bundles(self, setup, window):
-        """Every batch's bundle, each epoch against a cache of its hot set."""
+        """Every batch's block and bundle, each epoch against a cache of its
+        hot set."""
         g, plan, book, owner, shard, client = setup
         hot_sets, items = self.items(setup, window)
         caches = [build_steady(hot, client) for hot in hot_sets]
-        return [assemble_bundle(plan.block(la.epoch, la.batch), owner, 0, shard,
-                                caches[la.epoch], la.pulled) for la in items]
+        blocks = [plan.block(la.epoch, la.batch) for la in items]
+        return [(block, assemble_bundle(block, owner, 0, shard,
+                                        caches[la.epoch], la.pulled))
+                for block, la in zip(blocks, items)]
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_rows_bit_identical_to_depth_one(self, setup, depth):
@@ -146,9 +149,9 @@ class TestLookaheadStream:
         one, windowed = self.bundles(setup, 1), self.bundles(setup, depth)
         assert len(one) == len(windowed) == sum(
             plan.num_batches(e) for e in range(plan.epochs))
-        for a, b in zip(one, windowed):
-            assert (a.block.epoch, a.block.batch) == (b.block.epoch, b.block.batch)
-            assert np.array_equal(b.rows, g.features[b.block.input_nodes])
+        for (block_a, a), (block, b) in zip(one, windowed):
+            assert (block_a.epoch, block_a.batch) == (block.epoch, block.batch)
+            assert np.array_equal(b.rows, g.features[block.input_nodes])
             assert np.array_equal(a.rows, b.rows)
             assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
 
