@@ -3,20 +3,19 @@
 The precomputed plan fixes every epoch's remote accesses, so
 `epoch_hot_sets` chooses each epoch's hot set once, before training:
 the epoch's n_hot most-accessed remote nodes. A cache serves lookups for
-the current epoch while a background thread pulls the next epoch's
-rows; `swap` at the epoch boundary joins that thread and installs them.
-One thread, the worker's own, which runs its training loop, calls
-`lookup`, `start_secondary_build` and `swap`; the fill thread only
-pulls. A failed fill raises its exception from `swap` and leaves the
-current rows installed. A cache built from no hot ids holds no rows and
-answers every lookup with misses; baseline mode uses one. The cache
-keeps no hit or miss counters; each lookup's split is returned to the
-caller, which counts per batch.
+the current epoch while the lookahead's producer stages later epochs'
+rows in order; `swap`, on the worker's thread at the epoch boundary,
+installs the oldest. A failed fill raises its exception from `swap` and
+leaves the current rows installed. A cache built from no hot ids holds
+no rows and answers every lookup with misses; baseline mode uses one.
+The cache keeps no hit or miss counters; each lookup's split is
+returned to the caller, which counts per batch.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 import numpy as np
 
@@ -38,8 +37,8 @@ class FeatureCache:
     def __init__(self, hot_ids: np.ndarray, rows: np.ndarray):
         self.hot_ids = hot_ids  # sorted ascending
         self.rows = rows
-        self._builder: threading.Thread | None = None
-        self._filled: tuple[np.ndarray, np.ndarray] | Exception | None = None
+        self._staged = deque()  # (hot_ids, rows) or what the fill raised
+        self._cond = threading.Condition()
 
     def lookup(self, node_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`(hit, rows)`: a mask over the request of the ids the cache
@@ -53,36 +52,33 @@ class FeatureCache:
         client: StoreClient,
         fill_account: TransferAccount | None = None,
     ) -> None:
-        """Start pulling the next epoch's rows, `hot_ids` sorted
-        ascending, on a background thread; `swap` installs them."""
+        """Pull a later epoch's rows, `hot_ids` sorted ascending, and
+        stage them, or what the pull raised, behind the fills staged."""
         hot_ids = np.asarray(hot_ids, dtype=np.int64)
-
-        def _fill() -> None:
-            try:
-                self._filled = (hot_ids, client.vector_pull(hot_ids, fill_account))
-            except Exception as exc:  # raised again by swap()
-                self._filled = exc
-
-        self._builder = threading.Thread(target=_fill, daemon=True)
-        self._builder.start()
+        try:
+            filled = (hot_ids, client.vector_pull(hot_ids, fill_account))
+        except BaseException as exc:  # raised again by swap()
+            filled = exc
+        with self._cond:
+            self._staged.append(filled)
+            self._cond.notify()
 
     def wait_secondary(self) -> None:
-        """Block until an in-flight fill finishes (bounded work)."""
-        if self._builder is not None:
-            self._builder.join()
-            self._builder = None
+        """Block until a fill is staged."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._staged)
 
     def swap(self) -> None:
-        """Close the epoch: wait for the fill `start_secondary_build`
-        started, then install its rows.
+        """Close the epoch: install the oldest staged fill, waiting for
+        one if none is staged yet.
 
         Waiting here makes the next epoch's hot set independent of thread
         timing. A failed fill raises its exception and leaves the current
         rows installed.
         """
         self.wait_secondary()
-        filled, self._filled = self._filled, None
-        if isinstance(filled, Exception):
+        filled = self._staged.popleft()  # only this thread pops
+        if isinstance(filled, BaseException):
             raise filled
         self.hot_ids, self.rows = filled
 

@@ -2,19 +2,19 @@
 
 Each worker runs one loop over the plan's epochs and batches on its own
 thread. For each batch it takes the batch's `Lookahead` and its block,
-assembles its feature rows and trains; at each epoch boundary it turns
-the cache over. So only that thread looks up or swaps the cache. A
-block is a pure function of (epoch, batch), so the run samples each one
-once: one sampler thread, a `Prefetcher` with every worker as a reader,
-derives the blocks in plan order, at most _BLOCK_DEPTH ahead of the
-slowest worker, and hands each worker the same read-only block.
-Before training, each worker chooses every epoch's hot set once
-(`cache.epoch_hot_sets`); the first cache fill, the lookahead and the
-turnover all read that list. The cache misses of every batch come from
-the run's lookahead, which pulls the misses of each window of
-consecutive batches in one request; the plan fixes every batch's input
-nodes and every epoch's hot set, so the lookahead never waits for the
-loop. The mode decides three things only: the size of the worker's
+assembles its feature rows and trains; at each epoch boundary it swaps
+in the cache fill the lookahead staged. So only that thread looks up or
+swaps the cache. A block is a pure function of (epoch, batch), so the
+run samples each one once: one sampler thread, a `Prefetcher` with every
+worker as a reader, derives the blocks in plan order, at most
+_BLOCK_DEPTH ahead of the slowest worker, and hands each worker the same
+read-only block. Before training, each worker chooses every epoch's hot
+set once (`cache.epoch_hot_sets`); the first cache fill and the
+lookahead read that list. The lookahead fills each later epoch's cache
+just before its first window and pulls the cache misses of each window
+of consecutive batches in one request; the plan fixes every batch's
+input nodes and every epoch's hot set, so the lookahead never waits for
+the loop. The mode decides three things only: the size of the worker's
 hot-node cache, how many batches a window holds, and whether a
 prefetcher runs the lookahead. `rapid` caches each epoch's n_hot
 most-accessed remote nodes, pulls windows of Q = prefetch_depth batches
@@ -224,8 +224,11 @@ def _lookahead(
     client: StoreClient,
     hot_sets: list[np.ndarray],
     window: int,
+    fcache: cache_mod.FeatureCache | None = None,
+    fill: TransferAccount | None = None,
 ) -> Iterator[Lookahead]:
-    """One `Lookahead` per batch of the run, in plan order.
+    """One `Lookahead` per batch, in plan order; with `fcache`, each epoch
+    e >= 1 first stages its hot set's rows there, charged to `fill`.
 
     Each epoch's batches go in windows of `window` consecutive batches;
     a window never crosses an epoch boundary. The cache misses of a
@@ -235,6 +238,8 @@ def _lookahead(
     batch; the others carry an empty account.
     """
     for e in range(plan.epochs):
+        if fcache is not None and e > 0:
+            fcache.start_secondary_build(hot_sets[e], client, fill)
         n = plan.num_batches(e)
         for first in range(0, n, window):
             batches = range(first, min(first + window, n))
@@ -273,11 +278,11 @@ def _run_worker(
 
     Each batch takes its block from `blocks`, the run's one sampled
     stream, as reader `part`, so it samples nothing itself, and its
-    cache misses from its `Lookahead`. When any epoch has hot nodes the
-    cache turns over at the start of every epoch e, inside its timed
-    region: e swaps in the fill started during e-1, then starts filling
-    e+1's hot set, charged to `fill`. The lookahead pulled e's misses
-    for e's hot set, so a failed fill raises.
+    cache misses from its `Lookahead`. When any epoch has hot nodes, each
+    epoch e >= 1 starts, inside its timed region, by swapping in the fill
+    the lookahead's producer staged for it; only the producer writes
+    `fill` until `pf.close()`. The lookahead pulled e's misses for e's
+    hot set, so a failed fill raises.
     """
     params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
                                len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG))
@@ -289,14 +294,15 @@ def _run_worker(
         n_hot = resolve_n_hot(cfg, len(collect_access(plan, book, part)))
     hot_sets = cache_mod.epoch_hot_sets(plan, book, part, n_hot)
     fcache = cache_mod.build_steady(hot_sets[0], client, fill)
+    turn_over = any(len(hot) for hot in hot_sets)
 
     ahead = _lookahead(plan, book, part, client, hot_sets,
-                       cfg.prefetch_depth if rapid else 1)
+                       cfg.prefetch_depth if rapid else 1,
+                       fcache if turn_over else None, fill)
     pf = None
     if rapid:
         pf = Prefetcher(ahead, cfg.prefetch_depth)
         ahead = iter(pf)
-    turn_over = any(len(hot) for hot in hot_sets)
     records: list[MetricsRecord] = []
     try:
         for e in range(plan.epochs):
@@ -308,8 +314,6 @@ def _run_worker(
                     raise RuntimeError(
                         f"the cache fill for epoch {e} failed, and its "
                         f"lookahead pulls assume that fill's hot set") from exc
-            if turn_over and e + 1 < plan.epochs:
-                fcache.start_secondary_build(hot_sets[e + 1], client, fill)
             loss_sum = 0.0
             hits = misses = 0
             pulled = TransferAccount()
@@ -345,7 +349,6 @@ def _run_worker(
     finally:
         if pf is not None:
             pf.close()
-        fcache.wait_secondary()
     return WorkerResult(
         part=part,
         records=records,

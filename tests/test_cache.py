@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,6 @@ class TestDoubleBuffer:
         cache = build_steady(hot[0], client)
         acct = TransferAccount()
         cache.start_secondary_build(hot[1], client, acct)
-        cache.wait_secondary()
         cache.swap()
         assert np.array_equal(cache.hot_ids, hot[1])
         assert acct.nodes_pulled == len(hot[1])
@@ -126,10 +127,44 @@ class TestDoubleBuffer:
         assert np.flatnonzero(hit).tolist() == [0, 1]
         assert np.array_equal(rows, g.features[[3, 4]])
 
-    def test_steady_serves_during_build(self, pipeline):
-        # lookups during an in-flight build must come from the old buffer
-        import threading
+    def test_fills_swap_in_staging_order(self, pipeline):
+        g, plan, book, client = pipeline
+        hot = epoch_hot_sets(plan, book, 0, 30)
+        cache = build_steady(hot[0], client)
+        cache.start_secondary_build(hot[1], client)
+        cache.start_secondary_build(hot[2], client)
+        for h in hot[1:]:
+            cache.swap()
+            assert np.array_equal(cache.hot_ids, h)
+            _, rows = cache.lookup(h)
+            assert np.array_equal(rows, g.features[h])
 
+    def test_failed_fill_raises_any_exception_once(self, pipeline):
+        # a fill that raises even a BaseException is staged, and the fill
+        # staged behind it installs at the next swap
+        g, plan, book, client = pipeline
+
+        class Stop(BaseException):
+            pass
+
+        class Halt:
+            feat_dim = g.feat_dim
+
+            def vector_pull(self, ids, account=None):
+                raise Stop("injected")
+
+        cache = build_steady(np.array([3, 4]), client)
+        cache.start_secondary_build(np.array([5, 6]), Halt())
+        cache.start_secondary_build(np.array([7, 8]), client)
+        with pytest.raises(Stop, match="injected"):
+            cache.swap()
+        assert cache.hot_ids.tolist() == [3, 4]
+        cache.swap()
+        assert cache.hot_ids.tolist() == [7, 8]
+
+    def test_steady_serves_during_build(self, pipeline):
+        # lookups while the producer pulls a fill come from the installed
+        # rows, and swap waits for the fill to be staged
         g, plan, book, client = pipeline
         gate = threading.Event()
 
@@ -141,10 +176,14 @@ class TestDoubleBuffer:
                 return client.vector_pull(ids, account)
 
         cache = build_steady(np.array([2, 6]), client)
-        cache.start_secondary_build(np.array([7, 9]), Slow())
+        producer = threading.Thread(target=cache.start_secondary_build,
+                                    args=(np.array([7, 9]), Slow()))
+        producer.start()
         hit, rows = cache.lookup(np.array([2, 6]))
         assert np.count_nonzero(hit) == 2
         assert np.array_equal(rows, g.features[[2, 6]])
         gate.set()
         cache.swap()
+        producer.join(timeout=5)
+        assert not producer.is_alive()
         assert cache.hot_ids.tolist() == [7, 9]

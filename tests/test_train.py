@@ -271,6 +271,57 @@ class TestRun:
                 assert ra.loss == rb.loss
                 assert ra.train_acc == rb.train_acc
 
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_short_epochs_swap_fills_in_order(self, monkeypatch, transport):
+        # with at most Q+1 batches an epoch, the producer can stage a
+        # later epoch's fill before the loop swaps in the one before it;
+        # each loop waits at its first epoch's end until it has
+        cfg = small_cfg(mode="rapid", batch_size=200, transport=transport)
+        assert batches_per_epoch(cfg) <= cfg.prefetch_depth + 1
+        hot_sets, caches, staged = {}, {}, {}
+        cond = threading.Condition()
+        choose, build = cache.epoch_hot_sets, cache.build_steady
+        stage, evaluate = cache.FeatureCache.start_secondary_build, model.evaluate
+
+        def chosen(plan, book, part, n_hot):
+            hot_sets[part] = choose(plan, book, part, n_hot)
+            return hot_sets[part]
+
+        def kept(*args, **kwargs):
+            caches[threading.current_thread()] = fcache = build(*args, **kwargs)
+            return fcache
+
+        def counted(self, *args, **kwargs):
+            stage(self, *args, **kwargs)
+            with cond:
+                staged[self] = staged.get(self, 0) + 1
+                cond.notify_all()
+
+        def held(*args, **kwargs):
+            fcache = caches.pop(threading.current_thread(), None)
+            if fcache is not None:  # the first epoch's end
+                with cond:
+                    if not cond.wait_for(
+                            lambda: staged.get(fcache) == cfg.epochs - 1, 10):
+                        raise TimeoutError("the later fills were not staged")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "epoch_hot_sets", chosen)
+        monkeypatch.setattr(cache, "build_steady", kept)
+        monkeypatch.setattr(cache.FeatureCache, "start_secondary_build", counted)
+        monkeypatch.setattr(model, "evaluate", held)
+        results = run(cfg)
+        monkeypatch.undo()
+        baseline = run(small_cfg(mode="baseline", batch_size=200))
+        for r, b in zip(results, baseline):
+            sets = hot_sets[r.part]
+            assert not all(np.array_equal(sets[0], h) for h in sets[1:])
+            assert np.array_equal(r.cache_keys, sets[-1])
+            for pa, pb in zip(r.params, b.params):
+                assert np.array_equal(pa.w_self, pb.w_self)
+                assert np.array_equal(pa.w_neigh, pb.w_neigh)
+                assert np.array_equal(pa.bias, pb.bias)
+
     def test_baseline_counts_every_pull_as_miss(self, baseline_results):
         for r in baseline_results:
             for rec in r.records:
@@ -314,11 +365,11 @@ class TestRun:
         (dict(n_hot=0), 0), (dict(partitions=1), 0), ({}, SMALL["epochs"] - 1)])
     def test_no_hot_set_starts_no_cache_builds(self, monkeypatch, over, fills):
         # one sampler per run; per worker, its own thread and one
-        # producer; with a hot set, the cache also turns over at each of
-        # the E - 1 epoch boundaries, each fill on a thread of its own
+        # producer, which with a hot set also fills the cache for each
+        # of the E - 1 later epochs, on no thread of its own
         started = count_thread_starts(monkeypatch)
         results = run(small_cfg(mode="rapid", **over))
-        assert len(started) == 1 + (2 + fills) * len(results)
+        assert len(started) == 1 + 2 * len(results)
         for r in results:
             if fills:
                 assert len(r.cache_keys) > 0 and r.cache_fill.rpc_calls > 0
@@ -345,41 +396,71 @@ class TestRun:
                 super().__init__(*args, **kwargs)
                 made[self] = threading.current_thread()
 
-        callers = {"lookup": set(), "swap": set(), "sync_pull": set()}
-        for cls, name in ((cache.FeatureCache, "lookup"),
-                          (cache.FeatureCache, "swap"),
-                          (StoreClient, "sync_pull")):
-            def spy(self, *args, _orig=getattr(cls, name),
+        callers = {"lookup": set(), "swap": set()}
+        for name in callers:
+            def spy(self, *args, _orig=getattr(cache.FeatureCache, name),
                     _seen=callers[name], **kwargs):
                 _seen.add(threading.current_thread())
                 return _orig(self, *args, **kwargs)
-            monkeypatch.setattr(cls, name, spy)
+            monkeypatch.setattr(cache.FeatureCache, name, spy)
+        pulls = []  # (client, pull, thread) of every store pull, in order
+        for name in ("sync_pull", "vector_pull"):
+            def pull_spy(self, *args, _orig=getattr(StoreClient, name),
+                         _name=name, **kwargs):
+                pulls.append((self, _name, threading.current_thread()))
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(StoreClient, name, pull_spy)
         started = count_thread_starts(monkeypatch)
         monkeypatch.setattr(train, "Prefetcher", Spy)
-        run(small_cfg(mode="rapid"))
+        cfg = small_cfg(mode="rapid")
+        run(cfg)
         main = threading.current_thread()
         samplers = [pf for pf, by in made.items() if by is main]
         lookaheads = [pf for pf, by in made.items() if by is not main]
-        owners = {made[pf] for pf in lookaheads}
-        producers = {pf._producer for pf in lookaheads}
+        producer_of = {made[pf]: pf._producer for pf in lookaheads}
+        owners = set(producer_of)
         assert len(samplers) == 1
-        assert len(lookaheads) == 2 and len(producers) == 2 and len(owners) == 2
+        assert len(lookaheads) == 2 and len(owners) == 2
+        assert len(set(producer_of.values())) == 2
         assert callers["lookup"] == owners
         assert callers["swap"] == owners
-        assert callers["sync_pull"] == producers
-        # one sampler; per worker: its own thread, one producer and E - 1
-        # cache builds
-        assert len(started) == 1 + 2 * (1 + SMALL["epochs"])
+        # each worker fills its cache once on its own thread; then its
+        # producer alone pulls, in plan order: before each later epoch's
+        # first window that epoch's cache fill, then the epoch's windows
+        per_epoch = len(window_sizes(cfg)) // cfg.epochs
+        order = ["vector_pull"] + ["sync_pull"] * per_epoch + (
+            ["vector_pull"] + ["sync_pull"] * per_epoch) * (cfg.epochs - 1)
+        clients = {c for c, _, _ in pulls}
+        assert len(clients) == 2
+        for client in clients:
+            mine = [(name, by) for c, name, by in pulls if c is client]
+            owner = mine[0][1]
+            assert owner in owners
+            assert [name for name, _ in mine] == order
+            assert {by for _, by in mine[1:]} == {producer_of[owner]}
+        # one sampler; per worker: its own thread and one producer
+        assert len(started) == 1 + 2 * 2
 
     def test_failed_run_leaves_no_thread(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected")
+        # the loop fails at epoch 0's last batch while its producer is
+        # in epoch 1's slow cache fill
+        cfg = small_cfg(mode="rapid")
+        last = batches_per_epoch(cfg) - 1
+        in_fill = threading.Event()
+        loss_and_grad = model.loss_and_grad
+
+        def boom(block, *args, **kwargs):
+            if block.batch == last:
+                assert in_fill.wait(10)
+                raise RuntimeError("injected")
+            return loss_and_grad(block, *args, **kwargs)
 
         pull = StoreClient.vector_pull
         filled = set()
 
         def slow_secondary_fill(self, ids, account=None):
             if id(self) in filled:  # every fill after the steady one
+                in_fill.set()
                 time.sleep(1.0)
             filled.add(id(self))
             return pull(self, ids, account)
@@ -388,7 +469,7 @@ class TestRun:
         monkeypatch.setattr(StoreClient, "vector_pull", slow_secondary_fill)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="injected"):
-            run(small_cfg(mode="rapid"))
+            run(cfg)
         assert set(threading.enumerate()) <= before
 
     def test_failed_cache_fill_fails_rapid_run(self, monkeypatch):
@@ -584,6 +665,41 @@ class TestRun:
             run(small_cfg(mode="rapid", transport="tcp"))
         assert isinstance(exc.value.__cause__, TransportError)
         assert "shard died" in cause_chain(exc.value)
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("repeat", range(3))
+    @pytest.mark.parametrize("n, fails", [(2, "window"), (4, "fill")])
+    def test_dying_shard_fails_rapid_run_one_way(self, monkeypatch, n, fails,
+                                                 repeat):
+        # shard 1 refuses every request after its n-th; only worker 0
+        # sends it any: its first cache fill on its own thread, then from
+        # its producer, in plan order, each later epoch's fill and each
+        # epoch's window pulls, so the same request always fails first
+        served = kill_shard_after(monkeypatch, part=1, n=n, refuse=None)
+        cfg = small_cfg(mode="rapid", transport="tcp")
+        windows = window_sizes(cfg)
+        per_epoch = len(windows) // cfg.epochs
+        sent = [("fill", 0)]  # (request, epoch or first item of the window)
+        for e in range(cfg.epochs):
+            if e:
+                sent.append(("fill", e))
+            for w in range(e * per_epoch, (e + 1) * per_epoch):
+                sent.append(("window", sum(windows[:w])))
+        failing, at = sent[n]
+        assert failing == fails
+        before = set(threading.enumerate())
+        if failing == "window":
+            with pytest.raises(PrefetchError) as exc:
+                run(cfg)
+            assert exc.value.batch == at == windows[0]
+        else:
+            with pytest.raises(RuntimeError,
+                               match=f"cache fill for epoch {at} failed") as exc:
+                run(cfg)
+            assert at == 1
+        assert isinstance(exc.value.__cause__, TransportError)
+        assert "shard died" in cause_chain(exc.value)
+        assert len(served) == n
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_baseline_run(self, monkeypatch):
