@@ -51,17 +51,20 @@ class FeatureCache:
         hot_ids: np.ndarray,
         client: StoreClient,
         fill_account: TransferAccount | None = None,
-    ) -> None:
+    ) -> np.ndarray | None:
         """Pull a later epoch's rows, `hot_ids` sorted ascending, and
-        stage them, or what the pull raised, behind the fills staged."""
+        stage them, or what the pull raised, behind the fills staged.
+        Returns the rows, or None when the pull raised."""
         hot_ids = np.asarray(hot_ids, dtype=np.int64)
         try:
-            filled = (hot_ids, client.vector_pull(hot_ids, fill_account))
+            rows = client.vector_pull(hot_ids, fill_account)
+            filled = (hot_ids, rows)
         except BaseException as exc:  # raised again by swap()
-            filled = exc
+            rows, filled = None, exc
         with self._cond:
             self._staged.append(filled)
             self._cond.notify()
+        return rows
 
     def wait_secondary(self) -> None:
         """Block until a fill is staged."""

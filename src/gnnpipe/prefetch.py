@@ -1,24 +1,26 @@
 """Feature bundles, lookahead pulls and the asynchronous prefetcher.
 
-`pull_window` fetches the cache misses of a window of consecutive
-batches with one sync pull, one RPC per owning shard; the precomputed
-plan names every batch's input nodes, and the hot set of its epoch,
-before its block is sampled. A `Lookahead` is one batch's share of such
-a pull, with the traffic charged to that batch: the pull's on the
-window's first batch, none on the others. `assemble_bundle` gathers one
-batch's feature rows with no I/O: local shard reads, cache hits, and
-the cache misses taken from the window pulled for it. A cache with no
-rows, as in baseline mode, makes every remote row a miss. `Prefetcher`
-runs any iterator on a single producer thread into a bounded ring of
-depth Q that k readers take from, each reader every item strictly in
-order: a worker's run of lookahead pulls with its training loop as the
-one reader, or the run's blocks with every worker as a reader.
+`pull_window` gathers the cache misses of a window of consecutive
+batches: the precomputed plan names every batch's input nodes, and the
+hot set of its epoch, before its block is sampled. Rows already held,
+the previous window's and the hot rows that window used, are copied;
+the rest come in one sync pull, one RPC per owning shard with a new row.
+A `Lookahead` is one batch's share of a window, with the traffic charged
+to that batch: the pull's on the window's first batch, none on the
+others. `assemble_bundle` gathers one batch's feature rows with no I/O:
+local shard reads, cache hits, and the cache misses taken from the
+window gathered for it. A cache with no rows, as in baseline mode, makes
+every remote row a miss. `Prefetcher` runs any iterator on a single
+producer thread into a bounded ring of depth Q that k readers take
+from, each reader every item strictly in order: a worker's run of
+lookahead pulls with its training loop as the one reader, or the run's
+blocks with every worker as a reader.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +54,15 @@ class FeatureBundle:
 
 @dataclass
 class PulledRows:
-    """Feature rows pulled ahead for a window of batches."""
+    """Feature rows gathered ahead for a window of batches, or a hot set's
+    rows; read-only, since the loop and the lookahead's producer share
+    them."""
 
     ids: np.ndarray  # sorted ascending
     rows: np.ndarray  # aligned with ids
+
+    def __post_init__(self):
+        self.rows.setflags(write=False)
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         """The rows of `ids`; raises LookupError if any was not pulled."""
@@ -85,20 +92,30 @@ def pull_window(
     hot_ids: np.ndarray,
     client: StoreClient,
     account: TransferAccount | None = None,
+    held: Sequence[PulledRows] = (),
 ) -> PulledRows:
-    """Pull the cache misses of a window of batches in one sync pull.
+    """The rows of the cache misses of a window of batches.
 
     The misses are the remote ids of the batches' input nodes outside
-    `hot_ids`, the sorted hot set the cache holds for their epoch; their
-    union costs one RPC per owning shard, charged to `account`. With no
-    misses nothing is pulled.
+    `hot_ids`, the sorted hot set the cache holds for their epoch. A
+    miss found in `held` is copied from there; the others are pulled in
+    one sync pull, one RPC per owning shard, charged to `account`. When
+    `held` holds every miss nothing is pulled.
     """
     ids = sorted_unique(np.concatenate(input_sets))
     ids = ids[owner[ids] != my_part]
     ids = ids[~find(hot_ids, ids)[1]]
-    if len(ids) == 0:
-        return PulledRows(ids, np.empty((0, client.feat_dim), dtype=np.float32))
-    return PulledRows(ids, client.sync_pull(ids, account))
+    rows = np.empty((len(ids), client.feat_dim), dtype=np.float32)
+    todo = np.ones(len(ids), dtype=bool)
+    for rows_held in held:
+        pos, got = find(rows_held.ids, ids)
+        got &= todo
+        rows[got] = rows_held.rows[pos[got]]
+        todo &= ~got
+    new = np.flatnonzero(todo)
+    if len(new):
+        rows[new] = client.sync_pull(ids[new], account)
+    return PulledRows(ids, rows)
 
 
 def assemble_bundle(

@@ -11,17 +11,20 @@ _BLOCK_DEPTH ahead of the slowest worker, and hands each worker the same
 read-only block. Before training, each worker chooses every epoch's hot
 set once (`cache.epoch_hot_sets`); the first cache fill and the
 lookahead read that list. The lookahead fills each later epoch's cache
-just before its first window and pulls the cache misses of each window
-of consecutive batches in one request; the plan fixes every batch's
+just before its first window and gathers the cache misses of each
+window of consecutive batches at once; the plan fixes every batch's
 input nodes and every epoch's hot set, so the lookahead never waits for
-the loop. The mode decides three things only: the size of the worker's
-hot-node cache, how many batches a window holds, and whether a
-prefetcher runs the lookahead. `rapid` caches each epoch's n_hot
-most-accessed remote nodes, pulls windows of Q = prefetch_depth batches
-and runs the lookahead on a prefetcher's producer thread, at most Q+1
-batches ahead of the loop. `baseline` has a cache with no rows, so every
-remote row is a miss, and pulls each batch's misses on its own, on the
-worker's thread, as the loop reaches the batch. Both modes consume
+the loop. The mode decides four things only: the size of the worker's
+hot-node cache, how many batches a window holds, whether a window
+carries rows over from the one before, and whether a prefetcher runs
+the lookahead. `rapid` caches each epoch's n_hot most-accessed remote
+nodes, gathers windows of Q = prefetch_depth batches, pulls only the
+misses that neither the previous window nor the hot rows it used hold,
+in one request, and runs the lookahead on a prefetcher's producer
+thread, at most Q+1 batches ahead of the loop. `baseline` has a cache
+with no rows, so every remote row is a miss, and pulls each batch's
+misses on its own, on the worker's thread, as the loop reaches the
+batch. Both modes consume
 bit-identical feature rows in the same order, so they produce
 bit-identical parameter trajectories for the same plan. An epoch's
 columns sum its batches' cache hits and misses and the traffic of its
@@ -51,7 +54,8 @@ from .graph import Graph, load_graph, synth_powerlaw
 from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 from .plan import BatchPlan, collect_access, generate_plan
-from .prefetch import Lookahead, Prefetcher, assemble_bundle, pull_window
+from .prefetch import (Lookahead, Prefetcher, PulledRows, assemble_bundle,
+                       pull_window)
 from .rng import mix64
 from .sampler import ComputationBlock
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
@@ -226,30 +230,47 @@ def _lookahead(
     window: int,
     fcache: cache_mod.FeatureCache | None = None,
     fill: TransferAccount | None = None,
+    carry_rows: np.ndarray | None = None,
 ) -> Iterator[Lookahead]:
     """One `Lookahead` per batch, in plan order; with `fcache`, each epoch
     e >= 1 first stages its hot set's rows there, charged to `fill`.
 
     Each epoch's batches go in windows of `window` consecutive batches;
-    a window never crosses an epoch boundary. The cache misses of a
-    window's batches, their remote input nodes outside the epoch's hot
-    set in `hot_sets`, are pulled in one sync pull (one RPC per owning
-    shard), and that pull's traffic is charged to the window's first
-    batch; the others carry an empty account.
+    a window never crosses an epoch boundary. A window's cache misses
+    are its batches' remote input nodes outside the epoch's hot set in
+    `hot_sets`. Without `carry_rows` every miss is pulled. With
+    `carry_rows`, epoch 0's hot rows, a window copies the misses that the
+    previous window holds, in this epoch or the last, or the hot rows
+    that window used, and pulls only the rest. A window's pull is one
+    sync pull (one RPC per owning shard with a new row), and its traffic
+    is charged to the window's first batch; the others carry an empty
+    account.
     """
+    carry = carry_rows is not None
+    hot = PulledRows(hot_sets[0], carry_rows) if carry else None
+    held: list[PulledRows] = []  # what the next window may copy rows from
     for e in range(plan.epochs):
         if fcache is not None and e > 0:
-            fcache.start_secondary_build(hot_sets[e], client, fill)
+            rows = fcache.start_secondary_build(hot_sets[e], client, fill)
+            hot = None if rows is None else PulledRows(hot_sets[e], rows)
         n = plan.num_batches(e)
         for first in range(0, n, window):
             batches = range(first, min(first + window, n))
             account = TransferAccount()
             pulled = pull_window([plan.input_sets[e][i] for i in batches],
-                                 book.owner, part, hot_sets[e], client, account)
+                                 book.owner, part, hot_sets[e], client, account,
+                                 held)
+            if carry:
+                held = [pulled]
             for i in batches:
                 yield Lookahead(e, i, pulled,
                                 account if i == first else TransferAccount())
-            del pulled  # the window's rows live as long as its Lookaheads
+            # the window's rows live as long as its Lookaheads and, when
+            # carrying, until the next window is gathered
+            del pulled
+        if carry and hot is not None:
+            # no miss of this epoch is hot; the next epoch's may be
+            held.append(hot)
 
 
 def _plan_blocks(plan: BatchPlan) -> Iterator[ComputationBlock]:
@@ -298,7 +319,8 @@ def _run_worker(
 
     ahead = _lookahead(plan, book, part, client, hot_sets,
                        cfg.prefetch_depth if rapid else 1,
-                       fcache if turn_over else None, fill)
+                       fcache if turn_over else None, fill,
+                       fcache.rows if rapid else None)
     pf = None
     if rapid:
         pf = Prefetcher(ahead, cfg.prefetch_depth)
@@ -367,21 +389,42 @@ def build_shards(g: Graph, book: PartitionBook, latency_ms: float = 0.0) -> list
     return shards
 
 
-def _openblas_threads(lib: str = np.linalg._umath_linalg.__file__):
-    """The (set, get) thread-count functions of the OpenBLAS that numpy
-    loaded, or None when numpy uses another BLAS. A numpy extension's own
-    handle finds the symbols of every library it loaded."""
+def _openblas_function(name: str, lib: str):
+    """OpenBLAS function `name` of the OpenBLAS that numpy loaded, under
+    any of its `scipy_` prefix and `64_` suffix variants, or None when
+    numpy uses another BLAS. A numpy extension's own handle finds the
+    symbols of every library it loaded."""
     handle = ctypes.CDLL(lib)
     for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
         try:
-            set_n = getattr(handle, f"{prefix}openblas_set_num_threads{suffix}")
-            get_n = getattr(handle, f"{prefix}openblas_get_num_threads{suffix}")
+            return getattr(handle, f"{prefix}{name}{suffix}")
         except AttributeError:
             continue
-        set_n.argtypes, set_n.restype = [ctypes.c_int], None
-        get_n.argtypes, get_n.restype = [], ctypes.c_int
-        return set_n, get_n
     return None
+
+
+def _openblas_threads(lib: str = np.linalg._umath_linalg.__file__):
+    """The (set, get) thread-count functions of the OpenBLAS that numpy
+    loaded, or None when numpy uses another BLAS."""
+    set_n = _openblas_function("openblas_set_num_threads", lib)
+    get_n = _openblas_function("openblas_get_num_threads", lib)
+    if set_n is None or get_n is None:
+        return None
+    set_n.argtypes, set_n.restype = [ctypes.c_int], None
+    get_n.argtypes, get_n.restype = [], ctypes.c_int
+    return set_n, get_n
+
+
+def _openblas_corename(lib: str = np.linalg._umath_linalg.__file__):
+    """The name of the kernel the OpenBLAS that numpy loaded chose for
+    this CPU, such as 'SkylakeX', or None when numpy uses another BLAS.
+    The kernel fixes the summation order of the weight products, so it
+    is an input to the parameters' bits."""
+    get = _openblas_function("openblas_get_corename", lib)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
 
 
 def run(cfg: RunConfig) -> list[WorkerResult]:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -7,7 +8,7 @@ from gnnpipe.graph import sorted_unique, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import (FrequencyTable, collect_access, generate_plan,
                           top_hot)
-from gnnpipe.train import RunConfig, run
+from gnnpipe.train import RunConfig, _openblas_corename, run
 
 
 @pytest.fixture(scope="module")
@@ -166,22 +167,48 @@ def test_pinned_config_digests(cfg, owner_digest, plan_digest):
 
 # The params digest (blake2b-8 over each layer's w_self, w_neigh and bias
 # bytes) every worker ends a run of the benchmark's replay and remote
-# configs with, at no latency; baseline and rapid train bit-identically.
-PINNED_PARAMS = [
-    (RunConfig(), "e472956e68a32da6"),
-    (RunConfig(**REMOTE_MODEL, mode="rapid"), "6110f5b6fe925eb6"),
-    (RunConfig(**REMOTE_MODEL, mode="baseline"), "6110f5b6fe925eb6"),
-]
+# configs with, at no latency, for each OpenBLAS kernel measured. The
+# kernel, which numpy's OpenBLAS chooses from the CPU at load time, fixes
+# the summation order of the weight products; baseline and rapid train
+# bit-identically on any kernel.
+PINNED_PARAMS = {  # kernel -> (replay, remote)
+    "SkylakeX": ("e472956e68a32da6", "6110f5b6fe925eb6"),
+    "Haswell": ("a5dbb8be4eb16b32", "eaa3a0652cbfe32d"),
+    "Sandybridge": ("2928df8e045fe278", "7f9ded6fd292daba"),
+    "Nehalem": ("655c000c5389fb86", "7f9ded6fd292daba"),
+}
+
+PARAMS_RUNS = {  # name -> (config, column of PINNED_PARAMS)
+    "replay": (RunConfig(), 0),
+    "remote-rapid": (RunConfig(**REMOTE_MODEL, mode="rapid"), 1),
+    "remote-baseline": (RunConfig(**REMOTE_MODEL, mode="baseline"), 1),
+}
 
 
-@pytest.mark.parametrize("cfg, params_digest", PINNED_PARAMS,
-                         ids=["replay", "remote-rapid", "remote-baseline"])
-def test_pinned_params_digests(cfg, params_digest):
+@functools.cache
+def params_digests(name: str) -> tuple[str, ...]:
+    """Each worker's params digest at the end of run `name`."""
+    cfg = PARAMS_RUNS[name][0]
     results = run(cfg)
     assert len(results) == cfg.partitions
+    digests = []
     for r in results:
         h = hashlib.blake2b(digest_size=8)
         for p in r.params:
             for a in (p.w_self, p.w_neigh, p.bias):
                 h.update(a.tobytes())
-        assert h.hexdigest() == params_digest, f"worker {r.part}"
+        digests.append(h.hexdigest())
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("name", PARAMS_RUNS)
+def test_pinned_params_digests(name):
+    digests = params_digests(name)
+    assert len(set(digests)) == 1, f"workers disagree: {digests}"
+    if name.startswith("remote-"):
+        assert params_digests("remote-rapid") == params_digests("remote-baseline")
+    kernel = _openblas_corename()
+    if kernel not in PINNED_PARAMS:
+        pytest.skip(f"no params digest recorded for OpenBLAS kernel {kernel!r}; "
+                    f"this run's is {digests[0]}")
+    assert digests[0] == PINNED_PARAMS[kernel][PARAMS_RUNS[name][1]], kernel

@@ -124,19 +124,92 @@ class TestAssembleBundle:
             assemble_bundle(block, owner, 0, shard, no_cache(shard), short)
 
 
+class RecordingClient:
+    """Forwards pulls to `client`, recording the ids of each request."""
+
+    def __init__(self, client):
+        self.client, self.feat_dim = client, client.feat_dim
+        self.requests = []
+
+    def sync_pull(self, ids, account=None):
+        self.requests.append(np.array(ids))
+        return self.client.sync_pull(ids, account)
+
+
+class TestPullWindowHeld:
+    def remote(self, setup, e, i):
+        g, plan, book, owner, shard, client = setup
+        ids = np.unique(plan.input_sets[e][i])
+        return ids[owner[ids] != 0]
+
+    def test_pulls_only_what_is_not_held(self, setup):
+        g, plan, book, owner, shard, client = setup
+        sets = [plan.input_sets[0][i] for i in (2, 3)]
+        hot = self.remote(setup, 0, 0)[::4]
+        prev = pull_window([plan.input_sets[0][1]], owner, 0, hot, client)
+        fresh = pull_window(sets, owner, 0, hot, client)
+        rec, acct = RecordingClient(client), TransferAccount()
+        got = pull_window(sets, owner, 0, hot, rec, acct, [prev])
+        assert np.array_equal(got.ids, fresh.ids)
+        assert got.rows.tobytes() == fresh.rows.tobytes()
+        want = np.setdiff1d(fresh.ids, prev.ids)
+        assert 0 < len(want) < len(fresh.ids)
+        (asked,) = rec.requests
+        assert np.array_equal(asked, want)
+        assert acct.snapshot() == (1, len(want), len(want) * g.feat_dim * 4)
+
+    def test_rows_come_from_window_and_hot_rows(self, setup):
+        g, plan, book, owner, shard, client = setup
+        misses = self.remote(setup, 0, 0)
+        # the previous window holds the first half, an old hot set the rest
+        half = len(misses) // 2
+        prev = PulledRows(misses[:half], g.features[misses[:half]])
+        old_hot = PulledRows(misses[half:], g.features[misses[half:]])
+        rec, acct = RecordingClient(client), TransferAccount()
+        got = pull_window([plan.input_sets[0][0]], owner, 0,
+                          np.empty(0, np.int64), rec, acct, [prev, old_hot])
+        assert np.array_equal(got.ids, misses)
+        assert np.array_equal(got.rows, g.features[misses])
+        assert rec.requests == []
+        assert acct.snapshot() == (0, 0, 0)
+
+    def test_all_held_sends_nothing(self, setup):
+        g, plan, book, owner, shard, client = setup
+        sets = [plan.input_sets[0][0]]
+        prev = pull_window(sets, owner, 0, np.empty(0, np.int64), client)
+        rec, acct = RecordingClient(client), TransferAccount()
+        got = pull_window(sets, owner, 0, np.empty(0, np.int64), rec, acct,
+                          [prev])
+        assert rec.requests == [] and acct.snapshot() == (0, 0, 0)
+        assert np.array_equal(got.rows, prev.rows)
+
+    def test_rows_read_only(self, setup):
+        g, plan, book, owner, shard, client = setup
+        got = pull_window([plan.input_sets[0][0]], owner, 0,
+                          np.empty(0, np.int64), client)
+        assert len(got.rows) and not got.rows.flags.writeable
+        with pytest.raises(ValueError):
+            got.rows[0, 0] = 1.0
+
+
 class TestLookaheadStream:
     N_HOT = 20
 
-    def items(self, setup, window):
+    def items(self, setup, window, carry=False):
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, self.N_HOT)
-        return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets, window))
+        if not carry:
+            return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets,
+                                             window))
+        fcache = build_steady(hot_sets[0], client)
+        return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets,
+                                         window, fcache, None, fcache.rows))
 
-    def bundles(self, setup, window):
+    def bundles(self, setup, window, carry=False):
         """Every batch's block and bundle, each epoch against a cache of its
         hot set."""
         g, plan, book, owner, shard, client = setup
-        hot_sets, items = self.items(setup, window)
+        hot_sets, items = self.items(setup, window, carry)
         caches = [build_steady(hot, client) for hot in hot_sets]
         blocks = [plan.block(la.epoch, la.batch) for la in items]
         return [(block, assemble_bundle(block, owner, 0, shard,
@@ -154,6 +227,19 @@ class TestLookaheadStream:
             assert np.array_equal(b.rows, g.features[block.input_nodes])
             assert np.array_equal(a.rows, b.rows)
             assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_carried_rows_bit_identical_and_fewer_pulled(self, setup, depth):
+        g, plan, book, owner, shard, client = setup
+        windowed = self.bundles(setup, depth)
+        carried = self.bundles(setup, depth, carry=True)
+        for (block, a), (_, b) in zip(windowed, carried):
+            assert np.array_equal(b.rows, g.features[block.input_nodes])
+            assert a.rows.tobytes() == b.rows.tobytes()
+            assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
+        pulled = [sum(la.account.nodes_pulled for la in self.items(
+            setup, depth, carry)[1]) for carry in (False, True)]
+        assert pulled[1] < pulled[0]
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_window_traffic_rides_on_its_first_item(self, setup, depth):

@@ -129,6 +129,27 @@ def window_sizes(cfg) -> list[int]:
             for first in range(0, n, q)]
 
 
+def window_shards(cfg, part: int) -> list[list[set[int]]]:
+    """Per epoch and window of worker `part`'s rapid lookahead, the shards
+    it sends a request: the owners of its misses that neither the
+    previous window nor the hot set that window used holds."""
+    g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
+                       cfg.num_classes, cfg.s0)
+    book = partition_edgecut(g, cfg.partitions)
+    p = plan.generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
+                           cfg.batch_size, cfg.epochs, cfg.s0)
+    n_hot = resolve_n_hot(cfg, len(plan.collect_access(p, book, part)))
+    q, held, out = cfg.prefetch_depth, np.empty(0, dtype=np.int64), []
+    for e, hot in enumerate(cache.epoch_hot_sets(p, book, part, n_hot)):
+        out.append([])
+        for first in range(0, p.num_batches(e), q):
+            ids = np.unique(np.concatenate(p.input_sets[e][first:first + q]))
+            miss = np.setdiff1d(ids[book.owner[ids] != part], hot)
+            out[-1].append(set(book.owner[np.setdiff1d(miss, held)].tolist()))
+            held = np.union1d(miss, hot)
+    return out
+
+
 @pytest.fixture(scope="module")
 def rapid_results():
     return run(small_cfg(mode="rapid"))
@@ -427,16 +448,20 @@ class TestRun:
         # each worker fills its cache once on its own thread; then its
         # producer alone pulls, in plan order: before each later epoch's
         # first window that epoch's cache fill, then the epoch's windows
-        per_epoch = len(window_sizes(cfg)) // cfg.epochs
-        order = ["vector_pull"] + ["sync_pull"] * per_epoch + (
-            ["vector_pull"] + ["sync_pull"] * per_epoch) * (cfg.epochs - 1)
+        # that need a row the window before did not hold
+        orders = []
+        for part in range(2):
+            order = []
+            for windows in window_shards(cfg, part):
+                order += ["vector_pull"] + ["sync_pull"] * sum(map(bool, windows))
+            orders.append(order)
         clients = {c for c, _, _ in pulls}
         assert len(clients) == 2
         for client in clients:
             mine = [(name, by) for c, name, by in pulls if c is client]
             owner = mine[0][1]
             assert owner in owners
-            assert [name for name, _ in mine] == order
+            assert [name for name, _ in mine] in orders
             assert {by for _, by in mine[1:]} == {producer_of[owner]}
         # one sampler; per worker: its own thread and one producer
         assert len(started) == 1 + 2 * 2
@@ -674,24 +699,27 @@ class TestRun:
         # shard 1 refuses every request after its n-th; only worker 0
         # sends it any: its first cache fill on its own thread, then from
         # its producer, in plan order, each later epoch's fill and each
-        # epoch's window pulls, so the same request always fails first
+        # window pull that needs a row from it, so the same request
+        # always fails first
         served = kill_shard_after(monkeypatch, part=1, n=n, refuse=None)
         cfg = small_cfg(mode="rapid", transport="tcp")
         windows = window_sizes(cfg)
+        shards = [s for epoch in window_shards(cfg, 0) for s in epoch]
         per_epoch = len(windows) // cfg.epochs
         sent = [("fill", 0)]  # (request, epoch or first item of the window)
         for e in range(cfg.epochs):
             if e:
                 sent.append(("fill", e))
             for w in range(e * per_epoch, (e + 1) * per_epoch):
-                sent.append(("window", sum(windows[:w])))
+                if 1 in shards[w]:
+                    sent.append(("window", sum(windows[:w])))
         failing, at = sent[n]
         assert failing == fails
         before = set(threading.enumerate())
         if failing == "window":
             with pytest.raises(PrefetchError) as exc:
                 run(cfg)
-            assert exc.value.batch == at == windows[0]
+            assert exc.value.batch == at
         else:
             with pytest.raises(RuntimeError,
                                match=f"cache fill for epoch {at} failed") as exc:
@@ -730,12 +758,12 @@ class TestRun:
         monkeypatch.setattr(StoreShard, "handle", count_types)
         cfg = small_cfg(mode="rapid", prefetch_depth=depth)
         results = run(cfg)
-        windows = -(-batches_per_epoch(cfg) // depth)
         for r in results:
             shard = shards[1 - r.part]  # the worker's one remote shard
-            assert [rec.rpc_calls for rec in r.records] == [windows] * cfg.epochs
-            assert served[shard.part].count(wire.MSG_SYNC_PULL) == (
-                windows * cfg.epochs)
+            # one RPC per shard a window needs a new row from
+            rpcs = [sum(map(len, epoch)) for epoch in window_shards(cfg, r.part)]
+            assert [rec.rpc_calls for rec in r.records] == rpcs
+            assert served[shard.part].count(wire.MSG_SYNC_PULL) == sum(rpcs)
             client = TransferAccount()
             for rec in r.records:
                 client.add(TransferAccount(rec.rpc_calls, rec.nodes_pulled,
@@ -752,7 +780,7 @@ class TestRun:
             assert [rec.rpc_calls for rec in r.records] == [n] * cfg.epochs
         for r in rapid_results:
             assert [rec.rpc_calls for rec in r.records] == [
-                -(-n // cfg.prefetch_depth)] * cfg.epochs
+                sum(map(len, epoch)) for epoch in window_shards(cfg, r.part)]
 
     def test_tcp_transport_matches_inproc(self, rapid_results):
         tcp = run(small_cfg(mode="rapid", transport="tcp"))
