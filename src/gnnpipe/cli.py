@@ -16,7 +16,8 @@ from .train import (RunConfig, _load_or_generate, _partition, labeled_path,
 
 
 def _fanouts(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x]
+    """Comma-separated fanouts; an empty entry, as in "3,,4", is an error."""
+    return [int(x) for x in str(text).split(",")]
 
 
 def _set_hot_size(cfg: RunConfig, size: str) -> None:

@@ -29,7 +29,10 @@ bit-identical feature rows in the same order, so they produce
 bit-identical parameter trajectories for the same plan. An epoch's
 columns sum its batches' cache hits and misses and the traffic of its
 lookahead items; a window's first item carries the window's pull, the
-others an empty account.
+others an empty account. A worker reads features only through its
+shard and its store client. It keeps its parameters at the end of each
+epoch, and `run()` evaluates them once the workers join: once per
+distinct parameter set, not once per worker.
 """
 
 from __future__ import annotations
@@ -37,16 +40,19 @@ from __future__ import annotations
 import csv
 import ctypes
 import itertools
+import json
 import math
 import os
+import platform
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from typing import get_type_hints
 
 import numpy as np
+import scipy
 
 from . import cache as cache_mod
 from . import model
@@ -181,10 +187,15 @@ class RunConfig:
 class WorkerResult:
     part: int
     records: list[MetricsRecord]
-    params: list[model.LayerParams]
+    epoch_params: list[list[model.LayerParams]]  # at each epoch's end
     plan_digest: str
     cache_keys: np.ndarray | None = None  # final hot set; None in baseline
     cache_fill: TransferAccount = field(default_factory=TransferAccount)
+
+    @property
+    def params(self) -> list[model.LayerParams]:
+        """The parameters at the last epoch's end."""
+        return self.epoch_params[-1]
 
 
 def _load_or_generate(cfg: RunConfig) -> Graph:
@@ -286,7 +297,8 @@ def _plan_blocks(plan: BatchPlan) -> Iterator[ComputationBlock]:
 
 def _run_worker(
     part: int,
-    g: Graph,
+    labels: np.ndarray,
+    num_classes: int,
     book: PartitionBook,
     plan: BatchPlan,
     shard: StoreShard,
@@ -304,8 +316,12 @@ def _run_worker(
     the lookahead's producer staged for it; only the producer writes
     `fill` until `pf.close()`. The lookahead pulled e's misses for e's
     hot set, so a failed fill raises.
+
+    The worker reads features only through `shard` and `client`. It
+    evaluates nothing: each record's `train_acc` is NaN until `run()`
+    evaluates the parameters the worker held at that epoch's end.
     """
-    params = model.init_params(g.feat_dim, cfg.hidden_dim, g.num_classes,
+    params = model.init_params(client.feat_dim, cfg.hidden_dim, num_classes,
                                len(cfg.fanouts), mix64(cfg.s0 ^ _PARAM_SEED_TAG))
     fill = TransferAccount()
     rapid = cfg.mode == "rapid"
@@ -326,6 +342,7 @@ def _run_worker(
         pf = Prefetcher(ahead, cfg.prefetch_depth)
         ahead = iter(pf)
     records: list[MetricsRecord] = []
+    epoch_params: list[list[model.LayerParams]] = []
     try:
         for e in range(plan.epochs):
             t_start = time.perf_counter()
@@ -347,7 +364,7 @@ def _run_worker(
                 la = next(ahead)
                 bundle = assemble_bundle(block, book.owner, part, shard,
                                          fcache, la.pulled)
-                loss, grads = model.loss_and_grad(block, bundle.rows, g.labels,
+                loss, grads = model.loss_and_grad(block, bundle.rows, labels,
                                                   params)
                 params = model.sgd_step(params, grads, cfg.lr)
                 loss_sum += loss
@@ -366,15 +383,16 @@ def _run_worker(
                 cache_misses=misses,
                 reuse_ratio=hits / (hits + misses) if hits + misses else None,
                 loss=loss_sum / plan.num_batches(e),
-                train_acc=model.evaluate(g, params, g.train_mask),
+                train_acc=math.nan,
             ))
+            epoch_params.append(params)
     finally:
         if pf is not None:
             pf.close()
     return WorkerResult(
         part=part,
         records=records,
-        params=params,
+        epoch_params=epoch_params,
         plan_digest=plan.digest_hex(),
         cache_keys=fcache.hot_ids if rapid else None,
         cache_fill=fill,
@@ -415,16 +433,58 @@ def _openblas_threads(lib: str = np.linalg._umath_linalg.__file__):
     return set_n, get_n
 
 
+def _openblas_text(name: str, lib: str):
+    """What OpenBLAS string function `name` of the OpenBLAS that numpy
+    loaded returns, or None when numpy uses another BLAS."""
+    get = _openblas_function(name, lib)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
 def _openblas_corename(lib: str = np.linalg._umath_linalg.__file__):
     """The name of the kernel the OpenBLAS that numpy loaded chose for
     this CPU, such as 'SkylakeX', or None when numpy uses another BLAS.
     The kernel fixes the summation order of the weight products, so it
     is an input to the parameters' bits."""
-    get = _openblas_function("openblas_get_corename", lib)
-    if get is None:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_char_p
-    return get().decode()
+    return _openblas_text("openblas_get_corename", lib)
+
+
+def _evaluate_epochs(g: Graph, results: list[WorkerResult]) -> None:
+    """Set every record's `train_acc` to the accuracy of the parameters
+    its worker held at that epoch's end, evaluating each distinct
+    parameter set, by its bytes, once. Workers that agree share one
+    evaluation per epoch; workers that differ each get their own."""
+    acc: dict[bytes, float] = {}
+    for r in results:
+        for rec, params in zip(r.records, r.epoch_params):
+            key = b"".join(a.tobytes() for p in params
+                           for a in (p.w_self, p.w_neigh, p.bias))
+            if key not in acc:
+                acc[key] = model.evaluate(g, params, g.train_mask)
+            rec.train_acc = acc[key]
+
+
+def _write_manifest(cfg: RunConfig, plan_digest: str, blas_threads: int | None,
+                    path: str) -> None:
+    """The run's inputs beside its metrics: the config, the plan digest,
+    the library versions and the BLAS kernel, configuration and thread
+    count that fix the parameters' bits."""
+    lib = np.linalg._umath_linalg.__file__
+    manifest = {
+        "config": asdict(cfg),
+        "plan_digest": plan_digest,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas_corename": _openblas_corename(lib),
+        "openblas_config": _openblas_text("openblas_get_config", lib),
+        "blas_threads": blas_threads,
+    }
+    with open(path, "w") as f:
+        json.dump(manifest, f, indent=2)
+        f.write("\n")
 
 
 def run(cfg: RunConfig) -> list[WorkerResult]:
@@ -434,7 +494,11 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
     depend on `OPENBLAS_NUM_THREADS`. The pin holds for the whole
     process, not only this call, and is not undone. One sampler thread
     then derives every batch's block once for all the workers; the first
-    worker to fail closes its stream, which wakes the others.
+    worker to fail closes its stream, which wakes the others. Once every
+    worker has finished, this thread evaluates each epoch's parameters
+    (`_evaluate_epochs`); a failed run evaluates nothing. With
+    `metrics_out`, it then writes each worker's CSV and the run's
+    manifest (`manifest_path`).
     """
     cfg.validate()
     blas = _openblas_threads()
@@ -463,8 +527,8 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
         try:  # after a failed connect, close() closes the ones made
             for q in range(book.k):
                 client.transports.append(connect(q))
-            results[p] = _run_worker(p, g, book, plan, shards[p], client, cfg,
-                                     blocks)
+            results[p] = _run_worker(p, g.labels, g.num_classes, book, plan,
+                                     shards[p], client, cfg, blocks)
         except BaseException as exc:
             errors.append(exc)
             blocks.close()
@@ -490,15 +554,25 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
         raise errors[0]
 
     out = [r for r in results if r is not None]
+    _evaluate_epochs(g, out)
     if cfg.metrics_out:
         for r in out:
             write_metrics(r.records, worker_metrics_path(cfg.metrics_out, r.part))
+        _write_manifest(cfg, plan.digest_hex(), None if blas is None else 1,
+                        manifest_path(cfg.metrics_out))
     return out
 
 
 def worker_metrics_path(path: str, part: int) -> str:
     """Insert the worker id before the extension: out.csv -> out.w0.csv."""
     return labeled_path(path, f"w{part}")
+
+
+def manifest_path(path: str) -> str:
+    """The run's manifest beside its metrics: out.csv -> out.manifest.json."""
+    if "." in path.rsplit("/", 1)[-1]:
+        path = path.rsplit(".", 1)[0]
+    return f"{path}.manifest.json"
 
 
 def labeled_path(path: str, label: str) -> str:

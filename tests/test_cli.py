@@ -67,6 +67,8 @@ def test_plan_rejects_bad_flag_values(capsys):
 @pytest.mark.parametrize("command", ["train", "plan", "sweep"])
 @pytest.mark.parametrize("flag, value, message", [
     ("--fanout", "3,x", "bad value for fanout: '3,x'"),
+    ("--fanout", "3,,4", "bad value for fanout: '3,,4'"),
+    ("--fanout", "10,25,", "bad value for fanout: '10,25,'"),
     ("--n-hot", "many", "bad value for n_hot: 'many'"),
     ("--fanout", "3,-1", "fanouts must be >= 1"),
     ("--fanout", "0", "fanouts must be >= 1"),

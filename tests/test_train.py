@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import threading
 import time
 
@@ -5,14 +7,14 @@ import numpy as np
 import pytest
 
 from gnnpipe import cache, model, plan, train, wire
-from gnnpipe.graph import save_graph, synth_powerlaw
+from gnnpipe.graph import Graph, save_graph, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
 from gnnpipe.prefetch import PrefetchError
 from gnnpipe.store import (StoreClient, StoreShard, TcpTransport,
                            TransferAccount, TransportError)
-from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig, read_metrics,
-                           resolve_n_hot, run, worker_metrics_path,
-                           write_metrics)
+from gnnpipe.train import (CSV_HEADER, MetricsRecord, RunConfig,
+                           manifest_path, read_metrics, resolve_n_hot, run,
+                           worker_metrics_path, write_metrics)
 
 SMALL = dict(
     gen_nodes=600, gen_edges_per_node=3, feat_dim=8, num_classes=4,
@@ -34,8 +36,6 @@ def small_edgecut_owner():
 
 def stable_fields(rec):
     """Everything but wall-clock time, which varies run to run."""
-    import dataclasses
-
     d = dataclasses.asdict(rec)
     d.pop("t_e_ms")
     return d
@@ -52,6 +52,19 @@ def count_thread_starts(monkeypatch) -> list:
 
     monkeypatch.setattr(threading.Thread, "start", count_start)
     return started
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Record the thread of every `model.evaluate` call from now on."""
+    evaluated = []
+    evaluate = model.evaluate
+
+    def counted(*args, **kwargs):
+        evaluated.append(threading.current_thread())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(model, "evaluate", counted)
+    return evaluated
 
 
 def kill_shard_after(monkeypatch, part: int, n: int, refuse=None) -> list:
@@ -261,6 +274,10 @@ class TestRunConfig:
         assert worker_metrics_path("out.csv", 0) == "out.w0.csv"
         assert worker_metrics_path("a/b/run.csv", 3) == "a/b/run.w3.csv"
 
+    def test_manifest_path(self):
+        assert manifest_path("out.csv") == "out.manifest.json"
+        assert manifest_path("a.d/run") == "a.d/run.manifest.json"
+
 
 class TestRun:
     def test_one_result_per_partition(self, rapid_results):
@@ -292,47 +309,133 @@ class TestRun:
                 assert ra.loss == rb.loss
                 assert ra.train_acc == rb.train_acc
 
+    def test_one_evaluation_per_epoch_on_the_run_thread(self, monkeypatch):
+        # both workers end each epoch with the same parameters, so the run
+        # evaluates each epoch once, on its own thread, after the join;
+        # no worker thread reads the graph's features
+        readers = set()
+
+        class Watched(Graph):
+            @property
+            def features(self):
+                readers.add(threading.current_thread())
+                return self._features
+
+            @features.setter
+            def features(self, value):
+                self._features = value
+
+        load = train._load_or_generate
+
+        def watched(cfg):
+            g = load(cfg)
+            return Watched(**{f.name: getattr(g, f.name)
+                              for f in dataclasses.fields(Graph)})
+
+        evaluated = count_evaluations(monkeypatch)
+        monkeypatch.setattr(train, "_load_or_generate", watched)
+        cfg = small_cfg(mode="rapid")
+        results = run(cfg)
+        monkeypatch.undo()
+        me = threading.current_thread()
+        assert evaluated == [me] * cfg.epochs
+        assert readers == {me}
+        g = train._load_or_generate(cfg)
+        for r in results:
+            assert len(r.epoch_params) == cfg.epochs
+            assert r.params is r.epoch_params[-1]
+            assert [rec.train_acc for rec in r.records] == [
+                model.evaluate(g, params, g.train_mask)
+                for params in r.epoch_params]
+
+    def test_workers_that_differ_are_evaluated_apart(self, monkeypatch):
+        # the second worker to draw its initial parameters gets others,
+        # so the workers never agree: each epoch is evaluated once per
+        # worker, and each record reads its own worker's accuracy
+        init = model.init_params
+        drawn = []
+        lock = threading.Lock()
+
+        def perturbed(*args, **kwargs):
+            params = init(*args, **kwargs)
+            with lock:
+                drawn.append(params)
+                if len(drawn) == 2:
+                    params[0].w_self = -params[0].w_self
+            return params
+
+        monkeypatch.setattr(model, "init_params", perturbed)
+        evaluated = count_evaluations(monkeypatch)
+        cfg = small_cfg(mode="rapid")
+        results = run(cfg)
+        monkeypatch.undo()
+        assert len(drawn) == 2
+        assert evaluated == [threading.current_thread()] * (2 * cfg.epochs)
+        a, b = results
+        for pa, pb in zip(a.epoch_params, b.epoch_params):
+            assert not np.array_equal(pa[0].w_self, pb[0].w_self)
+        g = train._load_or_generate(cfg)
+        for r in results:
+            assert [rec.train_acc for rec in r.records] == [
+                model.evaluate(g, params, g.train_mask)
+                for params in r.epoch_params]
+
+    def test_failed_run_evaluates_nothing(self, monkeypatch):
+        block = plan.BatchPlan.block
+
+        def failing(self, e, i):
+            if (e, i) == (1, 0):
+                raise ValueError("injected sampling error")
+            return block(self, e, i)
+
+        evaluated = count_evaluations(monkeypatch)
+        monkeypatch.setattr(plan.BatchPlan, "block", failing)
+        with pytest.raises(PrefetchError):
+            run(small_cfg(mode="rapid"))
+        assert evaluated == []
+
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     def test_short_epochs_swap_fills_in_order(self, monkeypatch, transport):
         # with at most Q+1 batches an epoch, the producer can stage a
         # later epoch's fill before the loop swaps in the one before it;
-        # each loop waits at its first epoch's end until it has
+        # each loop's first swap, at its first epoch's end, waits until
+        # it has
         cfg = small_cfg(mode="rapid", batch_size=200, transport=transport)
         assert batches_per_epoch(cfg) <= cfg.prefetch_depth + 1
-        hot_sets, caches, staged = {}, {}, {}
+        hot_sets, staged, swapped = {}, {}, set()
+        waited = []  # the thread of every hold that saw both fills staged
         cond = threading.Condition()
-        choose, build = cache.epoch_hot_sets, cache.build_steady
-        stage, evaluate = cache.FeatureCache.start_secondary_build, model.evaluate
+        choose = cache.epoch_hot_sets
+        stage = cache.FeatureCache.start_secondary_build
+        swap = cache.FeatureCache.swap
 
         def chosen(plan, book, part, n_hot):
             hot_sets[part] = choose(plan, book, part, n_hot)
             return hot_sets[part]
 
-        def kept(*args, **kwargs):
-            caches[threading.current_thread()] = fcache = build(*args, **kwargs)
-            return fcache
-
         def counted(self, *args, **kwargs):
-            stage(self, *args, **kwargs)
+            rows = stage(self, *args, **kwargs)
             with cond:
                 staged[self] = staged.get(self, 0) + 1
                 cond.notify_all()
+            return rows
 
-        def held(*args, **kwargs):
-            fcache = caches.pop(threading.current_thread(), None)
-            if fcache is not None:  # the first epoch's end
+        def held(self):
+            if self not in swapped:  # only this worker's thread swaps it
+                swapped.add(self)
                 with cond:
                     if not cond.wait_for(
-                            lambda: staged.get(fcache) == cfg.epochs - 1, 10):
+                            lambda: staged.get(self) == cfg.epochs - 1, 10):
                         raise TimeoutError("the later fills were not staged")
-            return evaluate(*args, **kwargs)
+                waited.append(threading.current_thread())
+            return swap(self)
 
         monkeypatch.setattr(cache, "epoch_hot_sets", chosen)
-        monkeypatch.setattr(cache, "build_steady", kept)
         monkeypatch.setattr(cache.FeatureCache, "start_secondary_build", counted)
-        monkeypatch.setattr(model, "evaluate", held)
+        monkeypatch.setattr(cache.FeatureCache, "swap", held)
         results = run(cfg)
         monkeypatch.undo()
+        assert len(waited) == len(results) == len(set(waited))
         baseline = run(small_cfg(mode="baseline", batch_size=200))
         for r, b in zip(results, baseline):
             sets = hot_sets[r.part]
@@ -375,6 +478,27 @@ class TestRun:
         for p in range(2):
             recs = read_metrics(worker_metrics_path(str(out), p))
             assert [r.epoch for r in recs] == [0, 1]
+
+    def test_manifest_records_the_run(self, tmp_path):
+        out = tmp_path / "run.csv"
+        cfg = small_cfg(mode="rapid", epochs=2, metrics_out=str(out))
+        results = run(cfg)
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert RunConfig(**manifest["config"]) == cfg
+        assert {r.plan_digest for r in results} == {manifest["plan_digest"]}
+        kernel = train._openblas_corename()
+        assert manifest["openblas_corename"] == kernel
+        assert manifest["blas_threads"] == (None if kernel is None else 1)
+        assert (manifest["openblas_config"] is None) == (kernel is None)
+        assert manifest["numpy"] == np.__version__
+        assert set(manifest) == {"config", "plan_digest", "python", "numpy",
+                                 "scipy", "openblas_corename",
+                                 "openblas_config", "blas_threads"}
+
+    def test_no_manifest_without_metrics_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(small_cfg(mode="rapid", epochs=1))
+        assert not any(tmp_path.iterdir())
 
     def test_n_hot_zero_means_no_hits(self):
         results = run(small_cfg(mode="rapid", n_hot=0, epochs=2))
