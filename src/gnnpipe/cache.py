@@ -1,12 +1,13 @@
 """Hot-node feature cache and the per-epoch hot sets it holds.
 
 The precomputed plan fixes every epoch's remote accesses, so
-`epoch_hot_sets` chooses each epoch's hot set once, before training:
-the epoch's n_hot most-accessed remote nodes. A cache serves lookups for
-the current epoch while the lookahead's producer stages later epochs'
-rows in order; `swap`, on the worker's thread at the epoch boundary,
-installs the oldest. A failed fill raises its exception from `swap` and
-leaves the current rows installed. A cache built from no hot ids holds
+`epoch_hot_sets` counts each epoch's remote accesses once and chooses
+each epoch's hot set once, before training: the epoch's n_hot
+most-accessed remote nodes. A cache serves lookups for the current
+epoch while the lookahead's producer stages later epochs' rows in
+order; `swap`, on the worker's thread at the epoch boundary, installs
+the oldest. A failed fill raises its exception from `swap` and leaves
+the current rows installed. A cache built from no hot ids holds
 no rows and answers every lookup with misses; baseline mode uses one.
 The cache keeps no hit or miss counters; each lookup's split is
 returned to the caller, which counts per batch.
@@ -16,21 +17,25 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from collections.abc import Callable
 
 import numpy as np
 
+from .graph import sorted_unique
 from .plan import BatchPlan, collect_access, top_hot
 from .store import StoreClient, TransferAccount, find
 
 
 def epoch_hot_sets(plan: BatchPlan, book, part: int,
-                   n_hot: int) -> list[np.ndarray]:
+                   n_hot: Callable[[int], int]) -> list[np.ndarray]:
     """Worker `part`'s hot set for every epoch, sorted ascending: the
-    epoch's n_hot most-accessed remote nodes, or no nodes when n_hot is 0."""
-    if n_hot == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(plan.epochs)]
-    return [top_hot(collect_access(plan, book, part, epoch=e), n_hot)
-            for e in range(plan.epochs)]
+    epoch's n_hot(R) most-accessed remote nodes, where R is the number
+    of remote nodes that the plan's batches read over all epochs, the
+    union of the per-epoch counts."""
+    tables = [collect_access(plan, book, part, epoch=e)
+              for e in range(plan.epochs)]
+    size = n_hot(len(sorted_unique(np.concatenate([t.ids for t in tables]))))
+    return [top_hot(t, size) for t in tables]
 
 
 class FeatureCache:

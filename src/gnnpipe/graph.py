@@ -96,7 +96,8 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
     numpy >= 2.3 answers a plain np.unique of integers from a hash
     table, several times slower than sorting on the id arrays here.
     """
-    s = np.sort(ids)
+    s = np.array(ids)  # a copy, sorted in place
+    s.sort()
     keep = np.empty(len(s), dtype=bool)
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])

@@ -4,14 +4,15 @@ frequency counting, and hot-set selection."""
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
 from .partition import PartitionBook
-from .sampler import (ComputationBlock, SeedSchedule, epoch_batches, input_nodes,
-                      sample_block, seed_for)
+from .sampler import (ComputationBlock, SeedSchedule, epoch_batches, sample_block,
+                      seed_for)
 
 
 @dataclass
@@ -33,42 +34,49 @@ class FrequencyTable:
 
 @dataclass
 class BatchPlan:
-    """The precomputed schedule: per-(epoch, batch) seed descriptors plus
-    the materialized input-node sets.
+    """The precomputed schedule: every (epoch, batch)'s computation block,
+    sampled once, and its input node set.
 
-    Full blocks are re-derived on demand from (seeds, rng_seed); a run
-    derives each batch's block once, on one sampler thread, and every
-    worker trains on that block. The stored input_nodes make frequency
-    counting cheap and back the digest.
+    A run trains every worker on the stored blocks, so it samples
+    nothing. Each hop's position arrays are stored in the narrowest
+    unsigned dtype that holds its next frontier's length, and every
+    stored array is read-only, since every worker reads the same block
+    object. input_sets[e][i] is blocks[e][i].input_nodes, the same
+    array; it makes frequency counting cheap and backs the digest.
     """
 
-    graph: Graph
-    schedule: SeedSchedule
-    fanouts: list[int]
-    batch_seeds: list[list[np.ndarray]]  # [epoch][batch] -> seed node ids
+    blocks: list[list[ComputationBlock]]  # [epoch][batch]
     input_sets: list[list[np.ndarray]]  # [epoch][batch] -> sorted input nodes
     digest: int = 0
 
     @property
     def epochs(self) -> int:
-        return self.schedule.epochs
+        return len(self.blocks)
 
     def num_batches(self, e: int) -> int:
-        return len(self.batch_seeds[e])
+        return len(self.blocks[e])
 
     def block(self, e: int, i: int) -> ComputationBlock:
-        """Re-derive the full block; bit-identical to the original."""
-        return sample_block(
-            self.graph,
-            self.batch_seeds[e][i],
-            self.fanouts,
-            seed_for(self.schedule, e, i),
-            epoch=e,
-            batch=i,
-        )
+        """The stored block of batch i of epoch e."""
+        return self.blocks[e][i]
 
     def digest_hex(self) -> str:
         return f"{self.digest:016x}"
+
+
+def _stored(block: ComputationBlock) -> ComputationBlock:
+    """`block` with each hop's positions in the narrowest unsigned dtype
+    that holds its next frontier's length and every array read-only.
+    indptr stays int64: the model adds a row count to it, which would
+    wrap silently in a narrow dtype."""
+    hops = []
+    for (src_pos, indptr, self_pos), nxt in zip(block.hops, block.frontiers[1:]):
+        pos_type = np.min_scalar_type(len(nxt))
+        hops.append((src_pos.astype(pos_type), indptr, self_pos.astype(pos_type)))
+    block.hops = hops
+    for a in (*block.frontiers, *(a for hop in hops for a in hop)):
+        a.setflags(write=False)
+    return block
 
 
 def generate_plan(
@@ -79,32 +87,25 @@ def generate_plan(
     epochs: int,
     s0: int,
 ) -> BatchPlan:
-    """Precompute every epoch's batches and their input-node sets."""
+    """Sample every epoch's batches once and keep their blocks."""
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
     batches_per_epoch = -(-len(train_nodes) // batch_size)
     schedule = SeedSchedule(s0=s0, epochs=epochs, batches_per_epoch=batches_per_epoch)
     h = hashlib.blake2b(digest_size=8)
-    batch_seeds: list[list[np.ndarray]] = []
+    blocks: list[list[ComputationBlock]] = []
     input_sets: list[list[np.ndarray]] = []
     for e in range(epochs):
-        seeds_e = epoch_batches(train_nodes, batch_size, schedule, e)
-        inputs_e = []
-        for i, seeds in enumerate(seeds_e):
-            inputs = input_nodes(g, seeds, fanouts, seed_for(schedule, e, i))
-            inputs_e.append(inputs)
-            h.update(np.array([e, i], dtype="<u8").tobytes())
-            h.update(inputs.astype("<u8").tobytes())
-        batch_seeds.append(seeds_e)
-        input_sets.append(inputs_e)
+        blocks_e = []
+        for i, seeds in enumerate(epoch_batches(train_nodes, batch_size, schedule, e)):
+            block = _stored(sample_block(g, seeds, fanouts, seed_for(schedule, e, i),
+                                         e, i))
+            blocks_e.append(block)
+            h.update(struct.pack("<QQ", e, i))
+            h.update(block.input_nodes.astype("<u8"))
+        blocks.append(blocks_e)
+        input_sets.append([b.input_nodes for b in blocks_e])
     digest = int.from_bytes(h.digest(), "little")
-    return BatchPlan(
-        graph=g,
-        schedule=schedule,
-        fanouts=list(fanouts),
-        batch_seeds=batch_seeds,
-        input_sets=input_sets,
-        digest=digest,
-    )
+    return BatchPlan(blocks=blocks, input_sets=input_sets, digest=digest)
 
 
 def _count(chunks: list[np.ndarray]) -> FrequencyTable:

@@ -11,15 +11,15 @@ others. `assemble_bundle` gathers one batch's feature rows with no I/O:
 local shard reads, cache hits, and the cache misses taken from the
 window gathered for it. A cache with no rows, as in baseline mode, makes
 every remote row a miss. `Prefetcher` runs any iterator on a single
-producer thread into a bounded ring of depth Q that k readers take
-from, each reader every item strictly in order: a worker's run of
-lookahead pulls with its training loop as the one reader, or the run's
-blocks with every worker as a reader.
+producer thread into a bounded ring of depth Q that one reader takes
+from in order: a worker's run of lookahead pulls, read by its training
+loop.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -35,8 +35,8 @@ class PrefetchError(RuntimeError):
     """The prefetched iterator raised after yielding `batch` items.
 
     `batch` counts from the start of the iterator; for a run of
-    lookahead pulls or of blocks, one item per batch, that is the batch's
-    index in the run, not in its epoch.
+    lookahead pulls, one item per batch, that is the batch's index in
+    the run, not in its epoch.
     """
 
     def __init__(self, batch: int, cause: BaseException):
@@ -151,27 +151,22 @@ def assemble_bundle(
 
 
 class Prefetcher:
-    """Runs an iterator ahead of its `readers` consumers on one producer
-    thread; every reader takes every item, strictly in order.
+    """Runs an iterator ahead of its one reader on one producer thread.
 
-    Items wait in a ring until every reader has taken them. At most
-    `depth` items wait there, plus the one the producer holds while the
-    slowest reader is `depth` items behind. Everything the iterator does
-    runs on that thread.
+    At most `depth` items wait in a ring, plus the one the producer
+    holds while the ring is full. Everything the iterator does runs on
+    that thread.
     """
 
-    def __init__(self, items: Iterable, depth: int = 3, readers: int = 1):
+    def __init__(self, items: Iterable, depth: int = 3):
         if depth < 1:
             raise ValueError("prefetch depth must be >= 1")
-        if readers < 1:
-            raise ValueError("a prefetcher needs at least one reader")
         self._depth = depth
         self._cond = threading.Condition()
-        self._ring: dict[int, object] = {}  # item index -> item
-        self._next = [0] * readers  # each reader's next item index
-        self._made = 0  # items the iterator has yielded
+        self._ring: deque = deque()
+        self._taken = 0  # items the reader has taken
         self._done = False  # the iterator is exhausted or raised
-        self._error: BaseException | None = None  # what it raised at _made
+        self._error: BaseException | None = None  # what it raised, if it did
         self._closed = False
         self._producer = threading.Thread(target=self._produce, args=(items,),
                                           daemon=True)
@@ -186,47 +181,38 @@ class Prefetcher:
                         self._cond.wait()
                     if self._closed:
                         return
-                    self._ring[self._made] = item
-                    self._made += 1
+                    self._ring.append(item)
                     self._cond.notify_all()
-        except BaseException as exc:  # surfaced on the readers' side
+        except BaseException as exc:  # surfaced on the reader's side
             error = exc
         with self._cond:
             self._done, self._error = True, error
             self._cond.notify_all()
 
-    def take(self, reader: int):
-        """Block for `reader`'s next in-order item; None once the iterator
-        is done or the prefetcher is closed. Raises `PrefetchError` at the
-        item the iterator raised on, and at every later take."""
+    def next_bundle(self):
+        """Block for the next in-order item; None once the iterator is done
+        or the prefetcher is closed. Raises `PrefetchError` at the item
+        the iterator raised on, and at every later call."""
         with self._cond:
-            n = self._next[reader]
-            while not self._closed and n == self._made and not self._done:
+            while not self._closed and not self._ring and not self._done:
                 self._cond.wait()
             if self._closed:
                 return None
-            if n < self._made:
-                item = self._ring[n]
-                self._next[reader] = n + 1
-                if min(self._next) > n:  # every reader has taken it
-                    del self._ring[n]
-                    self._cond.notify_all()
-                return item
+            if self._ring:
+                self._taken += 1
+                self._cond.notify_all()
+                return self._ring.popleft()
             if self._error is not None:
-                raise PrefetchError(n, self._error)
+                raise PrefetchError(self._taken, self._error)
             return None
-
-    def next_bundle(self):
-        """The only reader's next item; None once the iterator is done."""
-        return self.take(0)
 
     def __iter__(self) -> Iterator:
         while (item := self.next_bundle()) is not None:
             yield item
 
     def close(self) -> None:
-        """Stop the producer, drop every waiting item and wake every
-        waiter; idempotent. Every later take returns None."""
+        """Stop the producer and drop every waiting item; idempotent.
+        Every later call returns None."""
         with self._cond:
             self._closed = True
             self._ring.clear()

@@ -9,19 +9,22 @@ the result does not depend on frontier iteration order. A take-all node
 (degree at most the fanout) keeps every entry and draws no keys; its
 result is the same as if it had drawn them.
 
-All hubs of a step pick their winners in one grouped sort by (hub, key),
-and each step's edges are ordered by (dst, src) the same way: an argsort
-of the keys, then a stable argsort of the group index in the narrowest
-unsigned dtype that holds it (numpy radix-sorts 8- and 16-bit integers),
-which gives np.lexsort's order because keys never tie within a group
-(or tie only between equal values). So a step's edges come out as one
-CSR row per frontier node, each row's sources ascending, and the row
-offsets are the running sum of the kept counts min(deg, fanout). The
-next frontier and every position in it come from one np.unique over the
-frontier and the sampled sources, so a step costs what its frontier and
-edges cost, not the size of the graph. `input_nodes` runs the same
-steps for callers that need only the input node set, and skips the edge
-order and the positions.
+All hubs of a step pick their winners in one grouped sort by (hub,
+key): an argsort of the keys, then a stable argsort of the hub index in
+the narrowest unsigned dtype that holds it (numpy radix-sorts 8- and
+16-bit integers), which gives np.lexsort's order because keys never tie
+within a hub. The next frontier is the sorted union of the frontier and
+the sampled sources; a position table over the graph's ids, written only
+at that frontier's ids, gives every position in it. A step's edges are
+then one sort of packed (dst position, src position) keys, so they come
+out as one CSR row per frontier node, each row's sources ascending, and
+the row offsets are the running sum of the kept counts min(deg, fanout).
+A step costs what its frontier and edges cost, not the size of the
+graph. The plan samples every batch, a few hundred small blocks on the
+remote configurations, so the steps call ndarray methods (`argsort`,
+`repeat`, `nonzero`, `cumsum`) rather than the np.* functions that
+forward to them: on those blocks the forwarding costs about as much as
+the work.
 """
 
 from __future__ import annotations
@@ -108,18 +111,18 @@ def _group_order(group: np.ndarray, keys: np.ndarray) -> np.ndarray:
     or distinct keys), since the first sort is not stable. group must be
     non-negative.
     """
-    by_key = np.argsort(keys)
+    by_key = keys.argsort()
     grp = group[by_key]
     if len(grp):
         grp = grp.astype(np.min_scalar_type(int(grp.max())))
-    return by_key[np.argsort(grp, kind="stable")]
+    return by_key[grp.argsort(kind="stable")]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + n) for each (s, n)."""
-    offsets = np.cumsum(lengths) - lengths
+    offsets = lengths.cumsum() - lengths
     return (np.arange(int(lengths.sum()), dtype=np.int64)
-            + np.repeat(starts - offsets, lengths))
+            + (starts - offsets).repeat(lengths))
 
 
 def _sample_neighbors(
@@ -135,14 +138,16 @@ def _sample_neighbors(
     start = g.indptr[frontier]
     deg = g.indptr[frontier + 1] - start
     hub = deg > fanout
-    few = np.flatnonzero(~hub)
-    few_edges = _ranges(start[few], deg[few])
-    few_pos = np.repeat(few, deg[few])
-    hubs = np.flatnonzero(hub)
+    few = (~hub).nonzero()[0]
+    few_deg = deg[few]
+    few_edges = _ranges(start[few], few_deg)
+    few_pos = few.repeat(few_deg)
+    hubs = hub.nonzero()[0]
     hub_deg = deg[hubs]
-    hub_edges = _ranges(start[hubs], hub_deg)
-    group = np.repeat(np.arange(len(hubs)), hub_deg)
-    pos_in_slice = hub_edges - np.repeat(start[hubs], hub_deg)
+    hub_start = start[hubs]
+    hub_edges = _ranges(hub_start, hub_deg)
+    group = np.arange(len(hubs)).repeat(hub_deg)
+    pos_in_slice = hub_edges - hub_start.repeat(hub_deg)
     node_key = mix64_array(
         (frontier[hubs].astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
         ^ np.uint64(step_seed & MASK64)
@@ -199,27 +204,19 @@ def sample_block(
     frontier = _seed_frontier(seeds)
     frontiers = [frontier]
     hops: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    at = np.empty(g.num_nodes, dtype=np.int64)  # node id -> position in nxt
     for fanout, step_seed in steps:
         src, dst_pos, counts = _sample_neighbors(g, frontier, fanout, step_seed)
-        src = src[_group_order(dst_pos, src)]
-        nxt, pos = np.unique(np.concatenate([frontier, src]), return_inverse=True)
-        hops.append((pos[len(frontier):], np.concatenate(([0], np.cumsum(counts))),
-                     pos[:len(frontier)]))
+        nxt = sorted_unique(np.concatenate([frontier, src]))
+        n = len(nxt)
+        at[nxt] = np.arange(n)
+        # nxt is sorted, so ordering by (dst, src) is ordering by positions
+        edge = dst_pos * n
+        edge += at[src]
+        edge.sort()
+        indptr = np.zeros(len(frontier) + 1, dtype=np.int64)
+        counts.cumsum(out=indptr[1:])
+        hops.append((np.remainder(edge, n, out=edge), indptr, at[frontier]))
         frontier = nxt
         frontiers.append(frontier)
     return ComputationBlock(epoch=epoch, batch=batch, frontiers=frontiers, hops=hops)
-
-
-def input_nodes(
-    g: Graph, seeds: np.ndarray, fanouts: list[int], rng_seed: int
-) -> np.ndarray:
-    """sample_block(g, seeds, fanouts, rng_seed).input_nodes, without
-    ordering the edges or locating positions: each step samples the
-    same neighbors and the next frontier is their sorted union with the
-    current one."""
-    steps = _steps(fanouts, rng_seed)
-    frontier = _seed_frontier(seeds)
-    for fanout, step_seed in steps:
-        src, _, _ = _sample_neighbors(g, frontier, fanout, step_seed)
-        frontier = sorted_unique(np.concatenate([frontier, src]))
-    return frontier

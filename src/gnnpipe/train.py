@@ -1,17 +1,16 @@
 """End-to-end runner: partition, plan, caches, prefetch, SGD loop, metrics.
 
 Each worker runs one loop over the plan's epochs and batches on its own
-thread. For each batch it takes the batch's `Lookahead` and its block,
-assembles its feature rows and trains; at each epoch boundary it swaps
-in the cache fill the lookahead staged. So only that thread looks up or
-swaps the cache. A block is a pure function of (epoch, batch), so the
-run samples each one once: one sampler thread, a `Prefetcher` with every
-worker as a reader, derives the blocks in plan order, at most
-_BLOCK_DEPTH ahead of the slowest worker, and hands each worker the same
-read-only block. Before training, each worker chooses every epoch's hot
-set once (`cache.epoch_hot_sets`); the first cache fill and the
-lookahead read that list. The lookahead fills each later epoch's cache
-just before its first window and gathers the cache misses of each
+thread. For each batch it takes the batch's `Lookahead` and the plan's
+stored block, assembles its feature rows and trains; at each epoch
+boundary it swaps in the cache fill the lookahead staged. So only that
+thread looks up or swaps the cache. The plan sampled every block once,
+before any worker starts, so the run samples nothing: every worker
+trains on the same read-only block object. Before training, each rapid
+worker counts each epoch's remote accesses once and chooses every
+epoch's hot set from those counts (`cache.epoch_hot_sets`); the first
+cache fill and the lookahead read that list. The lookahead fills each
+later epoch's cache just before its first window and gathers the cache misses of each
 window of consecutive batches at once; the plan fixes every batch's
 input nodes and every epoch's hot set, so the lookahead never waits for
 the loop. The mode decides four things only: the size of the worker's
@@ -59,19 +58,15 @@ from . import model
 from .graph import Graph, load_graph, synth_powerlaw
 from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
+# nothing here calls collect_access, but bench/layers.py wraps it by name
 from .plan import BatchPlan, collect_access, generate_plan
 from .prefetch import (Lookahead, Prefetcher, PulledRows, assemble_bundle,
                        pull_window)
 from .rng import mix64
-from .sampler import ComputationBlock
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
 
 _PARAM_SEED_TAG = 0x70617261
-# blocks the sampler may run ahead of the slowest worker; on a 2-vCPU VM
-# the two replay workers waited on it 430-570 ms per run at depth 2 and
-# 150-390 ms at depth 8
-_BLOCK_DEPTH = 8
 
 
 @dataclass
@@ -284,17 +279,6 @@ def _lookahead(
             held.append(hot)
 
 
-def _plan_blocks(plan: BatchPlan) -> Iterator[ComputationBlock]:
-    """Every batch's block in plan order, its arrays read-only, since
-    every worker trains on the same block object."""
-    for e in range(plan.epochs):
-        for i in range(plan.num_batches(e)):
-            block = plan.block(e, i)
-            for a in (*block.frontiers, *itertools.chain(*block.hops)):
-                a.setflags(write=False)
-            yield block
-
-
 def _run_worker(
     part: int,
     labels: np.ndarray,
@@ -304,18 +288,18 @@ def _run_worker(
     shard: StoreShard,
     client: StoreClient,
     cfg: RunConfig,
-    blocks: Prefetcher,
+    stop: threading.Event,
 ) -> WorkerResult:
-    """Train worker `part` over the whole plan; raise once `blocks` is
-    closed, which a take before every batch sees.
+    """Train worker `part` over the whole plan; raise once `stop` is set,
+    which a check before every batch sees.
 
-    Each batch takes its block from `blocks`, the run's one sampled
-    stream, as reader `part`, so it samples nothing itself, and its
-    cache misses from its `Lookahead`. When any epoch has hot nodes, each
-    epoch e >= 1 starts, inside its timed region, by swapping in the fill
-    the lookahead's producer staged for it; only the producer writes
-    `fill` until `pf.close()`. The lookahead pulled e's misses for e's
-    hot set, so a failed fill raises.
+    Each batch trains on the plan's stored block, so the worker samples
+    nothing, and takes its cache misses from its `Lookahead`. When any
+    epoch has hot nodes, each epoch e >= 1 starts, inside its timed
+    region, by swapping in the fill the lookahead's producer staged for
+    it; only the producer writes `fill` until `pf.close()`. The
+    lookahead pulled e's misses for e's hot set, so a failed fill
+    raises.
 
     The worker reads features only through `shard` and `client`. It
     evaluates nothing: each record's `train_acc` is NaN until `run()`
@@ -326,10 +310,10 @@ def _run_worker(
     fill = TransferAccount()
     rapid = cfg.mode == "rapid"
 
-    n_hot = 0
+    hot_sets = [np.empty(0, dtype=np.int64)] * plan.epochs
     if rapid:
-        n_hot = resolve_n_hot(cfg, len(collect_access(plan, book, part)))
-    hot_sets = cache_mod.epoch_hot_sets(plan, book, part, n_hot)
+        hot_sets = cache_mod.epoch_hot_sets(
+            plan, book, part, lambda num_remote: resolve_n_hot(cfg, num_remote))
     fcache = cache_mod.build_steady(hot_sets[0], client, fill)
     turn_over = any(len(hot) for hot in hot_sets)
 
@@ -357,10 +341,10 @@ def _run_worker(
             hits = misses = 0
             pulled = TransferAccount()
             for i in range(plan.num_batches(e)):
-                block = blocks.take(part)
-                if block is None:
+                if stop.is_set():
                     raise RuntimeError(f"worker {part} stopped: another "
                                        f"worker failed")
+                block = plan.block(e, i)
                 la = next(ahead)
                 bundle = assemble_bundle(block, book.owner, part, shard,
                                          fcache, la.pulled)
@@ -492,9 +476,9 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
 
     Pins numpy's OpenBLAS to one thread first, so the parameters do not
     depend on `OPENBLAS_NUM_THREADS`. The pin holds for the whole
-    process, not only this call, and is not undone. One sampler thread
-    then derives every batch's block once for all the workers; the first
-    worker to fail closes its stream, which wakes the others. Once every
+    process, not only this call, and is not undone. The plan samples
+    every batch's block once, before any worker starts; the first worker
+    to fail stops the others at their next batch. Once every
     worker has finished, this thread evaluates each epoch's parameters
     (`_evaluate_epochs`); a failed run evaluates nothing. With
     `metrics_out`, it then writes each worker's CSV and the run's
@@ -514,6 +498,8 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
     shards = build_shards(g, book, cfg.latency_ms)
 
     servers: list[TcpShardServer] = []
+    stop = threading.Event()  # set by the first worker to fail
+
     def connect(p: int):
         if cfg.transport == "inproc":
             return InprocTransport(shards[p])
@@ -528,14 +514,13 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
             for q in range(book.k):
                 client.transports.append(connect(q))
             results[p] = _run_worker(p, g.labels, g.num_classes, book, plan,
-                                     shards[p], client, cfg, blocks)
+                                     shards[p], client, cfg, stop)
         except BaseException as exc:
             errors.append(exc)
-            blocks.close()
+            stop.set()
         finally:
             client.close()
 
-    blocks = Prefetcher(_plan_blocks(plan), _BLOCK_DEPTH, book.k)
     try:
         if cfg.transport == "tcp":
             for s in shards:
@@ -547,7 +532,6 @@ def run(cfg: RunConfig) -> list[WorkerResult]:
         for t in threads:
             t.join()
     finally:
-        blocks.close()
         for srv in servers:
             srv.close()
     if errors:

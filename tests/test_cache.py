@@ -78,27 +78,35 @@ def pipeline(small_graph):
 class TestEpochHotSets:
     def test_top_n_hot_of_each_epoch(self, pipeline):
         g, plan, book, client = pipeline
-        sets = epoch_hot_sets(plan, book, 0, 30)
+        sets = epoch_hot_sets(plan, book, 0, lambda num_remote: 30)
         assert len(sets) == plan.epochs
         for e, hot in enumerate(sets):
             assert np.array_equal(
                 hot, top_hot(collect_access(plan, book, 0, epoch=e), 30))
 
-    def test_no_hot_nodes_without_counting(self, pipeline, monkeypatch):
+    def test_size_from_the_run_remote_count_each_epoch_counted_once(
+            self, pipeline, monkeypatch):
+        # the size sees the worker's whole-plan remote node count, which
+        # the per-epoch counts give without a whole-plan count
         g, plan, book, client = pipeline
+        epochs = []
 
-        def no_count(*args, **kwargs):
-            raise AssertionError("accesses were counted")
+        def counting(plan, book, part, epoch):
+            epochs.append(epoch)
+            return collect_access(plan, book, part, epoch=epoch)
 
-        monkeypatch.setattr(cache_mod, "collect_access", no_count)
-        sets = epoch_hot_sets(plan, book, 0, 0)
+        monkeypatch.setattr(cache_mod, "collect_access", counting)
+        remote = []
+        sets = epoch_hot_sets(plan, book, 0, lambda n: remote.append(n) or 0)
+        assert epochs == list(range(plan.epochs))
+        assert remote == [len(collect_access(plan, book, 0))]
         assert [(len(h), h.dtype) for h in sets] == [(0, np.int64)] * plan.epochs
 
 
 class TestDoubleBuffer:
     def test_swap_installs_next_epoch_hot_set(self, pipeline):
         g, plan, book, client = pipeline
-        hot = epoch_hot_sets(plan, book, 0, 30)
+        hot = epoch_hot_sets(plan, book, 0, lambda num_remote: 30)
         cache = build_steady(hot[0], client)
         acct = TransferAccount()
         cache.start_secondary_build(hot[1], client, acct)
@@ -129,7 +137,7 @@ class TestDoubleBuffer:
 
     def test_fills_swap_in_staging_order(self, pipeline):
         g, plan, book, client = pipeline
-        hot = epoch_hot_sets(plan, book, 0, 30)
+        hot = epoch_hot_sets(plan, book, 0, lambda num_remote: 30)
         cache = build_steady(hot[0], client)
         cache.start_secondary_build(hot[1], client)
         cache.start_secondary_build(hot[2], client)

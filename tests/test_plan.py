@@ -6,8 +6,11 @@ import pytest
 
 from gnnpipe.graph import sorted_unique, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut
-from gnnpipe.plan import (FrequencyTable, collect_access, generate_plan,
+from gnnpipe.model import init_params, loss_and_grad
+from gnnpipe.plan import (FrequencyTable, _stored, collect_access, generate_plan,
                           top_hot)
+from gnnpipe.sampler import (ComputationBlock, SeedSchedule, epoch_batches,
+                             sample_block, seed_for)
 from gnnpipe.train import RunConfig, _openblas_corename, run
 
 
@@ -42,23 +45,66 @@ class TestGeneratePlan:
         assert plan.epochs == 3
         for e in range(3):
             assert plan.num_batches(e) == expected_batches
-            merged = np.concatenate(plan.batch_seeds[e])
+            merged = np.concatenate([plan.block(e, i).frontiers[0]
+                                     for i in range(plan.num_batches(e))])
             assert np.array_equal(
                 np.sort(merged), np.flatnonzero(small_graph.train_mask)
             )
 
-    def test_block_rederivation_matches_stored_inputs(self, plan):
+    def test_stored_blocks_back_the_input_sets(self, plan):
         for e in range(plan.epochs):
             for i in range(plan.num_batches(e)):
                 block = plan.block(e, i)
-                assert np.array_equal(block.input_nodes, plan.input_sets[e][i])
+                assert plan.block(e, i) is block is plan.blocks[e][i]
+                assert plan.input_sets[e][i] is block.input_nodes
                 assert block.epoch == e and block.batch == i
 
-    def test_first_frontier_is_sorted_unique_seeds(self, plan):
+    def test_stored_blocks_equal_fresh_samples(self, small_graph, plan):
+        train = np.flatnonzero(small_graph.train_mask)
+        s = SeedSchedule(s0=7, epochs=3, batches_per_epoch=plan.num_batches(0))
         for e in range(plan.epochs):
-            for i in range(plan.num_batches(e)):
-                assert np.array_equal(plan.block(e, i).frontiers[0],
-                                      sorted_unique(plan.batch_seeds[e][i]))
+            for i, seeds in enumerate(epoch_batches(train, 64, s, e)):
+                block, fresh = plan.block(e, i), sample_block(
+                    small_graph, seeds, [3, 5], seed_for(s, e, i), e, i)
+                assert np.array_equal(block.frontiers[0], sorted_unique(seeds))
+                for a, b in zip(block.frontiers, fresh.frontiers):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                for hop, fresh_hop in zip(block.hops, fresh.hops):
+                    for a, b in zip(hop, fresh_hop):
+                        assert np.array_equal(a, b)
+
+
+    def test_stored_blocks_train_like_fresh_samples(self, small_graph, plan):
+        # narrow positions index the same rows, so a step on a stored
+        # block gives the bits of a step on the int64 block
+        train = np.flatnonzero(small_graph.train_mask)
+        s = SeedSchedule(s0=7, epochs=3, batches_per_epoch=plan.num_batches(0))
+        params = init_params(small_graph.feat_dim, 8, small_graph.num_classes,
+                             2, seed=3)
+        for i, seeds in enumerate(epoch_batches(train, 64, s, 2)):
+            fresh = sample_block(small_graph, seeds, [3, 5], seed_for(s, 2, i))
+            rows = small_graph.features[fresh.input_nodes]
+            got, want = (loss_and_grad(b, rows, small_graph.labels, params)
+                         for b in (plan.block(2, i), fresh))
+            assert got[0] == want[0]
+            for g_got, g_want in zip(got[1], want[1]):
+                for x, y in zip(vars(g_got).values(), vars(g_want).values()):
+                    assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("length, narrow", [
+    (1, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+    (65_536, np.uint32)])
+def test_stored_positions_take_the_narrowest_dtype(length, narrow):
+    nxt = np.arange(length, dtype=np.int64)
+    pos = np.array([0, length - 1], dtype=np.int64)
+    block = _stored(ComputationBlock(0, 0, [pos[:1], nxt],
+                                     [(pos, np.array([0, 2]), pos[:1])]))
+    ((src_pos, indptr, self_pos),) = block.hops
+    assert src_pos.dtype == self_pos.dtype == narrow
+    assert indptr.dtype == np.int64
+    assert src_pos.tolist() == [0, length - 1] and self_pos.tolist() == [0]
+    assert not any(a.flags.writeable for a in (*block.frontiers, *block.hops[0]))
 
 
 class TestCollectAccess:
@@ -212,3 +258,29 @@ def test_pinned_params_digests(name):
         pytest.skip(f"no params digest recorded for OpenBLAS kernel {kernel!r}; "
                     f"this run's is {digests[0]}")
     assert digests[0] == PINNED_PARAMS[kernel][PARAMS_RUNS[name][1]], kernel
+
+
+def test_replay_plan_stores_compact_read_only_blocks():
+    """The replay plan keeps every block: each hop's positions in the
+    narrowest unsigned dtype that holds its next frontier's length,
+    indptr in int64, every array read-only, 42 MB at most in all (int64
+    positions would take about 73 MB)."""
+    cfg = PINNED[0][0]
+    g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
+                       cfg.num_classes, cfg.s0)
+    plan = generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
+                         cfg.batch_size, cfg.epochs, cfg.s0)
+    stored = 0
+    for e in range(plan.epochs):
+        for i in range(plan.num_batches(e)):
+            block = plan.block(e, i)
+            for (src_pos, indptr, self_pos), nxt in zip(block.hops,
+                                                       block.frontiers[1:]):
+                narrow = np.min_scalar_type(len(nxt))
+                assert narrow.kind == "u"
+                assert src_pos.dtype == self_pos.dtype == narrow
+                assert indptr.dtype == np.int64
+            arrays = [*block.frontiers, *(a for hop in block.hops for a in hop)]
+            assert not any(a.flags.writeable for a in arrays)
+            stored += sum(a.nbytes for a in arrays)
+    assert stored <= 42e6, f"{stored / 1e6:.1f} MB of stored blocks"

@@ -197,7 +197,7 @@ class TestLookaheadStream:
 
     def items(self, setup, window, carry=False):
         g, plan, book, owner, shard, client = setup
-        hot_sets = epoch_hot_sets(plan, book, 0, self.N_HOT)
+        hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: self.N_HOT)
         if not carry:
             return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets,
                                              window))
@@ -341,8 +341,6 @@ class TestPrefetcher:
         g, plan, book, owner, shard, client = setup
         with pytest.raises(ValueError):
             Prefetcher(run_ahead(plan, book, client), depth=0)
-        with pytest.raises(ValueError):
-            Prefetcher(run_ahead(plan, book, client), readers=0)
 
 
 def wait_for(cond, seconds=2.0):
@@ -368,70 +366,45 @@ class Counted:
             yield x
 
 
-def take_all(pf, reader, out):
-    while (item := pf.take(reader)) is not None:
-        out.append(item)
-
-
-class TestSharedPrefetcher:
-    def test_every_reader_takes_every_item(self):
-        # more readers than cores and a short switch interval, so a lost
-        # update to the ring or a reader's position would show
+class TestPrefetcherRing:
+    def test_reader_takes_every_item_in_order(self):
+        # a short switch interval, so a lost update to the ring would show
         items = [object() for _ in range(400)]
-        pf = Prefetcher(iter(items), depth=2, readers=5)
-        seen = [[] for _ in range(5)]
-        threads = [threading.Thread(target=take_all, args=(pf, r, seen[r]))
-                   for r in range(5)]
+        pf = Prefetcher(iter(items), depth=2)
+        seen = []
+        reader = threading.Thread(target=lambda: seen.extend(pf))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(20)
+            reader.start()
+            reader.join(20)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for got in seen:
-            assert len(got) == len(items)
-            assert all(a is b for a, b in zip(got, items))
-        assert pf._ring == {}  # every item dropped once all readers took it
+        assert not reader.is_alive()
+        assert len(seen) == len(items)
+        assert all(a is b for a, b in zip(seen, items))
+        assert not pf._ring
         pf.close()
 
-    def test_slowest_reader_bounds_the_producer(self):
+    def test_ring_bounds_the_producer(self):
         src = Counted(10)
-        pf = Prefetcher(src, depth=2, readers=2)
-        assert [pf.take(0), pf.take(0)] == [0, 1]
+        pf = Prefetcher(src, depth=2)
         wait_for(lambda: src.made >= 3)
-        # reader 1 has taken nothing: the ring holds 2, the producer 1 more
+        # the ring holds 2, the producer 1 more
         assert src.made == 3
-        assert pf.take(1) == 0
+        assert pf.next_bundle() == 0
         wait_for(lambda: src.made >= 4)
         assert src.made == 4
-        assert [pf.take(0), pf.take(1), pf.take(1)] == [2, 1, 2]
+        assert [pf.next_bundle(), pf.next_bundle()] == [1, 2]
         pf.close()
         assert not pf._producer.is_alive()
 
-    def test_error_reaches_every_reader(self):
-        pf = Prefetcher(Counted(10, fail_after=3), depth=4, readers=2)
-        for r in range(2):
-            assert [pf.take(r) for _ in range(3)] == [0, 1, 2]
-            for _ in range(2):  # and again at every later take
-                with pytest.raises(PrefetchError, match="item 3") as exc:
-                    pf.take(r)
-                assert exc.value.batch == 3
-                assert isinstance(exc.value.__cause__, ValueError)
+    def test_error_at_every_later_call(self):
+        pf = Prefetcher(Counted(10, fail_after=3), depth=4)
+        assert [pf.next_bundle() for _ in range(3)] == [0, 1, 2]
+        for _ in range(2):
+            with pytest.raises(PrefetchError, match="item 3") as exc:
+                pf.next_bundle()
+            assert exc.value.batch == 3
+            assert isinstance(exc.value.__cause__, ValueError)
         pf.close()
-
-    def test_close_wakes_a_waiting_reader(self):
-        # reader 1 never reads, so reader 0 waits once it is `depth` ahead
-        pf = Prefetcher(Counted(10), depth=2, readers=2)
-        seen = []
-        reader = threading.Thread(target=take_all, args=(pf, 0, seen))
-        reader.start()
-        wait_for(lambda: len(seen) >= 2)
-        assert seen == [0, 1] and reader.is_alive()
-        pf.close()
-        reader.join(10)
-        assert not reader.is_alive() and not pf._producer.is_alive()
-        assert pf.take(1) is None

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import edge_ids
-from gnnpipe.graph import from_edge_list, synth_powerlaw
+from gnnpipe.graph import Graph, from_edge_list, synth_powerlaw
 from gnnpipe.rng import GOLDEN, MASK64, mix64, mix64_array
 from gnnpipe.sampler import (SeedSchedule, _group_order, epoch_batches,
-                             input_nodes, sample_block, seed_for)
+                             sample_block, seed_for)
 
 
 def schedule(s0=0, epochs=10, batches=100):
@@ -154,18 +156,16 @@ class TestSampleBlock:
             assert np.all(np.isin(inner, outer))
         assert np.array_equal(block.input_nodes, np.unique(block.input_nodes))
 
-    @pytest.mark.parametrize("sample", [sample_block, input_nodes])
-    def test_errors(self, small_graph, sample):
+    def test_errors(self, small_graph):
         with pytest.raises(ValueError, match="seeds must be nonempty"):
-            sample(small_graph, np.array([]), [3], 0)
+            sample_block(small_graph, np.array([]), [3], 0)
         with pytest.raises(ValueError, match="fanouts must be nonempty"):
-            sample(small_graph, np.array([0]), [], 0)
+            sample_block(small_graph, np.array([0]), [], 0)
 
-    @pytest.mark.parametrize("sample", [sample_block, input_nodes])
     @pytest.mark.parametrize("fanouts", [[3, 0], [-3, 5], [0]])
-    def test_fanout_below_one_rejected(self, small_graph, fanouts, sample):
+    def test_fanout_below_one_rejected(self, small_graph, fanouts):
         with pytest.raises(ValueError, match="fanouts must be >= 1"):
-            sample(small_graph, np.arange(4), fanouts, 0)
+            sample_block(small_graph, np.arange(4), fanouts, 0)
 
 
 def _reference_sample_neighbors(g, frontier, fanout, step_seed):
@@ -231,14 +231,40 @@ def _assert_matches_reference(g, seeds, fanouts, rng_seed):
         _assert_same(src_pos, np.searchsorted(frontiers[d + 1], ref_src))
         _assert_same(indptr, np.concatenate(([0], np.cumsum(counts))))
         _assert_same(self_pos, np.searchsorted(frontiers[d + 1], frontiers[d]))
-    _assert_same(input_nodes(g, seeds, fanouts, rng_seed), frontiers[-1])
     return block
+
+
+@st.composite
+def sampled_multigraphs(draw):
+    """A small multigraph with unsorted rows, duplicate entries and
+    zero-degree nodes, a seed list with repeats, fanouts and a step seed."""
+    n = draw(st.integers(1, 12))
+    lists = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=9),
+                          min_size=n, max_size=n))
+    indptr = np.cumsum([0] + [len(x) for x in lists]).astype(np.int64)
+    g = Graph(
+        num_nodes=n, num_edges=int(indptr[-1]), indptr=indptr,
+        indices=np.array([v for x in lists for v in x], dtype=np.int64),
+        features=np.zeros((n, 1), dtype=np.float32),
+        labels=np.zeros(n, dtype=np.int64), feat_dim=1, num_classes=1,
+        train_mask=np.ones(n, dtype=bool), val_mask=np.zeros(n, dtype=bool),
+        test_mask=np.zeros(n, dtype=bool))
+    g.validate()
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    fanouts = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    return g, np.array(seeds, dtype=np.int64), fanouts, draw(
+        st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_multigraphs())
+def test_random_multigraphs_match_reference(case):
+    _assert_matches_reference(*case)
 
 
 class TestReferenceEquality:
     """sample_block against the plain keys-for-every-entry sampler it
-    replaced: same frontiers, edges and dtypes, bit for bit; and
-    input_nodes gives the same input node set."""
+    replaced: same frontiers, edges and dtypes, bit for bit."""
 
     def test_replay_sized_power_law(self):
         g = synth_powerlaw(20_000, 5, 4, 8, seed=7)

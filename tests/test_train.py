@@ -153,7 +153,7 @@ def window_shards(cfg, part: int) -> list[list[set[int]]]:
                            cfg.batch_size, cfg.epochs, cfg.s0)
     n_hot = resolve_n_hot(cfg, len(plan.collect_access(p, book, part)))
     q, held, out = cfg.prefetch_depth, np.empty(0, dtype=np.int64), []
-    for e, hot in enumerate(cache.epoch_hot_sets(p, book, part, n_hot)):
+    for e, hot in enumerate(cache.epoch_hot_sets(p, book, part, lambda _: n_hot)):
         out.append([])
         for first in range(0, p.num_batches(e), q):
             ids = np.unique(np.concatenate(p.input_sets[e][first:first + q]))
@@ -385,12 +385,12 @@ class TestRun:
 
         def failing(self, e, i):
             if (e, i) == (1, 0):
-                raise ValueError("injected sampling error")
+                raise ValueError("injected block error")
             return block(self, e, i)
 
         evaluated = count_evaluations(monkeypatch)
         monkeypatch.setattr(plan.BatchPlan, "block", failing)
-        with pytest.raises(PrefetchError):
+        with pytest.raises(ValueError, match="injected block error"):
             run(small_cfg(mode="rapid"))
         assert evaluated == []
 
@@ -509,12 +509,12 @@ class TestRun:
     @pytest.mark.parametrize("over, fills", [
         (dict(n_hot=0), 0), (dict(partitions=1), 0), ({}, SMALL["epochs"] - 1)])
     def test_no_hot_set_starts_no_cache_builds(self, monkeypatch, over, fills):
-        # one sampler per run; per worker, its own thread and one
-        # producer, which with a hot set also fills the cache for each
-        # of the E - 1 later epochs, on no thread of its own
+        # per worker, its own thread and one producer, which with a hot
+        # set also fills the cache for each of the E - 1 later epochs, on
+        # no thread of its own; the run samples on no thread of its own
         started = count_thread_starts(monkeypatch)
         results = run(small_cfg(mode="rapid", **over))
-        assert len(started) == 1 + 2 * len(results)
+        assert len(started) == 2 * len(results)
         for r in results:
             if fills:
                 assert len(r.cache_keys) > 0 and r.cache_fill.rpc_calls > 0
@@ -530,10 +530,9 @@ class TestRun:
         assert all(r.cache_keys is None for r in baseline_results)
 
     def test_one_stream_per_worker(self, monkeypatch):
-        # the run builds one Prefetcher for its blocks, and each rapid
-        # worker one for the run's lookahead pulls, which run on its
-        # producer thread; every cache lookup and swap runs on the
-        # worker's own thread, which runs its loop
+        # each rapid worker builds one Prefetcher, for the run's lookahead
+        # pulls, which run on its producer thread; every cache lookup and
+        # swap runs on the worker's own thread, which runs its loop
         made = {}  # Prefetcher -> the thread that built it
 
         class Spy(train.Prefetcher):
@@ -560,11 +559,10 @@ class TestRun:
         cfg = small_cfg(mode="rapid")
         run(cfg)
         main = threading.current_thread()
-        samplers = [pf for pf, by in made.items() if by is main]
-        lookaheads = [pf for pf, by in made.items() if by is not main]
+        lookaheads = list(made)
         producer_of = {made[pf]: pf._producer for pf in lookaheads}
         owners = set(producer_of)
-        assert len(samplers) == 1
+        assert main not in owners
         assert len(lookaheads) == 2 and len(owners) == 2
         assert len(set(producer_of.values())) == 2
         assert callers["lookup"] == owners
@@ -587,8 +585,8 @@ class TestRun:
             assert owner in owners
             assert [name for name, _ in mine] in orders
             assert {by for _, by in mine[1:]} == {producer_of[owner]}
-        # one sampler; per worker: its own thread and one producer
-        assert len(started) == 1 + 2 * 2
+        # per worker: its own thread and one producer
+        assert len(started) == 2 * 2
 
     def test_failed_run_leaves_no_thread(self, monkeypatch):
         # the loop fails at epoch 0's last batch while its producer is
@@ -641,11 +639,12 @@ class TestRun:
         assert "injected" in cause_chain(exc.value)
         assert set(threading.enumerate()) <= before
 
-    @pytest.mark.parametrize("mode, calls", [("rapid", 1 + SMALL["epochs"]),
+    @pytest.mark.parametrize("mode, calls", [("rapid", SMALL["epochs"]),
                                              ("baseline", 0)])
     def test_access_counted_once_per_epoch(self, monkeypatch, mode, calls):
-        # rapid: one whole-plan count for n_hot and one count per epoch's
-        # hot set; baseline caches nothing and counts nothing
+        # rapid: one count per epoch, which gives both that epoch's hot
+        # set and, by their union, n_hot; baseline caches nothing and
+        # counts nothing
         counts = {}
         for module in (train, cache):
             def counting(plan, book, part, *args, _orig=module.collect_access,
@@ -668,22 +667,25 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["rapid", "baseline"])
     @pytest.mark.parametrize("partitions", [1, 2])
-    def test_each_block_sampled_once(self, monkeypatch, mode, partitions):
-        sampled = []
-        block = plan.BatchPlan.block
+    def test_each_block_sampled_once_at_plan_time(self, monkeypatch, mode,
+                                                  partitions):
+        # every (e, i) is expanded once, by generate_plan on the calling
+        # thread; every worker trains on the stored, read-only block, the
+        # same object
+        sampled = []  # (e, i, thread, planned) of every expansion
+        planned = threading.Event()
+        sample_block = plan.sample_block
+        generate_plan = train.generate_plan
 
-        def counting(self, e, i):
-            sampled.append((e, i))
-            return block(self, e, i)
+        def counting(g, seeds, fanouts, rng_seed, e, i):
+            sampled.append((e, i, threading.current_thread(), planned.is_set()))
+            return sample_block(g, seeds, fanouts, rng_seed, e, i)
 
-        monkeypatch.setattr(plan.BatchPlan, "block", counting)
-        cfg = small_cfg(mode=mode, partitions=partitions)
-        results = run(cfg)
-        assert len(results) == partitions
-        assert sampled == [(e, i) for e in range(cfg.epochs)
-                           for i in range(batches_per_epoch(cfg))]
+        def planning(*args, **kwargs):
+            p = generate_plan(*args, **kwargs)
+            planned.set()
+            return p
 
-    def test_workers_share_read_only_blocks(self, monkeypatch):
         trained = {}  # worker thread -> the blocks it trained on
         loss_and_grad = model.loss_and_grad
 
@@ -691,68 +693,82 @@ class TestRun:
             trained.setdefault(threading.current_thread(), []).append(block)
             return loss_and_grad(block, *args, **kwargs)
 
+        monkeypatch.setattr(plan, "sample_block", counting)
+        monkeypatch.setattr(train, "generate_plan", planning)
         monkeypatch.setattr(model, "loss_and_grad", keeping)
-        run(small_cfg(mode="rapid"))
-        first, second = trained.values()
-        assert len(first) == len(second)
-        assert all(a is b for a, b in zip(first, second))
+        cfg = small_cfg(mode=mode, partitions=partitions)
+        results = run(cfg)
+        me = threading.current_thread()
+        assert len(results) == partitions
+        assert sampled == [(e, i, me, False) for e in range(cfg.epochs)
+                           for i in range(batches_per_epoch(cfg))]
+        runs = list(trained.values())
+        assert len(runs) == partitions and me not in trained
+        first = runs[0]
+        assert [(b.epoch, b.batch) for b in first] == [
+            (e, i) for e, i, _, _ in sampled]
+        for other in runs[1:]:
+            assert len(other) == len(first)
+            assert all(a is b for a, b in zip(first, other))
         for block in first:
             arrays = [*block.frontiers, *(a for hop in block.hops for a in hop)]
             assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             first[0].hops[0][0][0] = 0
 
-    def test_failing_worker_wakes_the_one_waiting_on_blocks(self, monkeypatch):
-        # worker 0 fails at a mid-epoch batch once worker 1 has trained
-        # every block the sampler may make ahead of worker 0; worker 1
-        # then waits on the block stream until worker 0's failure ends it
-        cfg = small_cfg(mode="rapid")
+    @pytest.mark.parametrize("mode", ["rapid", "baseline"])
+    def test_failing_worker_stops_the_other_at_its_next_batch(self, monkeypatch,
+                                                              mode):
+        # both workers reach batch (1, 2); worker 0 fails there, and
+        # worker 1 holds that batch until worker 0's thread has ended,
+        # finishes it and stops before the next one
+        cfg = small_cfg(mode=mode)
         n = batches_per_epoch(cfg)
         failing = n + 2  # run index of (epoch 1, batch 2)
-        last = failing + train._BLOCK_DEPTH
-        assert last + 1 < cfg.epochs * n
-        reached = threading.Event()
+        assert failing + 1 < cfg.epochs * n
+        reached = {0: threading.Event(), 1: threading.Event()}
+        threads = {}
+        alive_after_join = []  # worker 0's thread, once worker 1 joined it
         assembled = {0: [], 1: []}
         assemble = train.assemble_bundle
 
         def failing_worker(block, owner, part, *args):
             at = block.epoch * n + block.batch
             assembled[part].append(at)
-            if part == 1 and at == last:
-                reached.set()
-            if part == 0 and at == failing:
-                if not reached.wait(10):
-                    raise TimeoutError("worker 1 never caught up")
-                time.sleep(0.2)  # worker 1 trains `last` and waits for more
-                raise RuntimeError("worker 0 injected")
+            if at == failing:
+                threads[part] = threading.current_thread()
+                reached[part].set()
+                if not reached[1 - part].wait(10):
+                    raise TimeoutError(f"worker {1 - part} never got here")
+                if part == 0:
+                    raise RuntimeError("worker 0 injected")
+                threads[0].join(10)
+                alive_after_join.append(threads[0].is_alive())
             return assemble(block, owner, part, *args)
 
         monkeypatch.setattr(train, "assemble_bundle", failing_worker)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="worker 0 injected"):
             run(cfg)
-        assert assembled[1] == list(range(last + 1))
+        assert alive_after_join == [False]
+        assert assembled[1] == list(range(failing + 1))
         assert set(threading.enumerate()) <= before
 
-    def test_failed_sampling_fails_every_worker(self, monkeypatch):
-        block = plan.BatchPlan.block
+    def test_failed_sampling_fails_the_plan_before_any_thread(self, monkeypatch):
+        # sampling runs at plan time on the calling thread, so a sampling
+        # error ends the run before any worker, producer or server starts
+        sample_block = plan.sample_block
 
-        def failing(self, e, i):
+        def failing(g, seeds, fanouts, rng_seed, e, i):
             if (e, i) == (1, 3):
                 raise ValueError("injected sampling error")
-            return block(self, e, i)
+            return sample_block(g, seeds, fanouts, rng_seed, e, i)
 
-        monkeypatch.setattr(plan.BatchPlan, "block", failing)
-        cfg = small_cfg(mode="rapid")
-        before = set(threading.enumerate())
-        with pytest.raises(PrefetchError) as exc:
-            run(cfg)
-        item = batches_per_epoch(cfg) + 3
-        assert exc.value.batch == item
-        assert f"item {item}" in str(exc.value)
-        assert isinstance(exc.value.__cause__, ValueError)
-        assert "injected sampling error" in str(exc.value.__cause__)
-        assert set(threading.enumerate()) <= before
+        monkeypatch.setattr(plan, "sample_block", failing)
+        started = count_thread_starts(monkeypatch)
+        with pytest.raises(ValueError, match="injected sampling error"):
+            run(small_cfg(mode="rapid", transport="tcp"))
+        assert started == []
 
     @pytest.mark.parametrize("mode", ["rapid", "baseline"])
     def test_failing_worker_stops_the_others(self, monkeypatch, mode):
