@@ -95,13 +95,15 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
 
     numpy >= 2.3 answers a plain np.unique of integers from a hash
     table, several times slower than sorting on the id arrays here.
+    `compress` applies the mask about four times faster than boolean
+    indexing on them.
     """
     s = np.array(ids)  # a copy, sorted in place
     s.sort()
     keep = np.empty(len(s), dtype=bool)
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+    return s.compress(keep)
 
 
 def from_edge_list(

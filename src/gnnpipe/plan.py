@@ -108,15 +108,6 @@ def generate_plan(
     return BatchPlan(blocks=blocks, input_sets=input_sets, digest=digest)
 
 
-def _count(chunks: list[np.ndarray]) -> FrequencyTable:
-    if chunks:
-        merged = np.concatenate(chunks)
-    else:
-        merged = np.empty(0, dtype=np.int64)
-    ids, counts = np.unique(merged, return_counts=True)
-    return FrequencyTable(ids=ids, counts=counts)
-
-
 def collect_access(
     plan: BatchPlan, book: PartitionBook, my_part: int, epoch: int | None = None
 ) -> FrequencyTable:
@@ -124,14 +115,17 @@ def collect_access(
 
     With epoch=None the counts aggregate the whole plan: the worker's
     remote node set, whose size `n_hot_pct` is a percent of. Otherwise
-    only that epoch's batches contribute.
+    only that epoch's batches contribute. Each epoch is one bincount over
+    the graph's ids, with the worker's own ids zeroed after.
     """
     epochs = range(plan.epochs) if epoch is None else [epoch]
-    chunks = []
+    counts = np.zeros(len(book.owner), dtype=np.int64)
     for e in epochs:
-        for ids in plan.input_sets[e]:
-            chunks.append(ids[book.owner[ids] != my_part])
-    return _count(chunks)
+        counts += np.bincount(np.concatenate(plan.input_sets[e]),
+                              minlength=len(book.owner))
+    counts[book.owner == my_part] = 0
+    ids = counts.nonzero()[0]
+    return FrequencyTable(ids=ids, counts=counts[ids])
 
 
 def top_hot(freq: FrequencyTable, n_hot: int) -> np.ndarray:

@@ -9,22 +9,29 @@ the result does not depend on frontier iteration order. A take-all node
 (degree at most the fanout) keeps every entry and draws no keys; its
 result is the same as if it had drawn them.
 
-All hubs of a step pick their winners in one grouped sort by (hub,
-key): an argsort of the keys, then a stable argsort of the hub index in
-the narrowest unsigned dtype that holds it (numpy radix-sorts 8- and
-16-bit integers), which gives np.lexsort's order because keys never tie
-within a hub. The next frontier is the sorted union of the frontier and
-the sampled sources; a position table over the graph's ids, written only
-at that frontier's ids, gives every position in it. A step's edges are
-then one sort of packed (dst position, src position) keys, so they come
-out as one CSR row per frontier node, each row's sources ascending, and
-the row offsets are the running sum of the kept counts min(deg, fanout).
-A step costs what its frontier and edges cost, not the size of the
-graph. The plan samples every batch, a few hundred small blocks on the
-remote configurations, so the steps call ndarray methods (`argsort`,
-`repeat`, `nonzero`, `cumsum`) rather than the np.* functions that
-forward to them: on those blocks the forwarding costs about as much as
-the work.
+All hubs of a step pick their winners with one sort. Hub j's entries
+are packed as (j << (64 - b)) | (key >> b), with b the bits that hold
+the hub index; sorting the packed values orders the entries by hub,
+then by their keys' high bits, and hub j's cut is the fanout-th packed
+value in its run. When the cut is below the next packed value, the
+entries at or below it are exactly the fanout smallest full keys, since
+a smaller high part means a smaller key; they are kept in edge order.
+A tie at any hub's cut (two keys equal in their top 64 - b bits, about
+deg * 2^(b - 64) likely per hub) sends the step to a grouped sort of
+the full keys by (hub, key) instead.
+
+The next frontier is the sorted union of the frontier and the sampled
+sources; a position table over the graph's ids, written only at that
+frontier's ids, gives every position in it. A step's edges are then one
+sort of packed (dst position, src position) keys, so they come out as
+one CSR row per frontier node, each row's sources ascending, whatever
+order the hubs' entries were kept in, and the row offsets are the
+running sum of the kept counts min(deg, fanout). A step costs what its
+frontier and edges cost, not the size of the graph. The plan samples
+every batch, a few hundred small blocks on the remote configurations,
+so the steps call ndarray methods (`repeat`, `nonzero`, `cumsum`)
+rather than the np.* functions that forward to them: on those blocks
+the forwarding costs about as much as the work.
 """
 
 from __future__ import annotations
@@ -125,6 +132,29 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             + (starts - offsets).repeat(lengths))
 
 
+def _smallest_per_group(keys: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each group's k smallest keys, from one sort of packed
+    (group, high key bits) values as the module docstring describes; a
+    tie at some group's cut falls back to `_group_order`.
+
+    keys holds the groups back to back, sizes[j] > k keys for group j,
+    distinct within a group.
+    """
+    b = max((len(sizes) - 1).bit_length(), 1)
+    packed = keys >> np.uint64(b)
+    packed |= (np.arange(len(sizes), dtype=np.uint64)
+               << np.uint64(64 - b)).repeat(sizes)
+    s = np.sort(packed)
+    cut = sizes.cumsum() - sizes + (k - 1)
+    thr = s[cut]
+    if (thr != s[cut + 1]).all():
+        return packed <= thr.repeat(sizes)
+    rank = _ranges(np.zeros_like(sizes), sizes)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[_group_order(np.arange(len(sizes)).repeat(sizes), keys)[rank < k]] = True
+    return mask
+
+
 def _sample_neighbors(
     g: Graph, frontier: np.ndarray, fanout: int, step_seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,22 +176,19 @@ def _sample_neighbors(
     hub_deg = deg[hubs]
     hub_start = start[hubs]
     hub_edges = _ranges(hub_start, hub_deg)
-    group = np.arange(len(hubs)).repeat(hub_deg)
     pos_in_slice = hub_edges - hub_start.repeat(hub_deg)
     node_key = mix64_array(
         (frontier[hubs].astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)
         ^ np.uint64(step_seed & MASK64)
     )
+    # keys are distinct within a hub: mix64 is a bijection, GOLDEN is odd
     keys = mix64_array(
-        node_key[group] + (pos_in_slice.astype(np.uint64) + np.uint64(1))
+        node_key.repeat(hub_deg) + (pos_in_slice.astype(np.uint64) + np.uint64(1))
         * np.uint64(GOLDEN)
     )
-    # keys are distinct within a hub (mix64 is a bijection, GOLDEN is
-    # odd), so the grouped sort needs no tie-break; after it, an entry's
-    # rank in its hub is the pos_in_slice of the entry at its place
-    kept = _group_order(group, keys)[pos_in_slice < fanout]
-    return (np.concatenate([g.indices[few_edges], g.indices[hub_edges[kept]]]),
-            np.concatenate([few_pos, hubs[group[kept]]]),
+    kept = hub_edges.compress(_smallest_per_group(keys, hub_deg, fanout))
+    return (np.concatenate([g.indices[few_edges], g.indices[kept]]),
+            np.concatenate([few_pos, hubs.repeat(fanout)]),
             np.minimum(deg, fanout))
 
 

@@ -107,7 +107,29 @@ def test_stored_positions_take_the_narrowest_dtype(length, narrow):
     assert not any(a.flags.writeable for a in (*block.frontiers, *block.hops[0]))
 
 
+def _unique_count(plan, book, my_part, epoch=None):
+    """Reference counts: np.unique over every batch's remote input ids."""
+    epochs = range(plan.epochs) if epoch is None else [epoch]
+    chunks = [ids[book.owner[ids] != my_part]
+              for e in epochs for ids in plan.input_sets[e]]
+    return np.unique(np.concatenate(chunks), return_counts=True)
+
+
 class TestCollectAccess:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_unique_count(self, plan, small_graph, k):
+        book = partition_edgecut(small_graph, k)
+        for part in range(k):
+            for epoch in [*range(plan.epochs), None]:
+                ids, counts = _unique_count(plan, book, part, epoch)
+                freq = collect_access(plan, book, part, epoch)
+                assert freq.ids.dtype == ids.dtype == np.int64
+                assert freq.counts.dtype == counts.dtype
+                assert np.array_equal(freq.ids, ids)
+                assert np.array_equal(freq.counts, counts)
+                # one partition: no remote node, an empty table
+                assert (len(freq) == 0) == (k == 1)
+
     def test_hand_counted(self, plan, book, small_graph):
         # brute-force oracle: count per-batch remote appearances directly
         expected: dict[int, int] = {}

@@ -7,8 +7,9 @@ from scipy import stats
 from conftest import edge_ids
 from gnnpipe.graph import Graph, from_edge_list, synth_powerlaw
 from gnnpipe.rng import GOLDEN, MASK64, mix64, mix64_array
-from gnnpipe.sampler import (SeedSchedule, _group_order, epoch_batches,
-                             sample_block, seed_for)
+from gnnpipe import sampler
+from gnnpipe.sampler import (SeedSchedule, _group_order, _smallest_per_group,
+                             epoch_batches, sample_block, seed_for)
 
 
 def schedule(s0=0, epochs=10, batches=100):
@@ -306,6 +307,74 @@ def test_group_order_matches_lexsort(num_groups):
 def test_group_order_empty():
     empty = np.zeros(0, dtype=np.int64)
     assert _group_order(empty, empty.astype(np.uint64)).tolist() == []
+
+
+def _lexsort_first(keys, sizes, k):
+    """Mask of the first k entries of each group in np.lexsort's order."""
+    group = np.arange(len(sizes)).repeat(sizes)
+    rank = np.arange(len(keys)) - (sizes.cumsum() - sizes).repeat(sizes)
+    mask = np.zeros(len(keys), dtype=bool)
+    mask[np.lexsort((keys, group))[rank < k]] = True
+    return mask
+
+
+@pytest.fixture
+def group_order_calls(monkeypatch):
+    """The _group_order fallback's calls, counted."""
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _group_order(*args)
+    monkeypatch.setattr(sampler, "_group_order", spy)
+    return calls
+
+
+def _assert_smallest(keys, sizes, k):
+    keys, sizes = np.asarray(keys, dtype=np.uint64), np.asarray(sizes, dtype=np.int64)
+    assert np.array_equal(_smallest_per_group(keys, sizes, k),
+                          _lexsort_first(keys, sizes, k))
+
+
+@pytest.mark.parametrize("num_groups", [0, 1, 2, 255, 256, 257, 65_537])
+def test_smallest_per_group_matches_lexsort(num_groups, group_order_calls):
+    """Group counts on both sides of each packed group-bit width."""
+    rng = np.random.default_rng(num_groups)
+    k = 3
+    sizes = rng.integers(k + 1, k + 6, size=num_groups)
+    keys = rng.integers(0, 2**64, size=int(sizes.sum()), dtype=np.uint64)
+    _assert_smallest(keys, sizes, k)
+    assert group_order_calls == []
+
+
+@pytest.mark.parametrize("deg", [2, 3, 26])
+def test_smallest_per_group_fanout_deg_minus_one(deg, group_order_calls):
+    rng = np.random.default_rng(deg)
+    keys = rng.integers(0, 2**64, size=300 * deg, dtype=np.uint64)
+    _assert_smallest(keys, np.full(300, deg), deg - 1)
+    assert group_order_calls == []
+
+
+def test_smallest_per_group_high_bit_ties_below_cut(group_order_calls):
+    """Keys equal in their kept high bits, but below the cut, need no
+    fallback: both are kept."""
+    b = 1  # two groups: one group bit, one dropped key bit
+    top = np.uint64(1 << 62)
+    keys = [top | (5 << b) | 1, top | (5 << b), top | (9 << b), top | (7 << b),
+            top | (20 << b), (3 << b) | 1, (3 << b), (4 << b)]
+    _assert_smallest(keys, [5, 3], 2)
+    assert group_order_calls == []
+
+
+def test_smallest_per_group_tie_at_cut_falls_back(group_order_calls):
+    """Keys 7<<b and (7<<b)|1 tie in the packed sort at the cut; only
+    the grouped sort of full keys can tell them apart."""
+    b = 1
+    keys = [(7 << b) | 1, (9 << b), (5 << b), (7 << b), (1 << b), (2 << b), (3 << b)]
+    got = _smallest_per_group(np.array(keys, dtype=np.uint64), np.array([4, 3]), 2)
+    assert got.tolist() == [False, False, True, True, True, True, False]
+    assert group_order_calls == [1]
+    _assert_smallest(keys, [4, 3], 2)
 
 
 def test_stream_independence(star_graph):
