@@ -6,9 +6,12 @@ each epoch's hot set once, before training: the epoch's n_hot
 most-accessed remote nodes. A cache serves lookups for the current
 epoch while the lookahead's producer stages later epochs' rows in
 order; `swap`, on the worker's thread at the epoch boundary, installs
-the oldest. A failed fill raises its exception from `swap` and leaves
-the current rows installed. A cache built from no hot ids holds
-no rows and answers every lookup with misses; baseline mode uses one.
+the oldest. The producer copies a later epoch's rows from the
+lookahead's carry store, which keeps rows by Belady's MIN over the
+plan's requests, and from the hot set before it, and pulls only the
+rest. A failed fill raises its exception from `swap` and leaves the
+current rows installed. A cache built from no hot ids holds no rows and
+answers every lookup with misses; baseline mode uses one.
 The cache keeps no hit or miss counters; each lookup's split is
 returned to the caller, which counts per batch.
 """
@@ -18,12 +21,16 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import sorted_unique
 from .plan import BatchPlan, collect_access, top_hot
 from .store import StoreClient, TransferAccount, find
+
+if TYPE_CHECKING:
+    from .prefetch import PulledRows
 
 
 def epoch_hot_sets(plan: BatchPlan, book, part: int,
@@ -52,18 +59,13 @@ class FeatureCache:
         return hit, self.rows[pos[hit]]
 
     def start_secondary_build(
-        self,
-        hot_ids: np.ndarray,
-        client: StoreClient,
-        fill_account: TransferAccount | None = None,
-    ) -> np.ndarray | None:
-        """Pull a later epoch's rows, `hot_ids` sorted ascending, and
-        stage them, or what the pull raised, behind the fills staged.
-        Returns the rows, or None when the pull raised."""
-        hot_ids = np.asarray(hot_ids, dtype=np.int64)
+        self, gather: Callable[[], PulledRows]) -> np.ndarray | None:
+        """Gather a later epoch's hot rows, ids sorted ascending, and
+        stage them, or what `gather` raised, behind the fills staged.
+        Returns the rows, or None when `gather` raised."""
         try:
-            rows = client.vector_pull(hot_ids, fill_account)
-            filled = (hot_ids, rows)
+            got = gather()
+            rows, filled = got.rows, (got.ids, got.rows)
         except BaseException as exc:  # raised again by swap()
             rows, filled = None, exc
         with self._cond:

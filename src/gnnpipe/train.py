@@ -14,17 +14,19 @@ later epoch's cache just before its first window and gathers the cache misses of
 window of consecutive batches at once; the plan fixes every batch's
 input nodes and every epoch's hot set, so the lookahead never waits for
 the loop. The mode decides four things only: the size of the worker's
-hot-node cache, how many batches a window holds, whether a window
-carries rows over from the one before, and whether a prefetcher runs
-the lookahead. `rapid` caches each epoch's n_hot most-accessed remote
-nodes, gathers windows of Q = prefetch_depth batches, pulls only the
-misses that neither the previous window nor the hot rows it used hold,
-in one request, and runs the lookahead on a prefetcher's producer
-thread, at most Q+1 batches ahead of the loop. `baseline` has a cache
-with no rows, so every remote row is a miss, and pulls each batch's
-misses on its own, on the worker's thread, as the loop reaches the
-batch. Both modes consume
-bit-identical feature rows in the same order, so they produce
+hot-node cache, how many batches a window holds, whether the lookahead
+carries rows between its requests, and whether a prefetcher runs the
+lookahead. `rapid` caches each epoch's n_hot most-accessed remote
+nodes, gathers windows of Q = prefetch_depth batches, and keeps a carry
+store of as many rows as the largest window misses: since the plan
+fixes every later request, the store keeps the rows used soonest again
+(Belady's MIN), and each window and each later hot set pulls, in one
+request, only what the store and the previous hot set do not hold. It
+runs the lookahead on a prefetcher's producer thread, at most Q+1
+batches ahead of the loop. `baseline` has a cache with no rows, so
+every remote row is a miss, and pulls each batch's misses on its own,
+on the worker's thread, as the loop reaches the batch. Both modes
+consume bit-identical feature rows in the same order, so they produce
 bit-identical parameter trajectories for the same plan. An epoch's
 columns sum its batches' cache hits and misses and the traffic of its
 lookahead items; a window's first item carries the window's pull, the
@@ -60,8 +62,8 @@ from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 # nothing here calls collect_access, but bench/layers.py wraps it by name
 from .plan import BatchPlan, collect_access, generate_plan
-from .prefetch import (Lookahead, Prefetcher, PulledRows, assemble_bundle,
-                       pull_window)
+from .prefetch import (CarryStore, Lookahead, Prefetcher, PulledRows,
+                       assemble_bundle)
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
@@ -245,38 +247,54 @@ def _lookahead(
     a window never crosses an epoch boundary. A window's cache misses
     are its batches' remote input nodes outside the epoch's hot set in
     `hot_sets`. Without `carry_rows` every miss is pulled. With
-    `carry_rows`, epoch 0's hot rows, a window copies the misses that the
-    previous window holds, in this epoch or the last, or the hot rows
-    that window used, and pulls only the rest. A window's pull is one
-    sync pull (one RPC per owning shard with a new row), and its traffic
-    is charged to the window's first batch; the others carry an empty
+    `carry_rows`, epoch 0's hot rows, a `CarryStore` of B rows, B the
+    largest window's miss count, serves every request after epoch 0's
+    hot set: it keeps the rows used soonest again (Belady's MIN over
+    the plan's requests), copies what it and, at a fill, the previous
+    hot set hold, and pulls only the rest. A window's pull is one sync
+    pull (one RPC per owning shard with a new row), a fill's one vector
+    pull, and neither sends anything when no row is new. A window's
+    traffic is charged to its first batch; the others carry an empty
     account.
     """
-    carry = carry_rows is not None
-    hot = PulledRows(hot_sets[0], carry_rows) if carry else None
-    held: list[PulledRows] = []  # what the next window may copy rows from
+    fills = fcache is not None
+    windows = [[range(first, min(first + window, n))
+                for first in range(0, n, window)]
+               for n in map(plan.num_batches, range(plan.epochs))]
+    remote = book.owner != part
+    narrow = np.min_scalar_type(len(remote) - 1)
+
+    def reference_string() -> Iterator[tuple[np.ndarray, bool]]:
+        """Every request after H_0, in order, and whether it is a hot
+        set; window ids in the narrowest dtype, since a carry store
+        holds all of them once it plans."""
+        for e in range(plan.epochs):
+            if fills and e > 0:
+                yield hot_sets[e], True
+            wanted = remote.copy()
+            wanted[hot_sets[e]] = False
+            for batches in windows[e]:
+                mark = np.zeros_like(wanted)
+                for i in batches:
+                    mark[plan.input_sets[e][i]] = True
+                yield np.flatnonzero(mark & wanted).astype(narrow), False
+
+    hot = PulledRows(np.empty(0, dtype=np.int64),
+                     np.empty((0, client.feat_dim), dtype=np.float32))
+    if carry_rows is not None:
+        hot = PulledRows(hot_sets[0], carry_rows)
+    store = CarryStore(reference_string(), len(remote), hot,
+                       carry=carry_rows is not None)
     for e in range(plan.epochs):
-        if fcache is not None and e > 0:
-            rows = fcache.start_secondary_build(hot_sets[e], client, fill)
-            hot = None if rows is None else PulledRows(hot_sets[e], rows)
-        n = plan.num_batches(e)
-        for first in range(0, n, window):
-            batches = range(first, min(first + window, n))
+        if fills and e > 0 and fcache.start_secondary_build(
+                lambda: store.serve(client.vector_pull, fill)) is None:
+            return  # the worker raises at this epoch's swap
+        for batches in windows[e]:
             account = TransferAccount()
-            pulled = pull_window([plan.input_sets[e][i] for i in batches],
-                                 book.owner, part, hot_sets[e], client, account,
-                                 held)
-            if carry:
-                held = [pulled]
+            pulled = store.serve(client.sync_pull, account)
             for i in batches:
                 yield Lookahead(e, i, pulled,
-                                account if i == first else TransferAccount())
-            # the window's rows live as long as its Lookaheads and, when
-            # carrying, until the next window is gathered
-            del pulled
-        if carry and hot is not None:
-            # no miss of this epoch is hot; the next epoch's may be
-            held.append(hot)
+                                account if i == batches[0] else TransferAccount())
 
 
 def _run_worker(

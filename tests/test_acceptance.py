@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import edge_ids, record_criterion
+from conftest import edge_ids, min_carry, record_criterion
 from gnnpipe import wire
 from gnnpipe.cache import build_steady
 from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.model import init_params, loss_and_grad
 from gnnpipe.partition import halo_expand, partition_edgecut
 from gnnpipe.plan import FrequencyTable, generate_plan, top_hot
-from gnnpipe.prefetch import assemble_bundle, pull_window
+from gnnpipe.prefetch import CarryStore, PulledRows, assemble_bundle
 from gnnpipe.rng import mix64_array
 from gnnpipe.sampler import SeedSchedule, epoch_batches, sample_block
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
@@ -81,13 +81,15 @@ class PlanOracle:
     n_hot remote nodes with the most batch appearances, ties to the lower
     id. Rapid gathers the cache misses of w consecutive batches at once,
     never across an epoch boundary: window j misses U_j, the union of
-    its R_b minus H_e. It pulls only U_j minus U_{j-1} and H_{j-1}, the
-    previous window's misses and the hot set that window used, across
-    epoch boundaries too; it copies the rest. Baseline (w = 1, no cache,
-    no carry) pulls every row of every R_b. Without the carry a window
-    pulls all of U_j; at w = 1 a per-epoch cache of n_hot rows then saves
-    at most the n_hot largest per-node batch-appearance counts of the
-    epoch, a sum that does not depend on how ties are broken.
+    its R_b minus H_e. Its requests after H_0 form one string: each
+    later H_e, then the epoch's U_j. A carry store of B rows, B the
+    largest |U_j|, serves them by Belady's MIN (`min_carry`): a request
+    pulls only what the store, and at a fill H_{e-1}, does not hold.
+    Baseline (w = 1, no cache, no carry) pulls every row of every R_b.
+    Without the carry a window pulls all of U_j; at w = 1 a per-epoch
+    cache of n_hot rows then saves at most the n_hot largest per-node
+    batch-appearance counts of the epoch, a sum that does not depend on
+    how ties are broken.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -102,6 +104,7 @@ class PlanOracle:
         self.remote_rows = []  # [part][epoch] -> sum over b of |R_b|
         self.num_remote = []  # [part] -> size of the whole-plan remote set
         self._freq = []  # [part][epoch] -> (ids, batch-appearance counts)
+        self._min = {}  # (part, label, w) -> (window rows per epoch, fill rows)
         self._carried = {}  # (part, label, w) -> rows pulled per epoch
         for p in range(cfg.partitions):
             sets = [[ids[owner[ids] != p] for ids in plan.input_sets[e]]
@@ -138,9 +141,51 @@ class PlanOracle:
         """Rows pulled in windows of w batches past H_e, carrying nothing."""
         return sum(len(u) for u in self._misses(part, epoch, label, w))
 
+    def _string(self, part: int, label: str, w: int):
+        """The requests after H_0, whether each is a fill, the epoch of
+        each, and H_0."""
+        hot = [self._top(part, e, label)[0] for e in range(len(self.batches))]
+        requests, fills, epochs = [], [], []
+        for e in range(len(self.batches)):
+            if e and self.n_hot(part, label):
+                requests.append(hot[e])
+                fills.append(True)
+                epochs.append(e)
+            for u in self._misses(part, e, label, w):
+                requests.append(u)
+                fills.append(False)
+                epochs.append(e)
+        return requests, fills, epochs, hot[0]
+
+    def _carry(self, part: int, label: str, w: int):
+        """Rows the MIN carry store pulls in windows of w batches, per
+        epoch, and in the cache fills, H_0's included."""
+        key = (part, label, w)
+        if key not in self._min:
+            requests, fills, epochs, hot0 = self._string(part, label, w)
+            capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
+            pulled, _ = min_carry(requests, fills, hot0, capacity)
+            windows = [0] * len(self.batches)
+            for e, fill, ids in zip(epochs, fills, pulled):
+                windows[e] += 0 if fill else len(ids)
+            fill_rows = len(hot0) + sum(len(ids) for fill, ids in
+                                          zip(fills, pulled) if fill)
+            self._min[key] = (windows, fill_rows)
+        return self._min[key]
+
     def pulled(self, part: int, epoch: int, label: str, w: int) -> int:
-        """Rows pulled in windows of w batches past H_e, each window
-        pulling only what the previous window and its hot set lack."""
+        """Rows the MIN carry store pulls in the epoch's windows of w
+        batches past H_e."""
+        return self._carry(part, label, w)[0][epoch]
+
+    def fill_rows(self, part: int, label: str, w: int) -> int:
+        """Rows the cache fills pull over the run, with MIN carry."""
+        return self._carry(part, label, w)[1]
+
+    def carry_over(self, part: int, epoch: int, label: str, w: int) -> int:
+        """For comparison only: rows pulled in windows of w batches past
+        H_e when each window copies only what the previous window and
+        its hot set hold."""
         key = (part, label, w)
         if key not in self._carried:
             counts, held = [], np.empty(0, dtype=np.int64)
@@ -155,13 +200,16 @@ class PlanOracle:
         return self._carried[key][epoch]
 
     def floor(self, part: int, label: str, w: int) -> int:
-        """Distinct remote ids some window misses and no epoch's hot set
-        holds: no fill brings them, so any policy pulls each at least once."""
-        ever = np.concatenate([u for e in range(len(self.batches))
-                               for u in self._misses(part, e, label, w)])
-        hot = np.concatenate([self._top(part, e, label)[0]
-                              for e in range(len(self.batches))])
-        return len(np.setdiff1d(ever, hot))
+        """Distinct remote ids that H_0 does not hold and that a window
+        asks for before any fill does: no hot set or earlier request
+        brought them, so any policy pulls each in a window at least once."""
+        requests, fills, _, hot0 = self._string(part, label, w)
+        seen, n = set(hot0.tolist()), 0
+        for r, fill in zip(requests, fills):
+            new = set(r.tolist()) - seen
+            n += 0 if fill else len(new)
+            seen |= new
+        return n
 
     def cap(self, part: int, epoch: int, label: str) -> float:
         """n_hot*B / sum |R_b|: the reuse no n_hot cache can exceed."""
@@ -254,29 +302,43 @@ def test_criterion_04_traffic_reduction(oracle, rapid_a, baseline, hot_sweep):
         ok = ok and got_base == want_base and got_rapid == want_rapid
         ok = ok and got_rapid < got_base
         lines.append(
-            f"w{p} e{e}: rapid {got_rapid} (carry-over count {want_rapid} in "
-            f"windows of {depth}; {oracle.windowed(p, e, '15%', depth)} "
-            f"carrying nothing), baseline {got_base} (sum |R_b| {want_base}), "
-            f"rapid/baseline {got_rapid / max(got_base, 1):.3f}, reuse cap "
-            f"n_hot*B/sum|R_b| {oracle.cap(p, e, '15%'):.4f}")
+            f"w{p} e{e}: rapid {got_rapid} (MIN carry count {want_rapid} in "
+            f"windows of {depth}; carry-over from the previous window "
+            f"{oracle.carry_over(p, e, '15%', depth)}; "
+            f"{oracle.windowed(p, e, '15%', depth)} carrying nothing), "
+            f"baseline {got_base} (sum |R_b| {want_base}), rapid/baseline "
+            f"{got_rapid / max(got_base, 1):.3f}, reuse cap n_hot*B/sum|R_b| "
+            f"{oracle.cap(p, e, '15%'):.4f}")
     for p in range(len(rapid)):
         got = sum(rec.nodes_pulled for rec in rapid[p].records)
         floor = oracle.floor(p, "15%", depth)
-        ok = ok and got >= floor
+        fills = rapid[p].cache_fill.nodes_pulled
+        want_fills = oracle.fill_rows(p, "15%", depth)
+        ok = ok and got >= floor and fills == want_fills
+        ok = ok and base[p].cache_fill.nodes_pulled == 0
         lines.append(f"w{p}: rapid {got} over the run, compulsory floor "
-                     f"{floor} (missed ids in no hot set)")
+                     f"{floor} (ids a window asks for first); cache fills "
+                     f"{fills} (MIN carry count {want_fills})")
     totals = {k: sum(rec.nodes_pulled for r in res for rec in r.records)
               for k, res in hot_sweep.items()}
     want = {k: sum(oracle.pulled(p, e, k, depth) for p, e in oracle.cells())
             for k in HOT_SIZES}
-    ok = ok and totals == want
+    fill_totals = {k: sum(r.cache_fill.nodes_pulled for r in res)
+                   for k, res in hot_sweep.items()}
+    want_fills = {k: sum(oracle.fill_rows(p, k, depth)
+                         for p in range(len(rapid))) for k in HOT_SIZES}
+    carried = {k: sum(oracle.carry_over(p, e, k, depth) for p, e in oracle.cells())
+               for k in HOT_SIZES}
+    ok = ok and totals == want and fill_totals == want_fills
     sizes = list(HOT_SIZES)
     ok = ok and all(totals[a] >= totals[b] for a, b in zip(sizes, sizes[1:]))
     assert record_criterion(
         4, "traffic: baseline pulls every remote row, rapid pulls exactly "
-        "the carry-over count for its windows below it and above the "
-        "compulsory floor, hot-set sweep monotone", ok), "\n".join(
-            lines + [f"sweep totals {totals}, carry-over counts {want}"])
+        "the MIN carry count for its windows and fills, below baseline and "
+        "above the compulsory floor, hot-set sweep monotone", ok), "\n".join(
+            lines + [f"sweep window totals {totals}, MIN carry counts {want}, "
+                     f"carry-over counts {carried}; fill totals "
+                     f"{fill_totals}, MIN carry counts {want_fills}"])
 
 
 def test_criterion_05_reuse_ratio(oracle, hot_sweep):
@@ -485,8 +547,11 @@ def test_criterion_09_transparency():
                              [3, 5], s)
         empty = build_steady(np.empty(0, np.int64), gclient)
         acct = TransferAccount()
-        pulled = pull_window([block.input_nodes], book.owner, 0, empty.hot_ids,
-                             gclient, acct)
+        ids = np.unique(block.input_nodes)
+        miss = ids[book.owner[ids] != 0]
+        store = CarryStore([(miss, False)], g.num_nodes,
+                           PulledRows(empty.hot_ids, empty.rows), carry=False)
+        pulled = store.serve(gclient.sync_pull, acct)
         bundle = assemble_bundle(block, book.owner, 0, gshards[0], empty,
                                  pulled)
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])

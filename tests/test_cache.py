@@ -7,6 +7,7 @@ from gnnpipe import cache as cache_mod
 from gnnpipe.cache import build_steady, epoch_hot_sets
 from gnnpipe.partition import partition_edgecut
 from gnnpipe.plan import collect_access, generate_plan, top_hot
+from gnnpipe.prefetch import PulledRows
 from gnnpipe.store import InprocTransport, StoreClient, StoreShard, TransferAccount
 
 
@@ -103,13 +104,18 @@ class TestEpochHotSets:
         assert [(len(h), h.dtype) for h in sets] == [(0, np.int64)] * plan.epochs
 
 
+def fill_from(hot_ids, client, account=None):
+    """A later epoch's fill that pulls every row of `hot_ids`."""
+    return lambda: PulledRows(hot_ids, client.vector_pull(hot_ids, account))
+
+
 class TestDoubleBuffer:
     def test_swap_installs_next_epoch_hot_set(self, pipeline):
         g, plan, book, client = pipeline
         hot = epoch_hot_sets(plan, book, 0, lambda num_remote: 30)
         cache = build_steady(hot[0], client)
         acct = TransferAccount()
-        cache.start_secondary_build(hot[1], client, acct)
+        cache.start_secondary_build(fill_from(hot[1], client, acct))
         cache.swap()
         assert np.array_equal(cache.hot_ids, hot[1])
         assert acct.nodes_pulled == len(hot[1])
@@ -127,7 +133,7 @@ class TestDoubleBuffer:
                 raise ConnectionError("injected")
 
         cache = build_steady(np.array([3, 4]), client)
-        cache.start_secondary_build(np.array([5, 6, 7]), Boom())
+        cache.start_secondary_build(fill_from(np.array([5, 6, 7]), Boom()))
         with pytest.raises(ConnectionError, match="injected"):
             cache.swap()
         assert cache.hot_ids.tolist() == [3, 4]
@@ -139,8 +145,8 @@ class TestDoubleBuffer:
         g, plan, book, client = pipeline
         hot = epoch_hot_sets(plan, book, 0, lambda num_remote: 30)
         cache = build_steady(hot[0], client)
-        cache.start_secondary_build(hot[1], client)
-        cache.start_secondary_build(hot[2], client)
+        cache.start_secondary_build(fill_from(hot[1], client))
+        cache.start_secondary_build(fill_from(hot[2], client))
         for h in hot[1:]:
             cache.swap()
             assert np.array_equal(cache.hot_ids, h)
@@ -162,8 +168,8 @@ class TestDoubleBuffer:
                 raise Stop("injected")
 
         cache = build_steady(np.array([3, 4]), client)
-        cache.start_secondary_build(np.array([5, 6]), Halt())
-        cache.start_secondary_build(np.array([7, 8]), client)
+        cache.start_secondary_build(fill_from(np.array([5, 6]), Halt()))
+        cache.start_secondary_build(fill_from(np.array([7, 8]), client))
         with pytest.raises(Stop, match="injected"):
             cache.swap()
         assert cache.hot_ids.tolist() == [3, 4]
@@ -185,7 +191,7 @@ class TestDoubleBuffer:
 
         cache = build_steady(np.array([2, 6]), client)
         producer = threading.Thread(target=cache.start_secondary_build,
-                                    args=(np.array([7, 9]), Slow()))
+                                    args=(fill_from(np.array([7, 9]), Slow()),))
         producer.start()
         hit, rows = cache.lookup(np.array([2, 6]))
         assert np.count_nonzero(hit) == 2

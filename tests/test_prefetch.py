@@ -1,15 +1,20 @@
+import functools
+import itertools
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import min_carry
 from gnnpipe.cache import FeatureCache, build_steady, epoch_hot_sets
-from gnnpipe.partition import partition_edgecut
+from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import generate_plan
-from gnnpipe.prefetch import (PrefetchError, Prefetcher, PulledRows,
-                              assemble_bundle, pull_window)
+from gnnpipe.prefetch import (CarryStore, PrefetchError, Prefetcher,
+                              PulledRows, assemble_bundle)
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
 from gnnpipe.train import _lookahead
@@ -23,6 +28,13 @@ def no_cache(shard):
 
 def no_hot_sets(plan):
     return [np.empty(0, dtype=np.int64)] * plan.epochs
+
+
+def pull_misses(ids, owner, hot_ids, client, account=None):
+    """Worker 0's rows of the remote `ids` outside `hot_ids`, all pulled,
+    as a window that carries nothing gets them."""
+    miss = np.setdiff1d(ids[owner[ids] != 0], hot_ids)
+    return PulledRows(miss, client.sync_pull(miss, account))
 
 
 def run_ahead(plan, book, client, window=1):
@@ -68,8 +80,8 @@ class TestAssembleBundle:
         block = plan.block(0, 0)
         cache = no_cache(shard)
         acct = TransferAccount()
-        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
-                             client, acct)
+        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
+                             acct)
         bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         n_local = np.count_nonzero(owner[block.input_nodes] == 0)
@@ -83,8 +95,8 @@ class TestAssembleBundle:
         remote = block.input_nodes[owner[block.input_nodes] != 0]
         cache = build_steady(remote[:5], client)
         acct = TransferAccount()
-        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
-                             client, acct)
+        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
+                             acct)
         bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         assert bundle.n_cache_hit == 5
@@ -97,8 +109,8 @@ class TestAssembleBundle:
         remote = block.input_nodes[owner[block.input_nodes] != 0]
         cache = build_steady(remote, client)
         acct = TransferAccount()
-        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
-                             client, acct)
+        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
+                             acct)
         bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
         assert bundle.n_fallback == 0
         assert acct.snapshot() == (0, 0, 0)
@@ -108,8 +120,8 @@ class TestAssembleBundle:
         block = plan.block(0, 1)
         acct = TransferAccount()
         cache = no_cache(shard)
-        pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
-                             client, acct)
+        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
+                             acct)
         assemble_bundle(block, owner, 0, shard, cache, pulled)
         n_remote = int((owner[block.input_nodes] != 0).sum())
         assert acct.nodes_pulled == n_remote
@@ -125,71 +137,229 @@ class TestAssembleBundle:
 
 
 class RecordingClient:
-    """Forwards pulls to `client`, recording the ids of each request."""
+    """Forwards pulls to `client`, recording the ids of each request, and
+    of each fill's request in `fills`."""
 
     def __init__(self, client):
         self.client, self.feat_dim = client, client.feat_dim
-        self.requests = []
+        self.requests, self.fills = [], []
 
     def sync_pull(self, ids, account=None):
         self.requests.append(np.array(ids))
         return self.client.sync_pull(ids, account)
 
+    def vector_pull(self, ids, account=None):
+        self.fills.append(np.array(ids))
+        return self.client.vector_pull(ids, account)
 
-class TestPullWindowHeld:
+
+def no_rows(feat_dim):
+    return PulledRows(np.empty(0, np.int64), np.empty((0, feat_dim), np.float32))
+
+
+def brute_force_pulls(requests, fills, first_hot, capacity: int) -> int:
+    """The fewest rows any store of `capacity` rows pulls over `requests`,
+    by exhaustive search over every set it could keep after each request:
+    any rows it holds, the request's or, at a fill, the previous hot
+    set's."""
+    sets = [frozenset(r) for r in requests]
+    hots, hot = [], frozenset(first_hot)  # the hot set before each request
+    for r, fill in zip(sets, fills):
+        hots.append(hot)
+        hot = r if fill else hot
+
+    @functools.cache
+    def fewest(t, held):
+        if t == len(sets):
+            return 0
+        lent = hots[t] if fills[t] else frozenset()
+        pool = sorted(held | sets[t] | lent)
+        return len(sets[t] - held - lent) + min(
+            fewest(t + 1, frozenset(keep))
+            for k in range(min(capacity, len(pool)) + 1)
+            for keep in itertools.combinations(pool, k))
+
+    return fewest(0, frozenset())
+
+
+@st.composite
+def reference_strings(draw):
+    """(num ids, H_0, requests, fills): epochs of a hot set, a fill for
+    each after the first, then one to three windows of misses outside it."""
+    n = draw(st.integers(1, 6))
+    some = st.frozensets(st.integers(0, n - 1))
+    hot = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=2),
+                        min_size=1, max_size=3))
+    requests, fills = [], []
+    for e, h in enumerate(hot):
+        if e:
+            requests.append(h)
+            fills.append(True)
+        for miss in draw(st.lists(some, min_size=1, max_size=3)):
+            requests.append(miss - h)
+            fills.append(False)
+    return n, hot[0], requests, fills
+
+
+class TestCarryStore:
     def remote(self, setup, e, i):
         g, plan, book, owner, shard, client = setup
         ids = np.unique(plan.input_sets[e][i])
         return ids[owner[ids] != 0]
 
-    def test_pulls_only_what_is_not_held(self, setup):
+    def test_window_pulls_only_what_is_not_held(self, setup):
         g, plan, book, owner, shard, client = setup
-        sets = [plan.input_sets[0][i] for i in (2, 3)]
         hot = self.remote(setup, 0, 0)[::4]
-        prev = pull_window([plan.input_sets[0][1]], owner, 0, hot, client)
-        fresh = pull_window(sets, owner, 0, hot, client)
+        first = np.setdiff1d(self.remote(setup, 0, 1), hot)
+        second = np.setdiff1d(np.union1d(self.remote(setup, 0, 2),
+                                         self.remote(setup, 0, 3)), hot)
+        store = CarryStore([(first, False), (second, False)], g.num_nodes,
+                           no_rows(g.feat_dim))
+        store.serve(client.sync_pull)
+        # the rows used again, and no other, stay
+        assert np.array_equal(store.kept.ids, np.intersect1d(first, second))
         rec, acct = RecordingClient(client), TransferAccount()
-        got = pull_window(sets, owner, 0, hot, rec, acct, [prev])
-        assert np.array_equal(got.ids, fresh.ids)
-        assert got.rows.tobytes() == fresh.rows.tobytes()
-        want = np.setdiff1d(fresh.ids, prev.ids)
-        assert 0 < len(want) < len(fresh.ids)
+        got = store.serve(rec.sync_pull, acct)
+        assert np.array_equal(got.ids, second)
+        assert got.rows.tobytes() == g.features[second].tobytes()
+        want = np.setdiff1d(second, first)
+        assert 0 < len(want) < len(second)
         (asked,) = rec.requests
         assert np.array_equal(asked, want)
         assert acct.snapshot() == (1, len(want), len(want) * g.feat_dim * 4)
+        assert len(store.kept.ids) == 0  # no later request
 
-    def test_rows_come_from_window_and_hot_rows(self, setup):
+    def test_fill_copies_store_and_old_hot_rows(self, setup):
         g, plan, book, owner, shard, client = setup
         misses = self.remote(setup, 0, 0)
-        # the previous window holds the first half, an old hot set the rest
+        # a window holds the first half, the old hot set the rest
         half = len(misses) // 2
-        prev = PulledRows(misses[:half], g.features[misses[:half]])
         old_hot = PulledRows(misses[half:], g.features[misses[half:]])
+        store = CarryStore([(misses[:half], False), (misses, True)],
+                           g.num_nodes, old_hot)
+        store.serve(client.sync_pull)
         rec, acct = RecordingClient(client), TransferAccount()
-        got = pull_window([plan.input_sets[0][0]], owner, 0,
-                          np.empty(0, np.int64), rec, acct, [prev, old_hot])
+        got = store.serve(rec.vector_pull, acct)
         assert np.array_equal(got.ids, misses)
         assert np.array_equal(got.rows, g.features[misses])
-        assert rec.requests == []
+        assert rec.fills == []
         assert acct.snapshot() == (0, 0, 0)
 
     def test_all_held_sends_nothing(self, setup):
         g, plan, book, owner, shard, client = setup
-        sets = [plan.input_sets[0][0]]
-        prev = pull_window(sets, owner, 0, np.empty(0, np.int64), client)
+        misses = self.remote(setup, 0, 0)
+        store = CarryStore([(misses, False), (misses, False)], g.num_nodes,
+                           no_rows(g.feat_dim))
+        first = store.serve(client.sync_pull)
         rec, acct = RecordingClient(client), TransferAccount()
-        got = pull_window(sets, owner, 0, np.empty(0, np.int64), rec, acct,
-                          [prev])
+        got = store.serve(rec.sync_pull, acct)
         assert rec.requests == [] and acct.snapshot() == (0, 0, 0)
-        assert np.array_equal(got.rows, prev.rows)
+        assert np.array_equal(got.rows, first.rows)
+
+    @pytest.mark.parametrize("carry", [True, False])
+    def test_reads_the_string_only_after_the_first_request(self, setup, carry):
+        # the first request's rows go out before the store plans; without
+        # carry it reads each request only as it serves it
+        g, plan, book, owner, shard, client = setup
+        requests = [(self.remote(setup, 0, i), False) for i in range(4)]
+        read = []
+
+        def string():
+            for request in requests:
+                read.append(request)
+                yield request
+
+        store = CarryStore(string(), g.num_nodes, no_rows(g.feat_dim), carry)
+        assert read == []
+        store.serve(client.sync_pull)
+        assert len(read) == 1
+        store.serve(client.sync_pull)
+        assert len(read) == (4 if carry else 2)
 
     def test_rows_read_only(self, setup):
         g, plan, book, owner, shard, client = setup
-        got = pull_window([plan.input_sets[0][0]], owner, 0,
-                          np.empty(0, np.int64), client)
+        store = CarryStore([(self.remote(setup, 0, 0), False)], g.num_nodes,
+                           no_rows(g.feat_dim), carry=False)
+        got = store.serve(client.sync_pull)
         assert len(got.rows) and not got.rows.flags.writeable
         with pytest.raises(ValueError):
             got.rows[0, 0] = 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(reference_strings())
+    # all hot sets empty; no request names a row (one partition)
+    @example((4, frozenset(), [frozenset({0, 1}), frozenset(), frozenset({1, 2}),
+                               frozenset({0})], [False, True, False, False]))
+    @example((2, frozenset(), [frozenset(), frozenset()], [False, False]))
+    def test_pulls_the_fewest_rows(self, case):
+        # per request: the rows of the shard, the ids min_carry pulls in
+        # at most one pull, at most B rows kept, the lower id kept at a
+        # tie; over the string, the brute-force optimum
+        n, first_hot, requests, fills = case
+        features = np.arange(2 * n, dtype=np.float32).reshape(n, 2)
+        capacity = max((len(r) for r, fill in zip(requests, fills) if not fill),
+                       default=0)
+        arrays = [np.array(sorted(r), dtype=np.int64) for r in requests]
+        h0 = np.array(sorted(first_hot), dtype=np.int64)
+        store = CarryStore(zip(arrays, fills), n, PulledRows(h0, features[h0]))
+        want_pulled, want_kept = min_carry(requests, fills, first_hot, capacity)
+        asked = []
+
+        def pull(ids, account=None):
+            asked.append(ids.tolist())
+            return features[ids]
+
+        for ids, fill, want, kept in zip(arrays, fills, want_pulled, want_kept):
+            n_asked = len(asked)
+            got = store.serve(pull)
+            assert np.array_equal(got.ids, ids)
+            assert got.rows.tobytes() == features[ids].tobytes()
+            assert asked[n_asked:] == ([sorted(want)] if want else [])
+            assert len(store.kept.ids) <= capacity
+            assert set(store.kept.ids.tolist()) == kept
+            assert store.kept.rows.tobytes() == features[store.kept.ids].tobytes()
+        assert sum(map(len, asked)) == brute_force_pulls(
+            requests, fills, first_hot, capacity)
+
+    @pytest.mark.parametrize("depth, n_hot", [(1, 20), (3, 20), (3, 0)])
+    def test_lookahead_pulls_what_min_carry_pulls(self, setup, depth, n_hot):
+        g, plan, book, owner, shard, client = setup
+        hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: n_hot)
+        fcache = build_steady(hot_sets[0], client)
+        rec = RecordingClient(client)
+        items = list(_lookahead(plan, book, 0, rec, hot_sets, depth,
+                                fcache if n_hot else None, None, fcache.rows))
+        requests, fills = [], []
+        for e in range(plan.epochs):
+            if e and n_hot:
+                requests.append(hot_sets[e])
+                fills.append(True)
+            for first in range(0, plan.num_batches(e), depth):
+                ids = np.unique(np.concatenate(
+                    plan.input_sets[e][first:first + depth]))
+                requests.append(np.setdiff1d(ids[owner[ids] != 0], hot_sets[e]))
+                fills.append(False)
+        capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
+        pulled, _ = min_carry(requests, fills, hot_sets[0], capacity)
+        want = [sorted(p) for p, fill in zip(pulled, fills) if not fill and p]
+        assert [r.tolist() for r in rec.requests] == want
+        want = [sorted(p) for p, fill in zip(pulled, fills) if fill and p]
+        assert [r.tolist() for r in rec.fills] == want
+        assert sum(la.account.nodes_pulled for la in items) == sum(
+            len(p) for p, fill in zip(pulled, fills) if not fill)
+        for la in items:
+            assert la.pulled.rows.tobytes() == g.features[la.pulled.ids].tobytes()
+
+    def test_one_partition_sends_nothing(self, setup):
+        g, plan, book, owner, shard, client = setup
+        alone = PartitionBook(1, np.zeros(g.num_nodes, dtype=np.int64))
+        rec = RecordingClient(client)
+        items = list(_lookahead(plan, alone, 0, rec, no_hot_sets(plan), 3,
+                                None, None, np.empty((0, g.feat_dim), np.float32)))
+        assert len(items) == sum(plan.num_batches(e) for e in range(plan.epochs))
+        assert rec.requests == rec.fills == []
+        assert all(len(la.pulled.ids) == 0 and la.account.snapshot() == (0, 0, 0)
+                   for la in items)
 
 
 class TestLookaheadStream:
@@ -281,7 +451,7 @@ class TestPrefetcher:
         for la in pf:
             block, cache = plan.block(la.epoch, la.batch), no_cache(shard)
             got = assemble_bundle(block, owner, 0, shard, cache, la.pulled)
-            pulled = pull_window([block.input_nodes], owner, 0, cache.hot_ids,
+            pulled = pull_misses(block.input_nodes, owner, cache.hot_ids,
                                  client)
             ref = assemble_bundle(block, owner, 0, shard, cache, pulled)
             assert np.array_equal(got.rows, ref.rows)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import min_carry
 from gnnpipe import cache, model, plan, train, wire
 from gnnpipe.graph import Graph, save_graph, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
@@ -142,25 +143,47 @@ def window_sizes(cfg) -> list[int]:
             for first in range(0, n, q)]
 
 
-def window_shards(cfg, part: int) -> list[list[set[int]]]:
-    """Per epoch and window of worker `part`'s rapid lookahead, the shards
-    it sends a request: the owners of its misses that neither the
-    previous window nor the hot set that window used holds."""
+def request_shards(cfg, part: int) -> list[tuple[set[int], list[set[int]]]]:
+    """Per epoch of worker `part`'s rapid run, the shards its cache fill
+    sends a request and, per window, the shards the window sends one:
+    the owners of the rows that a MIN carry store (`min_carry`), and at
+    a fill the previous hot set, do not hold. Epoch 0's fill, on the
+    worker's own thread, pulls its whole hot set."""
     g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
                        cfg.num_classes, cfg.s0)
     book = partition_edgecut(g, cfg.partitions)
     p = plan.generate_plan(g, np.flatnonzero(g.train_mask), cfg.fanouts,
                            cfg.batch_size, cfg.epochs, cfg.s0)
     n_hot = resolve_n_hot(cfg, len(plan.collect_access(p, book, part)))
-    q, held, out = cfg.prefetch_depth, np.empty(0, dtype=np.int64), []
-    for e, hot in enumerate(cache.epoch_hot_sets(p, book, part, lambda _: n_hot)):
-        out.append([])
+    hot_sets = cache.epoch_hot_sets(p, book, part, lambda _: n_hot)
+    q, requests, fills, epochs = cfg.prefetch_depth, [], [], []
+    for e, hot in enumerate(hot_sets):
+        if e and n_hot:
+            requests.append(hot)
+            fills.append(True)
+            epochs.append(e)
         for first in range(0, p.num_batches(e), q):
             ids = np.unique(np.concatenate(p.input_sets[e][first:first + q]))
-            miss = np.setdiff1d(ids[book.owner[ids] != part], hot)
-            out[-1].append(set(book.owner[np.setdiff1d(miss, held)].tolist()))
-            held = np.union1d(miss, hot)
+            requests.append(np.setdiff1d(ids[book.owner[ids] != part], hot))
+            fills.append(False)
+            epochs.append(e)
+    capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
+    pulled, _ = min_carry(requests, fills, hot_sets[0], capacity)
+    out = [(set(book.owner[hot_sets[0]].tolist()), [])]
+    out += [(set(), []) for _ in range(1, cfg.epochs)]
+    for e, fill, ids in zip(epochs, fills, pulled):
+        shards = set(book.owner[sorted(ids)].tolist())
+        if fill:
+            out[e] = (shards, out[e][1])
+        else:
+            out[e][1].append(shards)
     return out
+
+
+def window_shards(cfg, part: int) -> list[list[set[int]]]:
+    """Per epoch and window of worker `part`'s rapid lookahead, the shards
+    it sends a request (`request_shards`)."""
+    return [windows for _, windows in request_shards(cfg, part)]
 
 
 @pytest.fixture(scope="module")
@@ -569,13 +592,14 @@ class TestRun:
         assert callers["swap"] == owners
         # each worker fills its cache once on its own thread; then its
         # producer alone pulls, in plan order: before each later epoch's
-        # first window that epoch's cache fill, then the epoch's windows
-        # that need a row the window before did not hold
+        # first window that epoch's cache fill, then the epoch's windows,
+        # each fill and window only when it needs a row it does not hold
         orders = []
         for part in range(2):
             order = []
-            for windows in window_shards(cfg, part):
-                order += ["vector_pull"] + ["sync_pull"] * sum(map(bool, windows))
+            for fill, windows in request_shards(cfg, part):
+                order += (["vector_pull"] * bool(fill)
+                          + ["sync_pull"] * sum(map(bool, windows)))
             orders.append(order)
         clients = {c for c, _, _ in pulls}
         assert len(clients) == 2
@@ -589,9 +613,10 @@ class TestRun:
         assert len(started) == 2 * 2
 
     def test_failed_run_leaves_no_thread(self, monkeypatch):
-        # the loop fails at epoch 0's last batch while its producer is
-        # in epoch 1's slow cache fill
-        cfg = small_cfg(mode="rapid")
+        # the loop fails at epoch 0's last batch while worker 0's producer
+        # is in epoch 1's slow cache fill; at depth 1 that fill pulls a row
+        cfg = small_cfg(mode="rapid", prefetch_depth=1)
+        assert request_shards(cfg, 0)[1][0]
         last = batches_per_epoch(cfg) - 1
         in_fill = threading.Event()
         loss_and_grad = model.loss_and_grad
@@ -621,7 +646,10 @@ class TestRun:
 
     def test_failed_cache_fill_fails_rapid_run(self, monkeypatch):
         # the lookahead pulls each epoch's misses for the hot set the plan
-        # gives it, so a fill that cannot install that set ends the run
+        # gives it, so a fill that cannot install that set ends the run;
+        # at depth 1 worker 0's epoch 1 fill pulls a row, worker 1's none
+        cfg = small_cfg(mode="rapid", prefetch_depth=1)
+        assert request_shards(cfg, 0)[1][0] and not request_shards(cfg, 1)[1][0]
         pull = StoreClient.vector_pull
         filled = set()
 
@@ -634,7 +662,7 @@ class TestRun:
         monkeypatch.setattr(StoreClient, "vector_pull", fail_secondary_fill)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="cache fill for epoch 1 failed") as exc:
-            run(small_cfg(mode="rapid"))
+            run(cfg)
         assert isinstance(exc.value.__cause__, ConnectionError)
         assert "injected" in cause_chain(exc.value)
         assert set(threading.enumerate()) <= before
@@ -811,44 +839,52 @@ class TestRun:
             run(cfg)
         assert isinstance(exc.value.__cause__, TransportError)
         assert "shard died" in cause_chain(exc.value)
-        # worker 0's lookahead sync-pulls the misses of each window of
-        # prefetch_depth batches from shard 1 once and yields one item per
-        # batch, so the failing item is the first batch after the windows
-        # the shard served
+        # worker 0's lookahead sync-pulls from shard 1 once for each window
+        # of prefetch_depth batches that needs a new row from it and yields
+        # one item per batch, so the failing item is the first batch of the
+        # sixth such window
         windows = window_sizes(cfg)
+        shards = [s for epoch in window_shards(cfg, 0) for s in epoch]
+        sending = [sum(windows[:w]) for w in range(len(windows)) if 1 in shards[w]]
         assert served.count(wire.MSG_SYNC_PULL) == 5
-        assert exc.value.batch == sum(windows[:served.count(wire.MSG_SYNC_PULL)])
+        assert exc.value.batch == sending[served.count(wire.MSG_SYNC_PULL)]
         assert set(threading.enumerate()) <= before
 
     def test_dying_shard_fails_rapid_cache_fill(self, monkeypatch):
         # shard 1 serves worker 0's steady fill, then refuses every vector
-        # pull: epoch 1's fill fails and the swap at its start ends the run
+        # pull: the first later fill that needs a row from it fails and
+        # the swap at its epoch's start ends the run. At small_cfg's depth
+        # no later fill needs a new row; at depth 1 one does.
+        cfg = small_cfg(mode="rapid", transport="tcp", prefetch_depth=1)
+        e = next(e for e, (fill, _) in enumerate(request_shards(cfg, 0))
+                 if e and 1 in fill)
         kill_shard_after(monkeypatch, part=1, n=1, refuse={wire.MSG_VECTOR_PULL})
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError,
-                           match="cache fill for epoch 1 failed") as exc:
-            run(small_cfg(mode="rapid", transport="tcp"))
+                           match=f"cache fill for epoch {e} failed") as exc:
+            run(cfg)
         assert isinstance(exc.value.__cause__, TransportError)
         assert "shard died" in cause_chain(exc.value)
         assert set(threading.enumerate()) <= before
 
     @pytest.mark.parametrize("repeat", range(3))
-    @pytest.mark.parametrize("n, fails", [(2, "window"), (4, "fill")])
+    @pytest.mark.parametrize("n, fails", [(2, "window"), (8, "fill")])
     def test_dying_shard_fails_rapid_run_one_way(self, monkeypatch, n, fails,
                                                  repeat):
         # shard 1 refuses every request after its n-th; only worker 0
         # sends it any: its first cache fill on its own thread, then from
         # its producer, in plan order, each later epoch's fill and each
         # window pull that needs a row from it, so the same request
-        # always fails first
+        # always fails first. At depth 1 epoch 1's fill needs one.
         served = kill_shard_after(monkeypatch, part=1, n=n, refuse=None)
-        cfg = small_cfg(mode="rapid", transport="tcp")
+        cfg = small_cfg(mode="rapid", transport="tcp", prefetch_depth=1)
         windows = window_sizes(cfg)
-        shards = [s for epoch in window_shards(cfg, 0) for s in epoch]
+        requests = request_shards(cfg, 0)
+        shards = [s for _, epoch in requests for s in epoch]
         per_epoch = len(windows) // cfg.epochs
         sent = [("fill", 0)]  # (request, epoch or first item of the window)
         for e in range(cfg.epochs):
-            if e:
+            if e and 1 in requests[e][0]:
                 sent.append(("fill", e))
             for w in range(e * per_epoch, (e + 1) * per_epoch):
                 if 1 in shards[w]:
