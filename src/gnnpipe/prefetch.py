@@ -3,19 +3,19 @@
 The precomputed plan names every batch's input nodes, and the hot set of
 its epoch, before training starts, so a rapid worker's requests for
 rows, each later epoch's hot set and each window's cache misses, form a
-reference string fixed in advance. `CarryStore` serves those requests
-in order and keeps, between them, the rows used soonest again (Belady's
-MIN): a request copies what the store holds, a hot set also what the
-previous hot set holds, and pulls the rest in one pull, one RPC per
-owning shard with a new row. A `Lookahead` is one batch's share of a
-window, with the traffic charged to that batch: the pull's on the
-window's first batch, none on the others. `assemble_bundle` gathers one
-batch's feature rows with no I/O: local shard reads, cache hits, and the
-cache misses taken from the window gathered for it. A cache with no
+reference string fixed in advance. `CarryStore` is one row table over
+the ids the worker does not own: it holds the current hot set and,
+between requests, the rows used soonest again (Belady's MIN). A request
+pulls only the rows the table does not hold, in one pull, one RPC per
+owning shard with a new row. A `Lookahead` is one batch's cache misses,
+taken from the table as a copy, with the traffic charged to that batch:
+its window's pull on the window's first batch, none on the others.
+`assemble_bundle` gathers one batch's feature rows with no I/O: local
+shard reads, cache hits, and the misses its item holds. A cache with no
 rows, as in baseline mode, makes every remote row a miss. `Prefetcher`
 runs any iterator on a single producer thread into a bounded ring of
 depth Q that one reader takes from in order: a worker's run of lookahead
-pulls, read by its training loop.
+items, read by its training loop.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .cache import FeatureCache
 from .sampler import ComputationBlock
-from .store import StoreShard, TransferAccount, find
+from .store import StoreShard, TransferAccount
 
 
 class PrefetchError(RuntimeError):
@@ -55,9 +55,8 @@ class FeatureBundle:
 
 @dataclass
 class PulledRows:
-    """Feature rows gathered ahead for a window of batches, or a hot set's
-    rows; read-only, since the loop and the lookahead's producer share
-    them."""
+    """Feature rows gathered ahead, for one batch's cache misses or a hot
+    set; read-only, since the producer hands them to the loop."""
 
     ids: np.ndarray  # sorted ascending
     rows: np.ndarray  # aligned with ids
@@ -65,20 +64,12 @@ class PulledRows:
     def __post_init__(self):
         self.rows.setflags(write=False)
 
-    def take(self, ids: np.ndarray) -> np.ndarray:
-        """The rows of `ids`; raises LookupError if any was not pulled."""
-        pos, held = find(self.ids, ids)
-        if not held.all():
-            raise LookupError(f"{np.count_nonzero(~held)} rows were not pulled "
-                              f"with the window, first id {ids[~held][0]}")
-        return self.rows[pos]
-
 
 @dataclass
 class Lookahead:
-    """One batch's share of a window pull: the rows the window pulled,
-    and the traffic charged to the batch, the pull's on the window's
-    first batch and none on the others."""
+    """One batch's cache misses, gathered ahead, and the traffic charged
+    to the batch: its window's pull on the window's first batch and none
+    on the others."""
 
     epoch: int
     batch: int
@@ -87,95 +78,100 @@ class Lookahead:
 
 
 class CarryStore:
-    """The rows a rapid worker's lookahead keeps between its requests,
-    chosen by Belady's MIN over the requests the plan fixes.
+    """One row table for the ids a worker does not own; with `carry`,
+    kept by Belady's MIN over the requests the plan fixes.
 
     `requests` is the worker's reference string after its first hot
     set H_0, `hot`, in the order the lookahead sends them: each later
     epoch's hot set, then the miss set of each of the epoch's windows,
     each as (ids sorted ascending in any integer dtype, whether it is a
-    hot set). `serve` serves them in order. A request copies the rows
-    the store holds, and a hot set also those of the hot set before it,
-    and pulls the rest in one pull, none when no row is new. With
-    `carry` the store holds B rows, B the largest window's miss count.
-    After each request it keeps the B rows whose next use comes soonest,
-    ties to the lower id, out of those it holds, the request's and, at a
-    hot set, the old hot set's. It drops rows that no later request
-    names and rows of the hot set the cache now holds: no window of that
-    epoch asks for them, and the next hot set copies them from it.
-    Without `carry` it holds no rows and pulls every row of every
-    request.
+    hot set). `remote` marks the ids the worker does not own; the table
+    has one row for each, R rows. `serve` serves the requests in order:
+    it pulls the request's ids the table does not hold, in one pull and
+    none when it holds them all, and writes them into their rows;
+    `take` gathers held rows.
+
+    The table holds the current hot set, H_0 from the start, and with
+    `carry` up to B more rows, B the largest window's miss count: after
+    each request it keeps the B rows whose next use comes soonest, ties
+    to the lower id, out of those it holds outside the current hot set,
+    and never a row no later request names. At a hot set that pool
+    includes the previous hot set. Without `carry` it holds nothing
+    between requests and pulls every row of every request.
 
     The store reads each request only as it serves it, and evicts after
-    a request when the next one comes, so the request's rows go out
-    first. At its first eviction it reads the rest of the string and
-    gives every id of every request its next use in one backward pass.
+    a request when the next one comes, so the request's rows can be
+    taken until then. At its first eviction it reads the rest of the
+    string and gives every id of every request its next use in one
+    backward pass.
     """
 
     def __init__(self, requests: Iterable[tuple[np.ndarray, bool]],
-                 num_nodes: int, hot: PulledRows, carry: bool = True):
+                 remote: np.ndarray, hot: PulledRows, carry: bool = True):
         self._requests = iter(requests)
         self._carry = carry
         self._served: list[tuple[np.ndarray, bool]] = []  # until planned
         self._after: list[np.ndarray] | None = None  # per request, next uses
         self._t = 0  # the next request
-        self._due: tuple[PulledRows, np.ndarray | None] | None = None
-        self._hot = hot  # the hot set the cache holds
-        self._slot = np.full(num_nodes, -1, dtype=np.int64)  # -1: not held
-        self._rows = np.empty((0, hot.rows.shape[1]), dtype=np.float32)
-        self._id_at = np.empty(0, dtype=np.int64)  # per slot; -1: free
+        self._due = False  # a request was served since the last eviction
+        self._rank = np.cumsum(remote) - 1  # an id's row, if it is remote
+        self._rows = np.empty((np.count_nonzero(remote), hot.rows.shape[1]),
+                              dtype=np.float32)
+        self._held = np.zeros(len(remote), dtype=bool)
+        self._hot = hot.ids[:0]  # the hot set the cache holds
+        if carry:
+            self._hot = hot.ids
+            self._rows[self._rank[hot.ids]] = hot.rows
+        self._held[self._hot] = True
 
     @property
     def kept(self) -> PulledRows:
-        """The rows the store holds once it has evicted after the request
-        served last."""
+        """The carried rows, outside the hot set, that the store holds
+        once it has evicted after the request served last."""
         self._evict()
-        slots = np.flatnonzero(self._id_at >= 0)
-        slots = slots[np.argsort(self._id_at[slots])]
-        return PulledRows(self._id_at[slots], self._rows[slots])
+        carried = self._held.copy()
+        carried[self._hot] = False
+        ids = np.flatnonzero(carried)
+        return PulledRows(ids, self.take(ids))
 
     def serve(self, pull: Callable[..., np.ndarray],
-              account: TransferAccount | None = None) -> PulledRows:
-        """The rows of the next request; `pull` gets the ids that the
-        store, and at a hot set the old hot set, does not hold and
-        `account`. A hot set's rows replace the old hot set's."""
+              account: TransferAccount | None = None) -> None:
+        """Hold every row of the next request; `pull` gets the ids the
+        store does not hold and `account`. A hot set replaces the
+        current one."""
         self._evict()
         ids, is_hot = next(self._requests)
-        ids = ids.astype(np.int64, copy=False)
-        rows = np.empty((len(ids), self._rows.shape[1]), dtype=np.float32)
-        slot = self._slot[ids]
-        new = slot < 0
-        rows[~new] = self._rows[slot[~new]]
-        if is_hot:
-            pos, got = find(self._hot.ids, ids)
-            got &= new
-            rows[got] = self._hot.rows[pos[got]]
-            new &= ~got
-        if new.any():
-            rows[new] = pull(ids[new], account)
-        served = PulledRows(ids, rows)
+        new = ids[~self._held[ids]].astype(np.int64, copy=False)
+        if len(new):
+            self._rows[self._rank[new]] = pull(new, account)
+            self._held[new] = True
         if self._after is not None:
             self._next_use[ids] = self._after[self._t]
         elif self._carry:
             self._served.append((ids, is_hot))
         self._t += 1
-        if self._carry:
-            self._due = (self._hot, ids) if is_hot else (served, None)
+        self._due = True
         if is_hot:
-            self._hot = served
-        return served
+            self._hot = ids
+
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """A copy of the rows of `ids`; raises LookupError if the store
+        does not hold one of them."""
+        held = self._held[ids]
+        if not held.all():
+            raise LookupError(f"{np.count_nonzero(~held)} rows are not held, "
+                              f"first id {ids[~held][0]}")
+        return self._rows[self._rank[ids]]
 
     def _plan(self) -> None:
-        """Size the store and give every id its next use after the
-        requests served, from the whole reference string."""
+        """Find B and give every id its next use after the requests
+        served, from the whole reference string."""
         string = self._served + list(self._requests)
         self._requests = iter(string[self._t:])
-        capacity = max((len(ids) for ids, is_hot in string if not is_hot),
-                       default=0)
-        self._rows = np.empty((capacity, self._rows.shape[1]), dtype=np.float32)
-        self._id_at = np.full(capacity, -1, dtype=np.int64)
+        self._capacity = max((len(ids) for ids, is_hot in string
+                              if not is_hot), default=0)
         self._never = len(string)
-        self._next_use = np.full(len(self._slot), self._never,
+        self._next_use = np.full(len(self._held), self._never,
                                  dtype=np.min_scalar_type(self._never))
         self._after = [None] * self._never
         for t in reversed(range(self._never)):
@@ -186,39 +182,26 @@ class CarryStore:
         self._served = []
 
     def _evict(self) -> None:
-        """Keep the B rows, out of the store's and those the request served
-        last brought, used soonest after that request."""
-        if self._due is None:
+        """Hold the hot set and, with carry, the B rows outside it used
+        soonest after the request served last."""
+        if not self._due:
             return
-        if self._after is None:
-            self._plan()
-        extra, drop = self._due
-        self._due = None
-        held = self._id_at >= 0
-        mark = np.zeros(len(self._slot), dtype=bool)
-        mark[self._id_at[held]] = True
-        mark[extra.ids] = True
-        if drop is not None:
-            mark[drop] = False
-        ids = np.flatnonzero(mark)
-        use = self._next_use[ids]
-        ids, use = ids[use < self._never], use[use < self._never]
-        capacity = len(self._id_at)
-        if len(ids) > capacity:
-            # unique keys: the next use, then the id
-            key = use.astype(np.int64) * len(mark) + ids
-            ids = ids[np.argpartition(key, capacity)[:capacity]]
-        mark[:] = False
-        mark[ids] = True
-        gone = held.copy()
-        gone[held] = ~mark[self._id_at[held]]
-        self._slot[self._id_at[gone]] = -1
-        self._id_at[gone] = -1
-        new = ids[self._slot[ids] < 0]  # all of them rows of `extra`
-        free = np.flatnonzero(self._id_at < 0)[:len(new)]
-        self._rows[free] = extra.rows[np.searchsorted(extra.ids, new)]
-        self._slot[new] = free
-        self._id_at[free] = new
+        self._due = False
+        keep = self._hot[:0]
+        if self._carry:
+            if self._after is None:
+                self._plan()
+            self._held[self._hot] = False
+            pool = np.flatnonzero(self._held)
+            use = self._next_use[pool]
+            keep, use = pool[use < self._never], use[use < self._never]
+            if len(keep) > self._capacity:
+                # unique keys: the next use, then the id
+                key = use.astype(np.int64) * len(self._held) + keep
+                keep = keep[np.argpartition(key, self._capacity)[:self._capacity]]
+        self._held[:] = False
+        self._held[keep] = True
+        self._held[self._hot] = True
 
 
 def assemble_bundle(
@@ -233,8 +216,8 @@ def assemble_bundle(
 
     Locally owned rows are read straight from the worker's shard memory
     (zero RPC). Remote rows go through the cache; the misses come from
-    `pulled`, the window pulled ahead for this block, which must hold
-    every one of them.
+    `pulled`, which must hold exactly them, ascending, or this raises
+    LookupError.
     """
     ids = block.input_nodes
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
@@ -245,7 +228,10 @@ def assemble_bundle(
     hit, hit_rows = cache.lookup(ids[remote_pos])
     rows[remote_pos[hit]] = hit_rows
     miss_pos = remote_pos[~hit]
-    rows[miss_pos] = pulled.take(ids[miss_pos])
+    if not np.array_equal(pulled.ids, ids[miss_pos]):
+        raise LookupError(f"the lookahead item holds {len(pulled.ids)} rows, "
+                          f"not exactly the block's {len(miss_pos)} misses")
+    rows[miss_pos] = pulled.rows
     return FeatureBundle(
         rows=rows,
         n_cache_hit=len(hit_rows),

@@ -9,20 +9,21 @@ before any worker starts, so the run samples nothing: every worker
 trains on the same read-only block object. Before training, each rapid
 worker counts each epoch's remote accesses once and chooses every
 epoch's hot set from those counts (`cache.epoch_hot_sets`); the first
-cache fill and the lookahead read that list. The lookahead fills each
-later epoch's cache just before its first window and gathers the cache misses of each
-window of consecutive batches at once; the plan fixes every batch's
-input nodes and every epoch's hot set, so the lookahead never waits for
-the loop. The mode decides four things only: the size of the worker's
-hot-node cache, how many batches a window holds, whether the lookahead
-carries rows between its requests, and whether a prefetcher runs the
-lookahead. `rapid` caches each epoch's n_hot most-accessed remote
-nodes, gathers windows of Q = prefetch_depth batches, and keeps a carry
-store of as many rows as the largest window misses: since the plan
-fixes every later request, the store keeps the rows used soonest again
-(Belady's MIN), and each window and each later hot set pulls, in one
-request, only what the store and the previous hot set do not hold. It
-runs the lookahead on a prefetcher's producer thread, at most Q+1
+cache fill and the lookahead read that list. The lookahead gathers the
+cache misses of each window of consecutive batches at once, into one
+row table per worker, and gives each batch a copy of its own; the plan
+fixes every batch's input nodes and every epoch's hot set, so the
+lookahead never waits for the loop. The mode decides four things only:
+the size of the worker's hot-node cache, how many batches a window
+holds, whether the lookahead carries rows between its requests, and
+whether a prefetcher runs the lookahead. `rapid` caches each epoch's
+n_hot most-accessed remote nodes, fills each later epoch's cache just
+before its first window, and gathers windows of Q = prefetch_depth
+batches. Its table holds the current hot set and as many more rows as
+the largest window misses: since the plan fixes every later request, it
+keeps the rows used soonest again (Belady's MIN), and each window and
+each later hot set pulls, in one request, only what it does not hold.
+It runs the lookahead on a prefetcher's producer thread, at most Q+1
 batches ahead of the loop. `baseline` has a cache with no rows, so
 every remote row is a miss, and pulls each batch's misses on its own,
 on the worker's thread, as the loop reaches the batch. Both modes
@@ -234,66 +235,75 @@ def _lookahead(
     book: PartitionBook,
     part: int,
     client: StoreClient,
+    fcache: cache_mod.FeatureCache,
     hot_sets: list[np.ndarray],
     window: int,
-    fcache: cache_mod.FeatureCache | None = None,
+    carry: bool,
     fill: TransferAccount | None = None,
-    carry_rows: np.ndarray | None = None,
 ) -> Iterator[Lookahead]:
-    """One `Lookahead` per batch, in plan order; with `fcache`, each epoch
-    e >= 1 first stages its hot set's rows there, charged to `fill`.
+    """One `Lookahead` per batch, in plan order: the batch's cache misses,
+    its remote input nodes outside the epoch's hot set in `hot_sets`.
+    With `carry`, each epoch e >= 1 first stages its hot set's rows in
+    `fcache`, charged to `fill`.
 
     Each epoch's batches go in windows of `window` consecutive batches;
-    a window never crosses an epoch boundary. A window's cache misses
-    are its batches' remote input nodes outside the epoch's hot set in
-    `hot_sets`. Without `carry_rows` every miss is pulled. With
-    `carry_rows`, epoch 0's hot rows, a `CarryStore` of B rows, B the
-    largest window's miss count, serves every request after epoch 0's
-    hot set: it keeps the rows used soonest again (Belady's MIN over
-    the plan's requests), copies what it and, at a fill, the previous
-    hot set hold, and pulls only the rest. A window's pull is one sync
-    pull (one RPC per owning shard with a new row), a fill's one vector
-    pull, and neither sends anything when no row is new. A window's
-    traffic is charged to its first batch; the others carry an empty
-    account.
+    a window never crosses an epoch boundary. A `CarryStore` serves each
+    window's misses, the union of its batches', once, before the
+    window's first item, and each batch takes its own from it as a
+    copy. With `carry` the store starts from `fcache`'s rows of epoch
+    0's hot set, serves every later hot set too, and keeps B more rows,
+    B the largest window's miss count, the rows used soonest again
+    (Belady's MIN over the plan's requests); a request pulls only what
+    the store does not hold. Without `carry` every miss is pulled. A
+    window's pull is one sync pull (one RPC per owning shard with a new
+    row), a fill's one vector pull, and neither sends anything when no
+    row is new. A window's traffic is charged to its first batch; the
+    others carry an empty account.
     """
-    fills = fcache is not None
     windows = [[range(first, min(first + window, n))
                 for first in range(0, n, window)]
                for n in map(plan.num_batches, range(plan.epochs))]
     remote = book.owner != part
     narrow = np.min_scalar_type(len(remote) - 1)
 
+    def wanted(e: int) -> np.ndarray:
+        """The ids that are epoch e's misses when a batch reads them."""
+        mask = remote.copy()
+        mask[hot_sets[e]] = False
+        return mask
+
     def reference_string() -> Iterator[tuple[np.ndarray, bool]]:
         """Every request after H_0, in order, and whether it is a hot
         set; window ids in the narrowest dtype, since a carry store
         holds all of them once it plans."""
         for e in range(plan.epochs):
-            if fills and e > 0:
+            if carry and e > 0:
                 yield hot_sets[e], True
-            wanted = remote.copy()
-            wanted[hot_sets[e]] = False
+            miss = wanted(e)
             for batches in windows[e]:
-                mark = np.zeros_like(wanted)
+                mark = np.zeros_like(miss)
                 for i in batches:
                     mark[plan.input_sets[e][i]] = True
-                yield np.flatnonzero(mark & wanted).astype(narrow), False
+                yield np.flatnonzero(mark & miss).astype(narrow), False
 
-    hot = PulledRows(np.empty(0, dtype=np.int64),
-                     np.empty((0, client.feat_dim), dtype=np.float32))
-    if carry_rows is not None:
-        hot = PulledRows(hot_sets[0], carry_rows)
-    store = CarryStore(reference_string(), len(remote), hot,
-                       carry=carry_rows is not None)
+    def fill_rows(hot: np.ndarray) -> PulledRows:
+        store.serve(client.vector_pull, fill)
+        return PulledRows(hot, store.take(hot))
+
+    store = CarryStore(reference_string(), remote,
+                       PulledRows(fcache.hot_ids, fcache.rows), carry)
     for e in range(plan.epochs):
-        if fills and e > 0 and fcache.start_secondary_build(
-                lambda: store.serve(client.vector_pull, fill)) is None:
+        if carry and e > 0 and fcache.start_secondary_build(
+                lambda: fill_rows(hot_sets[e])) is None:
             return  # the worker raises at this epoch's swap
+        miss = wanted(e)
         for batches in windows[e]:
             account = TransferAccount()
-            pulled = store.serve(client.sync_pull, account)
+            store.serve(client.sync_pull, account)
             for i in batches:
-                yield Lookahead(e, i, pulled,
+                ids = plan.input_sets[e][i]
+                ids = ids[miss[ids]]
+                yield Lookahead(e, i, PulledRows(ids, store.take(ids)),
                                 account if i == batches[0] else TransferAccount())
 
 
@@ -312,11 +322,11 @@ def _run_worker(
     which a check before every batch sees.
 
     Each batch trains on the plan's stored block, so the worker samples
-    nothing, and takes its cache misses from its `Lookahead`. When any
-    epoch has hot nodes, each epoch e >= 1 starts, inside its timed
-    region, by swapping in the fill the lookahead's producer staged for
-    it; only the producer writes `fill` until `pf.close()`. The
-    lookahead pulled e's misses for e's hot set, so a failed fill
+    nothing, and takes its cache misses from its `Lookahead`. In rapid
+    mode each epoch e >= 1 starts, inside its timed region, by swapping
+    in the fill the lookahead's producer staged for it, empty when the
+    hot sets are; only the producer writes `fill` until `pf.close()`.
+    The lookahead gathered e's misses for e's hot set, so a failed fill
     raises.
 
     The worker reads features only through `shard` and `client`. It
@@ -333,12 +343,9 @@ def _run_worker(
         hot_sets = cache_mod.epoch_hot_sets(
             plan, book, part, lambda num_remote: resolve_n_hot(cfg, num_remote))
     fcache = cache_mod.build_steady(hot_sets[0], client, fill)
-    turn_over = any(len(hot) for hot in hot_sets)
 
-    ahead = _lookahead(plan, book, part, client, hot_sets,
-                       cfg.prefetch_depth if rapid else 1,
-                       fcache if turn_over else None, fill,
-                       fcache.rows if rapid else None)
+    ahead = _lookahead(plan, book, part, client, fcache, hot_sets,
+                       cfg.prefetch_depth if rapid else 1, rapid, fill)
     pf = None
     if rapid:
         pf = Prefetcher(ahead, cfg.prefetch_depth)
@@ -348,7 +355,7 @@ def _run_worker(
     try:
         for e in range(plan.epochs):
             t_start = time.perf_counter()
-            if turn_over and e > 0:
+            if rapid and e > 0:
                 try:
                     fcache.swap()
                 except Exception as exc:

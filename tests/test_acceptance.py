@@ -549,11 +549,11 @@ def test_criterion_09_transparency():
         acct = TransferAccount()
         ids = np.unique(block.input_nodes)
         miss = ids[book.owner[ids] != 0]
-        store = CarryStore([(miss, False)], g.num_nodes,
+        store = CarryStore([(miss, False)], book.owner != 0,
                            PulledRows(empty.hot_ids, empty.rows), carry=False)
-        pulled = store.serve(gclient.sync_pull, acct)
+        store.serve(gclient.sync_pull, acct)
         bundle = assemble_bundle(block, book.owner, 0, gshards[0], empty,
-                                 pulled)
+                                 PulledRows(miss, store.take(miss)))
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])
         ok = ok and acct.nodes_pulled == bundle.n_fallback
 

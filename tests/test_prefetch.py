@@ -20,10 +20,10 @@ from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
 from gnnpipe.train import _lookahead
 
 
-def no_cache(shard):
+def no_cache(feat_dim):
     """A cache with no rows: every remote row is a miss."""
     return FeatureCache(np.empty(0, dtype=np.int64),
-                        np.empty((0, shard.feat_dim), dtype=np.float32))
+                        np.empty((0, feat_dim), dtype=np.float32))
 
 
 def no_hot_sets(plan):
@@ -39,7 +39,8 @@ def pull_misses(ids, owner, hot_ids, client, account=None):
 
 def run_ahead(plan, book, client, window=1):
     """Worker 0's lookahead items for the whole run, with no hot sets."""
-    return _lookahead(plan, book, 0, client, no_hot_sets(plan), window)
+    return _lookahead(plan, book, 0, client, no_cache(client.feat_dim),
+                      no_hot_sets(plan), window, carry=False)
 
 
 class CountingClient:
@@ -78,7 +79,7 @@ class TestAssembleBundle:
     def test_rows_match_features(self, setup):
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
-        cache = no_cache(shard)
+        cache = no_cache(shard.feat_dim)
         acct = TransferAccount()
         pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
                              acct)
@@ -119,7 +120,7 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 1)
         acct = TransferAccount()
-        cache = no_cache(shard)
+        cache = no_cache(shard.feat_dim)
         pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
                              acct)
         assemble_bundle(block, owner, 0, shard, cache, pulled)
@@ -127,13 +128,17 @@ class TestAssembleBundle:
         assert acct.nodes_pulled == n_remote
         assert shard.rpc_calls == 0
 
-    def test_pulled_window_must_hold_every_miss(self, setup):
+    def test_item_must_hold_exactly_the_misses(self, setup):
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
         remote = block.input_nodes[owner[block.input_nodes] != 0]
-        short = PulledRows(remote[1:], g.features[remote[1:]])
-        with pytest.raises(LookupError, match="first id"):
-            assemble_bundle(block, owner, 0, shard, no_cache(shard), short)
+        extra = np.setdiff1d(np.flatnonzero(owner != 0), remote)[:1]
+        assert len(remote) > 1 and len(extra) == 1
+        for ids in (remote[1:], np.union1d(remote, extra)):
+            item = PulledRows(ids, g.features[ids])
+            with pytest.raises(LookupError, match="exactly the block's"):
+                assemble_bundle(block, owner, 0, shard,
+                                no_cache(shard.feat_dim), item)
 
 
 class RecordingClient:
@@ -213,48 +218,49 @@ class TestCarryStore:
         first = np.setdiff1d(self.remote(setup, 0, 1), hot)
         second = np.setdiff1d(np.union1d(self.remote(setup, 0, 2),
                                          self.remote(setup, 0, 3)), hot)
-        store = CarryStore([(first, False), (second, False)], g.num_nodes,
+        store = CarryStore([(first, False), (second, False)], owner != 0,
                            no_rows(g.feat_dim))
         store.serve(client.sync_pull)
         # the rows used again, and no other, stay
         assert np.array_equal(store.kept.ids, np.intersect1d(first, second))
         rec, acct = RecordingClient(client), TransferAccount()
-        got = store.serve(rec.sync_pull, acct)
-        assert np.array_equal(got.ids, second)
-        assert got.rows.tobytes() == g.features[second].tobytes()
+        store.serve(rec.sync_pull, acct)
+        assert store.take(second).tobytes() == g.features[second].tobytes()
         want = np.setdiff1d(second, first)
         assert 0 < len(want) < len(second)
         (asked,) = rec.requests
         assert np.array_equal(asked, want)
         assert acct.snapshot() == (1, len(want), len(want) * g.feat_dim * 4)
         assert len(store.kept.ids) == 0  # no later request
+        with pytest.raises(LookupError, match="not held"):
+            store.take(second)
 
-    def test_fill_copies_store_and_old_hot_rows(self, setup):
+    def test_fill_takes_store_and_old_hot_rows(self, setup):
         g, plan, book, owner, shard, client = setup
         misses = self.remote(setup, 0, 0)
         # a window holds the first half, the old hot set the rest
         half = len(misses) // 2
         old_hot = PulledRows(misses[half:], g.features[misses[half:]])
         store = CarryStore([(misses[:half], False), (misses, True)],
-                           g.num_nodes, old_hot)
+                           owner != 0, old_hot)
         store.serve(client.sync_pull)
         rec, acct = RecordingClient(client), TransferAccount()
-        got = store.serve(rec.vector_pull, acct)
-        assert np.array_equal(got.ids, misses)
-        assert np.array_equal(got.rows, g.features[misses])
+        store.serve(rec.vector_pull, acct)
+        assert np.array_equal(store.take(misses), g.features[misses])
         assert rec.fills == []
         assert acct.snapshot() == (0, 0, 0)
 
     def test_all_held_sends_nothing(self, setup):
         g, plan, book, owner, shard, client = setup
         misses = self.remote(setup, 0, 0)
-        store = CarryStore([(misses, False), (misses, False)], g.num_nodes,
+        store = CarryStore([(misses, False), (misses, False)], owner != 0,
                            no_rows(g.feat_dim))
-        first = store.serve(client.sync_pull)
+        store.serve(client.sync_pull)
+        first = store.take(misses)
         rec, acct = RecordingClient(client), TransferAccount()
-        got = store.serve(rec.sync_pull, acct)
+        store.serve(rec.sync_pull, acct)
         assert rec.requests == [] and acct.snapshot() == (0, 0, 0)
-        assert np.array_equal(got.rows, first.rows)
+        assert np.array_equal(store.take(misses), first)
 
     @pytest.mark.parametrize("carry", [True, False])
     def test_reads_the_string_only_after_the_first_request(self, setup, carry):
@@ -269,7 +275,7 @@ class TestCarryStore:
                 read.append(request)
                 yield request
 
-        store = CarryStore(string(), g.num_nodes, no_rows(g.feat_dim), carry)
+        store = CarryStore(string(), owner != 0, no_rows(g.feat_dim), carry)
         assert read == []
         store.serve(client.sync_pull)
         assert len(read) == 1
@@ -277,13 +283,20 @@ class TestCarryStore:
         assert len(read) == (4 if carry else 2)
 
     def test_rows_read_only(self, setup):
+        # a lookahead item's rows are read-only, and writing the rows
+        # taken leaves the store's
         g, plan, book, owner, shard, client = setup
-        store = CarryStore([(self.remote(setup, 0, 0), False)], g.num_nodes,
-                           no_rows(g.feat_dim), carry=False)
-        got = store.serve(client.sync_pull)
+        ids = self.remote(setup, 0, 0)
+        store = CarryStore([(ids, False)], owner != 0, no_rows(g.feat_dim),
+                           carry=False)
+        store.serve(client.sync_pull)
+        got = PulledRows(ids, store.take(ids))
         assert len(got.rows) and not got.rows.flags.writeable
         with pytest.raises(ValueError):
             got.rows[0, 0] = 1.0
+        taken = store.take(ids)
+        taken[:] = -1.0
+        assert store.take(ids).tobytes() == g.features[ids].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(reference_strings())
@@ -301,7 +314,8 @@ class TestCarryStore:
                        default=0)
         arrays = [np.array(sorted(r), dtype=np.int64) for r in requests]
         h0 = np.array(sorted(first_hot), dtype=np.int64)
-        store = CarryStore(zip(arrays, fills), n, PulledRows(h0, features[h0]))
+        store = CarryStore(zip(arrays, fills), np.ones(n, dtype=bool),
+                           PulledRows(h0, features[h0]))
         want_pulled, want_kept = min_carry(requests, fills, first_hot, capacity)
         asked = []
 
@@ -311,9 +325,8 @@ class TestCarryStore:
 
         for ids, fill, want, kept in zip(arrays, fills, want_pulled, want_kept):
             n_asked = len(asked)
-            got = store.serve(pull)
-            assert np.array_equal(got.ids, ids)
-            assert got.rows.tobytes() == features[ids].tobytes()
+            store.serve(pull)
+            assert store.take(ids).tobytes() == features[ids].tobytes()
             assert asked[n_asked:] == ([sorted(want)] if want else [])
             assert len(store.kept.ids) <= capacity
             assert set(store.kept.ids.tolist()) == kept
@@ -327,11 +340,11 @@ class TestCarryStore:
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: n_hot)
         fcache = build_steady(hot_sets[0], client)
         rec = RecordingClient(client)
-        items = list(_lookahead(plan, book, 0, rec, hot_sets, depth,
-                                fcache if n_hot else None, None, fcache.rows))
+        items = list(_lookahead(plan, book, 0, rec, fcache, hot_sets, depth,
+                                carry=True))
         requests, fills = [], []
         for e in range(plan.epochs):
-            if e and n_hot:
+            if e:
                 requests.append(hot_sets[e])
                 fills.append(True)
             for first in range(0, plan.num_batches(e), depth):
@@ -354,8 +367,8 @@ class TestCarryStore:
         g, plan, book, owner, shard, client = setup
         alone = PartitionBook(1, np.zeros(g.num_nodes, dtype=np.int64))
         rec = RecordingClient(client)
-        items = list(_lookahead(plan, alone, 0, rec, no_hot_sets(plan), 3,
-                                None, None, np.empty((0, g.feat_dim), np.float32)))
+        items = list(_lookahead(plan, alone, 0, rec, no_cache(g.feat_dim),
+                                no_hot_sets(plan), 3, carry=True))
         assert len(items) == sum(plan.num_batches(e) for e in range(plan.epochs))
         assert rec.requests == rec.fills == []
         assert all(len(la.pulled.ids) == 0 and la.account.snapshot() == (0, 0, 0)
@@ -368,12 +381,9 @@ class TestLookaheadStream:
     def items(self, setup, window, carry=False):
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: self.N_HOT)
-        if not carry:
-            return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets,
-                                             window))
         fcache = build_steady(hot_sets[0], client)
-        return hot_sets, list(_lookahead(plan, book, 0, client, hot_sets,
-                                         window, fcache, None, fcache.rows))
+        return hot_sets, list(_lookahead(plan, book, 0, client, fcache,
+                                         hot_sets, window, carry))
 
     def bundles(self, setup, window, carry=False):
         """Every batch's block and bundle, each epoch against a cache of its
@@ -397,6 +407,21 @@ class TestLookaheadStream:
             assert np.array_equal(b.rows, g.features[block.input_nodes])
             assert np.array_equal(a.rows, b.rows)
             assert (a.n_cache_hit, a.n_fallback) == (b.n_cache_hit, b.n_fallback)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("carry", [False, True])
+    def test_items_hold_exactly_their_misses(self, setup, depth, carry):
+        # each item: its batch's remote inputs outside the epoch's hot
+        # set, ascending, with the shard's rows, read-only
+        g, plan, book, owner, shard, client = setup
+        hot_sets, items = self.items(setup, depth, carry)
+        assert len(items) == sum(plan.num_batches(e) for e in range(plan.epochs))
+        for la in items:
+            ids = plan.input_sets[la.epoch][la.batch]
+            want = np.setdiff1d(ids[owner[ids] != 0], hot_sets[la.epoch])
+            assert np.array_equal(la.pulled.ids, want)
+            assert la.pulled.rows.tobytes() == g.features[want].tobytes()
+            assert not la.pulled.rows.flags.writeable
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_carried_rows_bit_identical_and_fewer_pulled(self, setup, depth):
@@ -449,7 +474,7 @@ class TestPrefetcher:
         pf = Prefetcher(run_ahead(plan, book, client), depth=2)
         n = 0
         for la in pf:
-            block, cache = plan.block(la.epoch, la.batch), no_cache(shard)
+            block, cache = plan.block(la.epoch, la.batch), no_cache(shard.feat_dim)
             got = assemble_bundle(block, owner, 0, shard, cache, la.pulled)
             pulled = pull_misses(block.input_nodes, owner, cache.hot_ids,
                                  client)
