@@ -7,11 +7,12 @@ most-accessed remote nodes. A cache serves lookups for the current
 epoch while the lookahead's producer stages later epochs' rows in
 order; `swap`, on the worker's thread at the epoch boundary, installs
 the oldest. The producer takes a later epoch's rows from the
-lookahead's carry store, one table that holds the hot set before it and
-the rows Belady's MIN keeps over the plan's requests, and pulls only the
-rest. A failed fill raises its exception from `swap` and leaves the
-current rows installed. A cache built from no hot ids holds no rows and
-answers every lookup with misses; baseline mode uses one.
+lookahead's row table, and pulls only the ids its MIN pull schedule
+does not hold: the schedule holds the hot set before it and the rows
+Belady's MIN keeps over the plan's requests. A failed fill raises its
+exception from `swap` and leaves the current rows installed. A cache
+built from no hot ids holds no rows and answers every lookup with
+misses; baseline mode uses one.
 The cache keeps no hit or miss counters; each lookup's split is
 returned to the caller, which counts per batch.
 """

@@ -3,10 +3,13 @@
 The precomputed plan names every batch's input nodes, and the hot set of
 its epoch, before training starts, so a rapid worker's requests for
 rows, each later epoch's hot set and each window's cache misses, form a
-reference string fixed in advance. `CarryStore` is one row table over
-the ids the worker does not own: it holds the current hot set and,
-between requests, the rows used soonest again (Belady's MIN). A request
-pulls only the rows the table does not hold, in one pull, one RPC per
+reference string fixed in advance. `min_pulls` is the pull schedule
+over that string: it holds the current hot set and, between requests,
+the B rows used soonest again (Belady's MIN), and names for each
+request the ids it does not hold, from the plan alone. `RowTable` is
+where the rows go: one row for each id the worker does not own, and
+every row it has pulled kept, so its memory is R rows whatever B is.
+A request pulls the ids the schedule names in one pull, one RPC per
 owning shard with a new row. A `Lookahead` is one batch's cache misses,
 taken from the table as a copy, with the traffic charged to that batch:
 its window's pull on the window's first batch, none on the others.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,131 +80,88 @@ class Lookahead:
     account: TransferAccount
 
 
-class CarryStore:
-    """One row table for the ids a worker does not own; with `carry`,
-    kept by Belady's MIN over the requests the plan fixes.
+def min_pulls(requests: Iterable[tuple[np.ndarray, bool]], hot: np.ndarray,
+              num_ids: int) -> Iterator[np.ndarray]:
+    """The ids each request pulls when the rows held between requests are
+    chosen by Belady's MIN over the plan's requests.
 
-    `requests` is the worker's reference string after its first hot
-    set H_0, `hot`, in the order the lookahead sends them: each later
-    epoch's hot set, then the miss set of each of the epoch's windows,
-    each as (ids sorted ascending in any integer dtype, whether it is a
-    hot set). `remote` marks the ids the worker does not own; the table
-    has one row for each, R rows. `serve` serves the requests in order:
-    it pulls the request's ids the table does not hold, in one pull and
-    none when it holds them all, and writes them into their rows;
-    `take` gathers held rows.
+    `requests` is a worker's reference string after its first hot set
+    H_0, `hot`: each later epoch's hot set, then the misses of each of
+    the epoch's windows, each as (ids sorted ascending in any integer
+    dtype, whether it is a hot set), over ids below `num_ids`. For each
+    request in order this yields the request's ids not held, ascending.
 
-    The table holds the current hot set, H_0 from the start, and with
-    `carry` up to B more rows, B the largest window's miss count: after
-    each request it keeps the B rows whose next use comes soonest, ties
-    to the lower id, out of those it holds outside the current hot set,
-    and never a row no later request names. At a hot set that pool
-    includes the previous hot set. Without `carry` it holds nothing
-    between requests and pulls every row of every request.
+    Besides the current hot set, H_0 from the start, it holds at most B
+    rows, B the largest window's miss count: after each request the B
+    rows outside the current hot set whose next use comes soonest, ties
+    to the lower id, and never a row no later request names. At a hot
+    set that pool includes the previous hot set.
 
-    The store reads each request only as it serves it, and evicts after
-    a request when the next one comes, so the request's rows can be
-    taken until then. At its first eviction it reads the rest of the
-    string and gives every id of every request its next use in one
-    backward pass.
+    It answers the first request before reading the rest of `requests`,
+    and reads all of it when asked for the second, giving every id of
+    every request its next use in one backward pass.
     """
-
-    def __init__(self, requests: Iterable[tuple[np.ndarray, bool]],
-                 remote: np.ndarray, hot: PulledRows, carry: bool = True):
-        self._requests = iter(requests)
-        self._carry = carry
-        self._served: list[tuple[np.ndarray, bool]] = []  # until planned
-        self._after: list[np.ndarray] | None = None  # per request, next uses
-        self._t = 0  # the next request
-        self._due = False  # a request was served since the last eviction
-        self._rank = np.cumsum(remote) - 1  # an id's row, if it is remote
-        self._rows = np.empty((np.count_nonzero(remote), hot.rows.shape[1]),
-                              dtype=np.float32)
-        self._held = np.zeros(len(remote), dtype=bool)
-        self._hot = hot.ids[:0]  # the hot set the cache holds
-        if carry:
-            self._hot = hot.ids
-            self._rows[self._rank[hot.ids]] = hot.rows
-        self._held[self._hot] = True
-
-    @property
-    def kept(self) -> PulledRows:
-        """The carried rows, outside the hot set, that the store holds
-        once it has evicted after the request served last."""
-        self._evict()
-        carried = self._held.copy()
-        carried[self._hot] = False
-        ids = np.flatnonzero(carried)
-        return PulledRows(ids, self.take(ids))
-
-    def serve(self, pull: Callable[..., np.ndarray],
-              account: TransferAccount | None = None) -> None:
-        """Hold every row of the next request; `pull` gets the ids the
-        store does not hold and `account`. A hot set replaces the
-        current one."""
-        self._evict()
-        ids, is_hot = next(self._requests)
-        new = ids[~self._held[ids]].astype(np.int64, copy=False)
-        if len(new):
-            self._rows[self._rank[new]] = pull(new, account)
-            self._held[new] = True
-        if self._after is not None:
-            self._next_use[ids] = self._after[self._t]
-        elif self._carry:
-            self._served.append((ids, is_hot))
-        self._t += 1
-        self._due = True
+    requests = iter(requests)
+    held = np.zeros(num_ids, dtype=bool)
+    held[hot] = True
+    first = next(requests, None)
+    if first is None:
+        return
+    yield first[0][~held[first[0]]]
+    string = [first, *requests]
+    capacity = max((len(ids) for ids, is_hot in string if not is_hot),
+                   default=0)
+    never = len(string)
+    next_use = np.full(num_ids, never, dtype=np.min_scalar_type(never))
+    after = [None] * never  # per request, its ids' next uses
+    for t in reversed(range(never)):
+        after[t] = next_use[string[t][0]]
+        next_use[string[t][0]] = t
+    for t, (ids, is_hot) in enumerate(string):
+        if t:
+            yield ids[~held[ids]]
+        held[ids] = True
+        next_use[ids] = after[t]
         if is_hot:
-            self._hot = ids
+            hot = ids
+        held[hot] = False
+        pool = np.flatnonzero(held)
+        use = next_use[pool]
+        keep, use = pool[use < never], use[use < never]
+        if len(keep) > capacity:
+            # unique keys: the next use, then the id
+            key = use.astype(np.int64) * num_ids + keep
+            keep = keep[np.argpartition(key, capacity)[:capacity]]
+        held[:] = False
+        held[keep] = True
+        held[hot] = True
+
+
+class RowTable:
+    """One float32 row for each id a worker does not own, `remote` marking
+    them: R rows, found through a rank table over the graph's ids. It
+    keeps every row written; which rows a request pulls is up to the
+    caller."""
+
+    def __init__(self, remote: np.ndarray, feat_dim: int):
+        self._rank = np.cumsum(remote) - 1  # an id's row, if it is remote
+        self._rows = np.empty((np.count_nonzero(remote), feat_dim),
+                              dtype=np.float32)
+        self._written = np.zeros(len(remote), dtype=bool)
+
+    def put(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Write the rows of the remote `ids`."""
+        self._rows[self._rank[ids]] = rows
+        self._written[ids] = True
 
     def take(self, ids: np.ndarray) -> np.ndarray:
-        """A copy of the rows of `ids`; raises LookupError if the store
-        does not hold one of them."""
-        held = self._held[ids]
-        if not held.all():
-            raise LookupError(f"{np.count_nonzero(~held)} rows are not held, "
-                              f"first id {ids[~held][0]}")
+        """A copy of the rows of `ids`; raises LookupError if one of them
+        was never written."""
+        written = self._written[ids]
+        if not written.all():
+            raise LookupError(f"{np.count_nonzero(~written)} rows were never "
+                              f"written, first id {ids[~written][0]}")
         return self._rows[self._rank[ids]]
-
-    def _plan(self) -> None:
-        """Find B and give every id its next use after the requests
-        served, from the whole reference string."""
-        string = self._served + list(self._requests)
-        self._requests = iter(string[self._t:])
-        self._capacity = max((len(ids) for ids, is_hot in string
-                              if not is_hot), default=0)
-        self._never = len(string)
-        self._next_use = np.full(len(self._held), self._never,
-                                 dtype=np.min_scalar_type(self._never))
-        self._after = [None] * self._never
-        for t in reversed(range(self._never)):
-            self._after[t] = self._next_use[string[t][0]]
-            self._next_use[string[t][0]] = t
-        for t, (ids, _) in enumerate(self._served):
-            self._next_use[ids] = self._after[t]
-        self._served = []
-
-    def _evict(self) -> None:
-        """Hold the hot set and, with carry, the B rows outside it used
-        soonest after the request served last."""
-        if not self._due:
-            return
-        self._due = False
-        keep = self._hot[:0]
-        if self._carry:
-            if self._after is None:
-                self._plan()
-            self._held[self._hot] = False
-            pool = np.flatnonzero(self._held)
-            use = self._next_use[pool]
-            keep, use = pool[use < self._never], use[use < self._never]
-            if len(keep) > self._capacity:
-                # unique keys: the next use, then the id
-                key = use.astype(np.int64) * len(self._held) + keep
-                keep = keep[np.argpartition(key, self._capacity)[:self._capacity]]
-        self._held[:] = False
-        self._held[keep] = True
-        self._held[self._hot] = True
 
 
 def assemble_bundle(

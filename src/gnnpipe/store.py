@@ -194,7 +194,9 @@ class StoreClient:
     """Groups pull requests by owning shard and reassembles the rows.
 
     One request message to one shard counts as one RPC call; a pull that
-    spans k shards is charged k calls regardless of id count.
+    spans k shards is charged k calls regardless of id count. A pull
+    sends each distinct id once and is charged the rows sent, so client
+    and shard counters agree; rows come back for every id asked.
     """
 
     def __init__(self, owner: np.ndarray, transports: list, feat_dim: int):
@@ -204,7 +206,10 @@ class StoreClient:
 
     def _pull(self, msg_type: int, node_ids: np.ndarray,
               account: TransferAccount | None) -> np.ndarray:
-        ids = np.asarray(node_ids, dtype=np.int64)
+        # each distinct id goes once, so a request never names more ids
+        # than its shard owns
+        ids, back = np.unique(np.asarray(node_ids, dtype=np.int64),
+                              return_inverse=True)
         out = np.empty((len(ids), self.feat_dim), dtype=np.float32)
         owners = self.owner[ids]
         rpcs = 0
@@ -228,7 +233,7 @@ class StoreClient:
             rpcs += 1
         if account is not None:
             account.charge(rpcs, len(ids), self.feat_dim)
-        return out
+        return out[back]
 
     def sync_pull(self, node_ids: np.ndarray,
                   account: TransferAccount | None = None) -> np.ndarray:

@@ -15,14 +15,16 @@ row table per worker, and gives each batch a copy of its own; the plan
 fixes every batch's input nodes and every epoch's hot set, so the
 lookahead never waits for the loop. The mode decides four things only:
 the size of the worker's hot-node cache, how many batches a window
-holds, whether the lookahead carries rows between its requests, and
-whether a prefetcher runs the lookahead. `rapid` caches each epoch's
-n_hot most-accessed remote nodes, fills each later epoch's cache just
-before its first window, and gathers windows of Q = prefetch_depth
-batches. Its table holds the current hot set and as many more rows as
-the largest window misses: since the plan fixes every later request, it
-keeps the rows used soonest again (Belady's MIN), and each window and
-each later hot set pulls, in one request, only what it does not hold.
+holds, whether a pull schedule holds rows between the lookahead's
+requests, and whether a prefetcher runs the lookahead. `rapid` caches
+each epoch's n_hot most-accessed remote nodes, fills each later epoch's
+cache just before its first window, and gathers windows of Q =
+prefetch_depth batches. Its schedule holds the current hot set and as
+many more rows as the largest window misses: since the plan fixes every
+later request, it keeps the rows used soonest again (Belady's MIN), and
+each window and each later hot set pulls, in one request, only what it
+does not hold. The table keeps every row pulled, at most one per id the
+worker does not own.
 It runs the lookahead on a prefetcher's producer thread, at most Q+1
 batches ahead of the loop. `baseline` has a cache with no rows, so
 every remote row is a miss, and pulls each batch's misses on its own,
@@ -63,8 +65,8 @@ from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 # nothing here calls collect_access, but bench/layers.py wraps it by name
 from .plan import BatchPlan, collect_access, generate_plan
-from .prefetch import (CarryStore, Lookahead, Prefetcher, PulledRows,
-                       assemble_bundle)
+from .prefetch import (Lookahead, Prefetcher, PulledRows, RowTable,
+                       assemble_bundle, min_pulls)
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
@@ -247,18 +249,19 @@ def _lookahead(
     `fcache`, charged to `fill`.
 
     Each epoch's batches go in windows of `window` consecutive batches;
-    a window never crosses an epoch boundary. A `CarryStore` serves each
-    window's misses, the union of its batches', once, before the
-    window's first item, and each batch takes its own from it as a
-    copy. With `carry` the store starts from `fcache`'s rows of epoch
-    0's hot set, serves every later hot set too, and keeps B more rows,
-    B the largest window's miss count, the rows used soonest again
-    (Belady's MIN over the plan's requests); a request pulls only what
-    the store does not hold. Without `carry` every miss is pulled. A
-    window's pull is one sync pull (one RPC per owning shard with a new
-    row), a fill's one vector pull, and neither sends anything when no
-    row is new. A window's traffic is charged to its first batch; the
-    others carry an empty account.
+    a window never crosses an epoch boundary. Each window's misses, the
+    union of its batches', are served once, before the window's first
+    item: the rows the request pulls are written into a `RowTable`, and
+    each batch takes its own from the table as a copy. With `carry` the
+    table starts from `fcache`'s rows of epoch 0's hot set, every later
+    hot set is a request too, and `min_pulls` says which ids each
+    request pulls: those outside the current hot set and the B rows
+    Belady's MIN keeps over the plan's requests, B the largest window's
+    miss count. Without `carry` every miss is pulled. A window's pull is
+    one sync pull (one RPC per owning shard with a new row), a fill's
+    one vector pull, and neither sends anything when no row is new. A
+    window's traffic is charged to its first batch; the others carry an
+    empty account.
     """
     windows = [[range(first, min(first + window, n))
                 for first in range(0, n, window)]
@@ -274,8 +277,8 @@ def _lookahead(
 
     def reference_string() -> Iterator[tuple[np.ndarray, bool]]:
         """Every request after H_0, in order, and whether it is a hot
-        set; window ids in the narrowest dtype, since a carry store
-        holds all of them once it plans."""
+        set; window ids in the narrowest dtype, since `min_pulls` holds
+        all of them once it has read the string."""
         for e in range(plan.epochs):
             if carry and e > 0:
                 yield hot_sets[e], True
@@ -286,12 +289,23 @@ def _lookahead(
                     mark[plan.input_sets[e][i]] = True
                 yield np.flatnonzero(mark & miss).astype(narrow), False
 
-    def fill_rows(hot: np.ndarray) -> PulledRows:
-        store.serve(client.vector_pull, fill)
-        return PulledRows(hot, store.take(hot))
+    table = RowTable(remote, client.feat_dim)
+    table.put(fcache.hot_ids, fcache.rows)
+    if carry:
+        pulls = min_pulls(reference_string(), fcache.hot_ids, len(remote))
+    else:
+        pulls = (ids for ids, _ in reference_string())
 
-    store = CarryStore(reference_string(), remote,
-                       PulledRows(fcache.hot_ids, fcache.rows), carry)
+    def serve(pull, account: TransferAccount) -> None:
+        """Write the rows the next request pulls, if it pulls any."""
+        new = next(pulls)
+        if len(new):
+            table.put(new, pull(new, account))
+
+    def fill_rows(hot: np.ndarray) -> PulledRows:
+        serve(client.vector_pull, fill)
+        return PulledRows(hot, table.take(hot))
+
     for e in range(plan.epochs):
         if carry and e > 0 and fcache.start_secondary_build(
                 lambda: fill_rows(hot_sets[e])) is None:
@@ -299,11 +313,11 @@ def _lookahead(
         miss = wanted(e)
         for batches in windows[e]:
             account = TransferAccount()
-            store.serve(client.sync_pull, account)
+            serve(client.sync_pull, account)
             for i in batches:
                 ids = plan.input_sets[e][i]
                 ids = ids[miss[ids]]
-                yield Lookahead(e, i, PulledRows(ids, store.take(ids)),
+                yield Lookahead(e, i, PulledRows(ids, table.take(ids)),
                                 account if i == batches[0] else TransferAccount())
 
 

@@ -80,8 +80,7 @@ def two_cliques(size: int = 6):
 
 def min_carry(requests, fills, first_hot, capacity: int):
     """Reference model of a carry store run by Belady's MIN, in plain set
-    operations: per request, the ids it pulls and the ids the store
-    holds after it.
+    operations: per request, the ids it pulls.
 
     `requests` is the reference string after the first hot set
     `first_hot`; `fills[t]` says whether request t is a hot set. A
@@ -103,7 +102,7 @@ def min_carry(requests, fills, first_hot, capacity: int):
         return later[i] if i < len(later) else None
 
     held, hot = set(), set(map(int, first_hot))
-    pulled, kept = [], []
+    pulled = []
     for t, r in enumerate(sets):
         if fills[t]:
             pulled.append(r - held - hot)
@@ -113,5 +112,4 @@ def min_carry(requests, fills, first_hot, capacity: int):
             pool = held | r
         live = sorted((u, x) for x in pool if (u := next_use(x, t)) is not None)
         held = {x for _, x in live[:capacity]}
-        kept.append(held)
-    return pulled, kept
+    return pulled

@@ -14,7 +14,7 @@ from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.model import init_params, loss_and_grad
 from gnnpipe.partition import halo_expand, partition_edgecut
 from gnnpipe.plan import FrequencyTable, generate_plan, top_hot
-from gnnpipe.prefetch import CarryStore, PulledRows, assemble_bundle
+from gnnpipe.prefetch import PulledRows, RowTable, assemble_bundle
 from gnnpipe.rng import mix64_array
 from gnnpipe.sampler import SeedSchedule, epoch_batches, sample_block
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
@@ -164,7 +164,7 @@ class PlanOracle:
         if key not in self._min:
             requests, fills, epochs, hot0 = self._string(part, label, w)
             capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
-            pulled, _ = min_carry(requests, fills, hot0, capacity)
+            pulled = min_carry(requests, fills, hot0, capacity)
             windows = [0] * len(self.batches)
             for e, fill, ids in zip(epochs, fills, pulled):
                 windows[e] += 0 if fill else len(ids)
@@ -549,11 +549,10 @@ def test_criterion_09_transparency():
         acct = TransferAccount()
         ids = np.unique(block.input_nodes)
         miss = ids[book.owner[ids] != 0]
-        store = CarryStore([(miss, False)], book.owner != 0,
-                           PulledRows(empty.hot_ids, empty.rows), carry=False)
-        store.serve(gclient.sync_pull, acct)
+        table = RowTable(book.owner != 0, g.feat_dim)
+        table.put(miss, gclient.sync_pull(miss, acct))
         bundle = assemble_bundle(block, book.owner, 0, gshards[0], empty,
-                                 PulledRows(miss, store.take(miss)))
+                                 PulledRows(miss, table.take(miss)))
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])
         ok = ok and acct.nodes_pulled == bundle.n_fallback
 

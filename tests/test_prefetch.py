@@ -13,8 +13,8 @@ from conftest import min_carry
 from gnnpipe.cache import FeatureCache, build_steady, epoch_hot_sets
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import generate_plan
-from gnnpipe.prefetch import (CarryStore, PrefetchError, Prefetcher,
-                              PulledRows, assemble_bundle)
+from gnnpipe.prefetch import (PrefetchError, Prefetcher, PulledRows,
+                              RowTable, assemble_bundle, min_pulls)
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
 from gnnpipe.train import _lookahead
@@ -158,10 +158,6 @@ class RecordingClient:
         return self.client.vector_pull(ids, account)
 
 
-def no_rows(feat_dim):
-    return PulledRows(np.empty(0, np.int64), np.empty((0, feat_dim), np.float32))
-
-
 def brute_force_pulls(requests, fills, first_hot, capacity: int) -> int:
     """The fewest rows any store of `capacity` rows pulls over `requests`,
     by exhaustive search over every set it could keep after each request:
@@ -206,7 +202,37 @@ def reference_strings(draw):
     return n, hot[0], requests, fills
 
 
-class TestCarryStore:
+def serve(table, pulls, pull, account=None):
+    """Write the rows the next request pulls into `table`, as the
+    lookahead does; returns the ids pulled."""
+    new = next(pulls)
+    if len(new):
+        table.put(new, pull(new, account))
+    return new
+
+
+class RecordingPlan:
+    """Forwards to `plan`, recording each (epoch, batch) whose input set
+    is read."""
+
+    def __init__(self, plan):
+        self._plan, self.read = plan, set()
+        self.input_sets = [self._Epoch(self.read, e, sets)
+                           for e, sets in enumerate(plan.input_sets)]
+
+    def __getattr__(self, name):
+        return getattr(self._plan, name)
+
+    class _Epoch:
+        def __init__(self, read, e, sets):
+            self.read, self.e, self.sets = read, e, sets
+
+        def __getitem__(self, i):
+            self.read.add((self.e, i))
+            return self.sets[i]
+
+
+class TestMinPulls:
     def remote(self, setup, e, i):
         g, plan, book, owner, shard, client = setup
         ids = np.unique(plan.input_sets[e][i])
@@ -218,54 +244,61 @@ class TestCarryStore:
         first = np.setdiff1d(self.remote(setup, 0, 1), hot)
         second = np.setdiff1d(np.union1d(self.remote(setup, 0, 2),
                                          self.remote(setup, 0, 3)), hot)
-        store = CarryStore([(first, False), (second, False)], owner != 0,
-                           no_rows(g.feat_dim))
-        store.serve(client.sync_pull)
-        # the rows used again, and no other, stay
-        assert np.array_equal(store.kept.ids, np.intersect1d(first, second))
+        assert len(second) > len(first)
+        assert len(np.setdiff1d(first, second))
+        # `first` again last: B = |second| rows cannot hold both windows
+        pulls = min_pulls([(first, False), (second, False), (second, False),
+                           (first, False)], np.empty(0, np.int64), len(owner))
+        table = RowTable(owner != 0, g.feat_dim)
+        assert np.array_equal(serve(table, pulls, client.sync_pull), first)
         rec, acct = RecordingClient(client), TransferAccount()
-        store.serve(rec.sync_pull, acct)
-        assert store.take(second).tobytes() == g.features[second].tobytes()
+        serve(table, pulls, rec.sync_pull, acct)
+        assert table.take(second).tobytes() == g.features[second].tobytes()
+        # the rows of `first` used again, and no other, were kept
         want = np.setdiff1d(second, first)
         assert 0 < len(want) < len(second)
         (asked,) = rec.requests
         assert np.array_equal(asked, want)
         assert acct.snapshot() == (1, len(want), len(want) * g.feat_dim * 4)
-        assert len(store.kept.ids) == 0  # no later request
-        with pytest.raises(LookupError, match="not held"):
-            store.take(second)
+        assert len(serve(table, pulls, client.sync_pull)) == 0
+        # `second`, used sooner, pushed out the rest of `first`, so the
+        # last request pulls those rows again
+        again = serve(table, pulls, client.sync_pull)
+        assert np.array_equal(again, np.setdiff1d(first, second))
+        assert table.take(first).tobytes() == g.features[first].tobytes()
 
-    def test_fill_takes_store_and_old_hot_rows(self, setup):
+    def test_fill_takes_held_and_old_hot_rows(self, setup):
         g, plan, book, owner, shard, client = setup
         misses = self.remote(setup, 0, 0)
         # a window holds the first half, the old hot set the rest
         half = len(misses) // 2
-        old_hot = PulledRows(misses[half:], g.features[misses[half:]])
-        store = CarryStore([(misses[:half], False), (misses, True)],
-                           owner != 0, old_hot)
-        store.serve(client.sync_pull)
+        old_hot = misses[half:]
+        pulls = min_pulls([(misses[:half], False), (misses, True)], old_hot,
+                          len(owner))
+        table = RowTable(owner != 0, g.feat_dim)
+        table.put(old_hot, g.features[old_hot])
+        serve(table, pulls, client.sync_pull)
         rec, acct = RecordingClient(client), TransferAccount()
-        store.serve(rec.vector_pull, acct)
-        assert np.array_equal(store.take(misses), g.features[misses])
+        assert len(serve(table, pulls, rec.vector_pull, acct)) == 0
+        assert np.array_equal(table.take(misses), g.features[misses])
         assert rec.fills == []
         assert acct.snapshot() == (0, 0, 0)
 
     def test_all_held_sends_nothing(self, setup):
         g, plan, book, owner, shard, client = setup
         misses = self.remote(setup, 0, 0)
-        store = CarryStore([(misses, False), (misses, False)], owner != 0,
-                           no_rows(g.feat_dim))
-        store.serve(client.sync_pull)
-        first = store.take(misses)
+        pulls = min_pulls([(misses, False), (misses, False)],
+                          np.empty(0, np.int64), len(owner))
+        table = RowTable(owner != 0, g.feat_dim)
+        serve(table, pulls, client.sync_pull)
+        first = table.take(misses)
         rec, acct = RecordingClient(client), TransferAccount()
-        store.serve(rec.sync_pull, acct)
+        serve(table, pulls, rec.sync_pull, acct)
         assert rec.requests == [] and acct.snapshot() == (0, 0, 0)
-        assert np.array_equal(store.take(misses), first)
+        assert np.array_equal(table.take(misses), first)
 
-    @pytest.mark.parametrize("carry", [True, False])
-    def test_reads_the_string_only_after_the_first_request(self, setup, carry):
-        # the first request's rows go out before the store plans; without
-        # carry it reads each request only as it serves it
+    def test_reads_the_string_only_after_the_first_request(self, setup):
+        # the first request's ids come before the schedule plans
         g, plan, book, owner, shard, client = setup
         requests = [(self.remote(setup, 0, i), False) for i in range(4)]
         read = []
@@ -275,28 +308,56 @@ class TestCarryStore:
                 read.append(request)
                 yield request
 
-        store = CarryStore(string(), owner != 0, no_rows(g.feat_dim), carry)
+        pulls = min_pulls(string(), np.empty(0, np.int64), len(owner))
         assert read == []
-        store.serve(client.sync_pull)
+        next(pulls)
         assert len(read) == 1
-        store.serve(client.sync_pull)
-        assert len(read) == (4 if carry else 2)
+        next(pulls)
+        assert len(read) == 4
+
+    @pytest.mark.parametrize("carry", [True, False])
+    def test_lookahead_reads_the_plan_lazily(self, setup, carry):
+        # rapid plans the whole string at its second window; baseline
+        # reads one window at a time
+        g, plan, book, owner, shard, client = setup
+        window = 3 if carry else 1
+        hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: 20)
+        rec = RecordingPlan(plan)
+        items = _lookahead(rec, book, 0, client, build_steady(hot_sets[0],
+                                                              client),
+                           hot_sets, window, carry)
+        everything = {(e, i) for e in range(plan.epochs)
+                      for i in range(plan.num_batches(e))}
+        assert rec.read == set()
+        next(items)
+        assert rec.read == {(0, i) for i in range(window)}
+        for _ in range(window):
+            next(items)
+        assert rec.read == (everything if carry
+                            else {(0, i) for i in range(window + 1)})
 
     def test_rows_read_only(self, setup):
         # a lookahead item's rows are read-only, and writing the rows
-        # taken leaves the store's
+        # taken leaves the table's
         g, plan, book, owner, shard, client = setup
         ids = self.remote(setup, 0, 0)
-        store = CarryStore([(ids, False)], owner != 0, no_rows(g.feat_dim),
-                           carry=False)
-        store.serve(client.sync_pull)
-        got = PulledRows(ids, store.take(ids))
+        table = RowTable(owner != 0, g.feat_dim)
+        table.put(ids, client.sync_pull(ids))
+        got = PulledRows(ids, table.take(ids))
         assert len(got.rows) and not got.rows.flags.writeable
         with pytest.raises(ValueError):
             got.rows[0, 0] = 1.0
-        taken = store.take(ids)
+        taken = table.take(ids)
         taken[:] = -1.0
-        assert store.take(ids).tobytes() == g.features[ids].tobytes()
+        assert table.take(ids).tobytes() == g.features[ids].tobytes()
+
+    def test_take_names_a_row_never_written(self, setup):
+        g, plan, book, owner, shard, client = setup
+        ids = self.remote(setup, 0, 0)
+        table = RowTable(owner != 0, g.feat_dim)
+        table.put(ids[1:], g.features[ids[1:]])
+        with pytest.raises(LookupError, match=f"first id {ids[0]}"):
+            table.take(ids)
 
     @settings(max_examples=300, deadline=None)
     @given(reference_strings())
@@ -304,33 +365,35 @@ class TestCarryStore:
     @example((4, frozenset(), [frozenset({0, 1}), frozenset(), frozenset({1, 2}),
                                frozenset({0})], [False, True, False, False]))
     @example((2, frozenset(), [frozenset(), frozenset()], [False, False]))
+    # a tie at the cut: after {2}, B = 2 keeps 2 and the lower of 0 and 1,
+    # so the last request pulls only 1
+    @example((3, frozenset(), [frozenset({0, 1}), frozenset({2}), frozenset({2}),
+                               frozenset({0, 1})], [False] * 4))
     def test_pulls_the_fewest_rows(self, case):
         # per request: the rows of the shard, the ids min_carry pulls in
-        # at most one pull, at most B rows kept, the lower id kept at a
-        # tie; over the string, the brute-force optimum
+        # at most one pull; over the string, the brute-force optimum
         n, first_hot, requests, fills = case
         features = np.arange(2 * n, dtype=np.float32).reshape(n, 2)
         capacity = max((len(r) for r, fill in zip(requests, fills) if not fill),
                        default=0)
         arrays = [np.array(sorted(r), dtype=np.int64) for r in requests]
         h0 = np.array(sorted(first_hot), dtype=np.int64)
-        store = CarryStore(zip(arrays, fills), np.ones(n, dtype=bool),
-                           PulledRows(h0, features[h0]))
-        want_pulled, want_kept = min_carry(requests, fills, first_hot, capacity)
+        pulls = min_pulls(zip(arrays, fills), h0, n)
+        table = RowTable(np.ones(n, dtype=bool), 2)
+        table.put(h0, features[h0])
+        want_pulled = min_carry(requests, fills, first_hot, capacity)
         asked = []
 
         def pull(ids, account=None):
             asked.append(ids.tolist())
             return features[ids]
 
-        for ids, fill, want, kept in zip(arrays, fills, want_pulled, want_kept):
+        for ids, want in zip(arrays, want_pulled):
             n_asked = len(asked)
-            store.serve(pull)
-            assert store.take(ids).tobytes() == features[ids].tobytes()
+            serve(table, pulls, pull)
+            assert table.take(ids).tobytes() == features[ids].tobytes()
             assert asked[n_asked:] == ([sorted(want)] if want else [])
-            assert len(store.kept.ids) <= capacity
-            assert set(store.kept.ids.tolist()) == kept
-            assert store.kept.rows.tobytes() == features[store.kept.ids].tobytes()
+        assert next(pulls, None) is None
         assert sum(map(len, asked)) == brute_force_pulls(
             requests, fills, first_hot, capacity)
 
@@ -353,7 +416,7 @@ class TestCarryStore:
                 requests.append(np.setdiff1d(ids[owner[ids] != 0], hot_sets[e]))
                 fills.append(False)
         capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
-        pulled, _ = min_carry(requests, fills, hot_sets[0], capacity)
+        pulled = min_carry(requests, fills, hot_sets[0], capacity)
         want = [sorted(p) for p, fill in zip(pulled, fills) if not fill and p]
         assert [r.tolist() for r in rec.requests] == want
         want = [sorted(p) for p, fill in zip(pulled, fills) if fill and p]

@@ -168,7 +168,7 @@ def request_shards(cfg, part: int) -> list[tuple[set[int], list[set[int]]]]:
             fills.append(False)
             epochs.append(e)
     capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
-    pulled, _ = min_carry(requests, fills, hot_sets[0], capacity)
+    pulled = min_carry(requests, fills, hot_sets[0], capacity)
     out = [(set(book.owner[hot_sets[0]].tolist()), [])]
     out += [(set(), []) for _ in range(1, cfg.epochs)]
     for e, fill, ids in zip(epochs, fills, pulled):

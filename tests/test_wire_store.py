@@ -279,9 +279,13 @@ class TestShardAndClient:
                 shard.rows_for_local(np.array([0, missing, 4]))
 
     def test_duplicate_ids_served(self):
-        feats, _, _, client = make_store()
+        feats, _, shards, client = make_store()
         ids = np.array([2, 2, 4])
-        assert np.array_equal(client.sync_pull(ids), feats[ids])
+        acct = TransferAccount()
+        assert np.array_equal(client.sync_pull(ids, acct), feats[ids])
+        # each distinct id is sent and charged once
+        assert acct.snapshot() == (1, 2, bytes_for(2, 3))
+        assert shards[0].nodes_served == 2
 
 
 class TestTcpTransport:
@@ -321,6 +325,28 @@ class TestTcpTransport:
         finally:
             for srv in servers:
                 srv.close()
+
+    def test_repeated_ids_pull_alike_over_both_transports(self):
+        # six copies of one id, against a shard that owns five ids: the
+        # server caps a request at the ids it owns
+        feats, owner, shards, inproc = make_store()
+        ids = np.concatenate([np.repeat(1, 6), [4, 1, 0]])
+        servers = [TcpShardServer(s) for s in shards]
+        try:
+            tcp = StoreClient(owner, [TcpTransport(*srv.address)
+                                      for srv in servers], 3)
+            got = []
+            for client in (inproc, tcp):
+                acct = TransferAccount()
+                got.append((client.sync_pull(ids, acct), acct.snapshot()))
+            tcp.close()
+        finally:
+            for srv in servers:
+                srv.close()
+        (a, acct_a), (b, acct_b) = got
+        assert np.array_equal(a, feats[ids]) and np.array_equal(b, feats[ids])
+        assert acct_a == acct_b == (2, 3, bytes_for(3, 3))
+        assert [s.nodes_served for s in shards] == [4, 2]
 
     def test_concurrent_clients(self):
         import threading
