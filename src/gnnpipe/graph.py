@@ -52,6 +52,8 @@ class Graph:
             raise GraphValidationError("feat dim must be >= 1")
         if self.num_classes < 1:
             raise GraphValidationError("classes must be >= 1")
+        if not np.isfinite(self.features).all():
+            raise GraphValidationError("features must be finite")
         if self.indptr[0] != 0 or self.indptr[-1] != self.num_edges:
             raise GraphValidationError("indptr endpoints do not match edge count")
         if np.any(np.diff(self.indptr) < 0):

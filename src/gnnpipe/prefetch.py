@@ -6,19 +6,19 @@ rows, each later epoch's hot set and each window's cache misses, form a
 reference string fixed in advance. `min_pulls` is the pull schedule
 over that string: it holds the current hot set and, between requests,
 the B rows used soonest again (Belady's MIN), and names for each
-request the ids it does not hold, from the plan alone. `RowTable` is
-where the rows go: one row for each id the worker does not own, and
-every row it has pulled kept, so its memory is R rows whatever B is.
-A request pulls the ids the schedule names in one pull, one RPC per
-owning shard with a new row. A `Lookahead` is one batch's cache misses,
-taken from the table as a copy, with the traffic charged to that batch:
-its window's pull on the window's first batch, none on the others.
+request the ids it does not hold, from the plan alone. The rows go
+into the worker's `cache.RowTable`, which writes each row once and
+keeps it, so its memory is R rows whatever B is. A request pulls the
+ids the schedule names in one pull, one RPC per owning shard with a
+new row. A `Lookahead` names one batch once its cache misses are in
+the table, with the traffic charged to that batch: its window's pull
+on the window's first batch, none on the others; it holds no rows.
 `assemble_bundle` gathers one batch's feature rows with no I/O: local
-shard reads, cache hits, and the misses its item holds. A cache with no
-rows, as in baseline mode, makes every remote row a miss. `Prefetcher`
-runs any iterator on a single producer thread into a bounded ring of
-depth Q that one reader takes from in order: a worker's run of lookahead
-items, read by its training loop.
+shard reads, and every remote row, hit or miss, from the table in one
+gather. A cache with no hot ids, as in baseline mode, makes every
+remote row a miss. `Prefetcher` runs any iterator on a single producer
+thread into a bounded ring of depth Q that one reader takes from in
+order: a worker's run of lookahead items, read by its training loop.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import FeatureCache
+from .cache import FeatureCache, RowTable
 from .sampler import ComputationBlock
 from .store import StoreShard, TransferAccount
 
@@ -57,26 +57,13 @@ class FeatureBundle:
 
 
 @dataclass
-class PulledRows:
-    """Feature rows gathered ahead, for one batch's cache misses or a hot
-    set; read-only, since the producer hands them to the loop."""
-
-    ids: np.ndarray  # sorted ascending
-    rows: np.ndarray  # aligned with ids
-
-    def __post_init__(self):
-        self.rows.setflags(write=False)
-
-
-@dataclass
 class Lookahead:
-    """One batch's cache misses, gathered ahead, and the traffic charged
-    to the batch: its window's pull on the window's first batch and none
-    on the others."""
+    """One batch whose cache misses are in the row table, and the traffic
+    charged to the batch: its window's pull on the window's first batch
+    and none on the others."""
 
     epoch: int
     batch: int
-    pulled: PulledRows
     account: TransferAccount
 
 
@@ -137,47 +124,20 @@ def min_pulls(requests: Iterable[tuple[np.ndarray, bool]], hot: np.ndarray,
         held[hot] = True
 
 
-class RowTable:
-    """One float32 row for each id a worker does not own, `remote` marking
-    them: R rows, found through a rank table over the graph's ids. It
-    keeps every row written; which rows a request pulls is up to the
-    caller."""
-
-    def __init__(self, remote: np.ndarray, feat_dim: int):
-        self._rank = np.cumsum(remote) - 1  # an id's row, if it is remote
-        self._rows = np.empty((np.count_nonzero(remote), feat_dim),
-                              dtype=np.float32)
-        self._written = np.zeros(len(remote), dtype=bool)
-
-    def put(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Write the rows of the remote `ids`."""
-        self._rows[self._rank[ids]] = rows
-        self._written[ids] = True
-
-    def take(self, ids: np.ndarray) -> np.ndarray:
-        """A copy of the rows of `ids`; raises LookupError if one of them
-        was never written."""
-        written = self._written[ids]
-        if not written.all():
-            raise LookupError(f"{np.count_nonzero(~written)} rows were never "
-                              f"written, first id {ids[~written][0]}")
-        return self._rows[self._rank[ids]]
-
-
 def assemble_bundle(
     block: ComputationBlock,
     owner: np.ndarray,
     my_part: int,
     shard: StoreShard,
     cache: FeatureCache,
-    pulled: PulledRows,
+    table: RowTable,
 ) -> FeatureBundle:
     """Gather the feature rows a block needs, in input_nodes order.
 
     Locally owned rows are read straight from the worker's shard memory
-    (zero RPC). Remote rows go through the cache; the misses come from
-    `pulled`, which must hold exactly them, ascending, or this raises
-    LookupError.
+    (zero RPC). Every remote row, hit or miss, comes from `table` in one
+    gather, which raises LookupError naming the first row never
+    written; the cache only splits them into hits and misses.
     """
     ids = block.input_nodes
     rows = np.empty((len(ids), shard.feat_dim), dtype=np.float32)
@@ -185,17 +145,13 @@ def assemble_bundle(
     local_pos = np.flatnonzero(local)
     remote_pos = np.flatnonzero(~local)
     rows[local_pos] = shard.rows_for_local(ids[local_pos])
-    hit, hit_rows = cache.lookup(ids[remote_pos])
-    rows[remote_pos[hit]] = hit_rows
-    miss_pos = remote_pos[~hit]
-    if not np.array_equal(pulled.ids, ids[miss_pos]):
-        raise LookupError(f"the lookahead item holds {len(pulled.ids)} rows, "
-                          f"not exactly the block's {len(miss_pos)} misses")
-    rows[miss_pos] = pulled.rows
+    remote = ids[remote_pos]
+    rows[remote_pos] = table.take(remote)
+    n_hit = int(np.count_nonzero(cache.lookup(remote)))
     return FeatureBundle(
         rows=rows,
-        n_cache_hit=len(hit_rows),
-        n_fallback=len(miss_pos),
+        n_cache_hit=n_hit,
+        n_fallback=len(remote) - n_hit,
     )
 
 

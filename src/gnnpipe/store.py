@@ -229,6 +229,9 @@ class StoreClient:
                 raise wire.WireError(f"shard {p} rejected request (status {status})")
             if dim != self.feat_dim:
                 raise wire.WireError(f"shard {p} returned dim {dim}, expected {self.feat_dim}")
+            if len(rows) != len(sel):
+                raise wire.WireError(f"shard {p} returned {len(rows)} rows "
+                                     f"for {len(sel)} ids")
             out[sel] = rows
             rpcs += 1
         if account is not None:

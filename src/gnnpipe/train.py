@@ -9,9 +9,12 @@ before any worker starts, so the run samples nothing: every worker
 trains on the same read-only block object. Before training, each rapid
 worker counts each epoch's remote accesses once and chooses every
 epoch's hot set from those counts (`cache.epoch_hot_sets`); the first
-cache fill and the lookahead read that list. The lookahead gathers the
-cache misses of each window of consecutive batches at once, into one
-row table per worker, and gives each batch a copy of its own; the plan
+cache fill and the lookahead read that list. Each worker keeps one row
+table (`cache.RowTable`) for the ids it does not own: the first fill
+writes epoch 0's hot rows, and then only the lookahead writes, each row
+once, gathering each later hot set and the cache misses of each window
+of consecutive batches at once. Assembly reads every remote row from
+the table, so the cache and the lookahead items hold no rows. The plan
 fixes every batch's input nodes and every epoch's hot set, so the
 lookahead never waits for the loop. The mode decides four things only:
 the size of the worker's hot-node cache, how many batches a window
@@ -26,7 +29,7 @@ each window and each later hot set pulls, in one request, only what it
 does not hold. The table keeps every row pulled, at most one per id the
 worker does not own.
 It runs the lookahead on a prefetcher's producer thread, at most Q+1
-batches ahead of the loop. `baseline` has a cache with no rows, so
+batches ahead of the loop. `baseline` has a cache with no hot ids, so
 every remote row is a miss, and pulls each batch's misses on its own,
 on the worker's thread, as the loop reaches the batch. Both modes
 consume bit-identical feature rows in the same order, so they produce
@@ -65,8 +68,7 @@ from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 # nothing here calls collect_access, but bench/layers.py wraps it by name
 from .plan import BatchPlan, collect_access, generate_plan
-from .prefetch import (Lookahead, Prefetcher, PulledRows, RowTable,
-                       assemble_bundle, min_pulls)
+from .prefetch import Lookahead, Prefetcher, assemble_bundle, min_pulls
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
@@ -238,23 +240,24 @@ def _lookahead(
     part: int,
     client: StoreClient,
     fcache: cache_mod.FeatureCache,
+    table: cache_mod.RowTable,
     hot_sets: list[np.ndarray],
     window: int,
     carry: bool,
     fill: TransferAccount | None = None,
 ) -> Iterator[Lookahead]:
-    """One `Lookahead` per batch, in plan order: the batch's cache misses,
-    its remote input nodes outside the epoch's hot set in `hot_sets`.
-    With `carry`, each epoch e >= 1 first stages its hot set's rows in
-    `fcache`, charged to `fill`.
+    """One `Lookahead` per batch, in plan order, once `table` holds the
+    batch's cache misses: its remote input nodes outside the epoch's hot
+    set in `hot_sets`. With `carry`, each epoch e >= 1 first writes its
+    hot rows into `table`, charged to `fill`, and stages its hot set in
+    `fcache`.
 
     Each epoch's batches go in windows of `window` consecutive batches;
     a window never crosses an epoch boundary. Each window's misses, the
     union of its batches', are served once, before the window's first
-    item: the rows the request pulls are written into a `RowTable`, and
-    each batch takes its own from the table as a copy. With `carry` the
-    table starts from `fcache`'s rows of epoch 0's hot set, every later
-    hot set is a request too, and `min_pulls` says which ids each
+    item: the rows the request pulls are written into `table`. With
+    `carry` the table starts with `fcache`'s hot set, epoch 0's, every
+    later hot set is a request too, and `min_pulls` says which ids each
     request pulls: those outside the current hot set and the B rows
     Belady's MIN keeps over the plan's requests, B the largest window's
     miss count. Without `carry` every miss is pulled. A window's pull is
@@ -269,12 +272,6 @@ def _lookahead(
     remote = book.owner != part
     narrow = np.min_scalar_type(len(remote) - 1)
 
-    def wanted(e: int) -> np.ndarray:
-        """The ids that are epoch e's misses when a batch reads them."""
-        mask = remote.copy()
-        mask[hot_sets[e]] = False
-        return mask
-
     def reference_string() -> Iterator[tuple[np.ndarray, bool]]:
         """Every request after H_0, in order, and whether it is a hot
         set; window ids in the narrowest dtype, since `min_pulls` holds
@@ -282,15 +279,14 @@ def _lookahead(
         for e in range(plan.epochs):
             if carry and e > 0:
                 yield hot_sets[e], True
-            miss = wanted(e)
+            miss = remote.copy()  # epoch e's misses when a batch reads them
+            miss[hot_sets[e]] = False
             for batches in windows[e]:
                 mark = np.zeros_like(miss)
                 for i in batches:
                     mark[plan.input_sets[e][i]] = True
                 yield np.flatnonzero(mark & miss).astype(narrow), False
 
-    table = RowTable(remote, client.feat_dim)
-    table.put(fcache.hot_ids, fcache.rows)
     if carry:
         pulls = min_pulls(reference_string(), fcache.hot_ids, len(remote))
     else:
@@ -302,23 +298,20 @@ def _lookahead(
         if len(new):
             table.put(new, pull(new, account))
 
-    def fill_rows(hot: np.ndarray) -> PulledRows:
+    def fill_hot(e: int) -> np.ndarray:
         serve(client.vector_pull, fill)
-        return PulledRows(hot, table.take(hot))
+        return hot_sets[e]
 
     for e in range(plan.epochs):
         if carry and e > 0 and fcache.start_secondary_build(
-                lambda: fill_rows(hot_sets[e])) is None:
+                lambda: fill_hot(e)) is None:
             return  # the worker raises at this epoch's swap
-        miss = wanted(e)
         for batches in windows[e]:
             account = TransferAccount()
             serve(client.sync_pull, account)
             for i in batches:
-                ids = plan.input_sets[e][i]
-                ids = ids[miss[ids]]
-                yield Lookahead(e, i, PulledRows(ids, table.take(ids)),
-                                account if i == batches[0] else TransferAccount())
+                yield Lookahead(e, i, account if i == batches[0]
+                                else TransferAccount())
 
 
 def _run_worker(
@@ -336,12 +329,13 @@ def _run_worker(
     which a check before every batch sees.
 
     Each batch trains on the plan's stored block, so the worker samples
-    nothing, and takes its cache misses from its `Lookahead`. In rapid
-    mode each epoch e >= 1 starts, inside its timed region, by swapping
-    in the fill the lookahead's producer staged for it, empty when the
-    hot sets are; only the producer writes `fill` until `pf.close()`.
-    The lookahead gathered e's misses for e's hot set, so a failed fill
-    raises.
+    nothing, and reads its remote rows from the row table, where the
+    lookahead wrote them, once each, before the batch's `Lookahead`. In
+    rapid mode each epoch e >= 1 starts, inside its timed region, by
+    swapping in the hot set the lookahead's producer staged for it,
+    empty when the hot sets are; only the producer writes `fill` until
+    `pf.close()`. The lookahead gathered e's misses for e's hot set, so
+    a failed fill raises.
 
     The worker reads features only through `shard` and `client`. It
     evaluates nothing: each record's `train_acc` is NaN until `run()`
@@ -356,9 +350,10 @@ def _run_worker(
     if rapid:
         hot_sets = cache_mod.epoch_hot_sets(
             plan, book, part, lambda num_remote: resolve_n_hot(cfg, num_remote))
-    fcache = cache_mod.build_steady(hot_sets[0], client, fill)
+    table = cache_mod.RowTable(book.owner != part, client.feat_dim)
+    fcache = cache_mod.build_steady(hot_sets[0], client, table, fill)
 
-    ahead = _lookahead(plan, book, part, client, fcache, hot_sets,
+    ahead = _lookahead(plan, book, part, client, fcache, table, hot_sets,
                        cfg.prefetch_depth if rapid else 1, rapid, fill)
     pf = None
     if rapid:
@@ -386,7 +381,7 @@ def _run_worker(
                 block = plan.block(e, i)
                 la = next(ahead)
                 bundle = assemble_bundle(block, book.owner, part, shard,
-                                         fcache, la.pulled)
+                                         fcache, table)
                 loss, grads = model.loss_and_grad(block, bundle.rows, labels,
                                                   params)
                 params = model.sgd_step(params, grads, cfg.lr)

@@ -9,12 +9,12 @@ from scipy import stats
 
 from conftest import edge_ids, min_carry, record_criterion
 from gnnpipe import wire
-from gnnpipe.cache import build_steady
+from gnnpipe.cache import RowTable, build_steady
 from gnnpipe.graph import from_edge_list, synth_powerlaw
 from gnnpipe.model import init_params, loss_and_grad
 from gnnpipe.partition import halo_expand, partition_edgecut
 from gnnpipe.plan import FrequencyTable, generate_plan, top_hot
-from gnnpipe.prefetch import PulledRows, RowTable, assemble_bundle
+from gnnpipe.prefetch import assemble_bundle
 from gnnpipe.rng import mix64_array
 from gnnpipe.sampler import SeedSchedule, epoch_batches, sample_block
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
@@ -522,14 +522,15 @@ def make_two_shard_store(n=200, d=5, seed=11):
 def test_criterion_09_transparency():
     feats, owner, shards, client = make_two_shard_store()
     rng = np.random.default_rng(7)
+    table = RowTable(np.ones(200, dtype=bool), 5)
     cache = build_steady(np.sort(rng.choice(200, size=40, replace=False)),
-                         client)
+                         client, table)
     ok = True
     for _ in range(100):
         ids = rng.integers(0, 200, size=int(rng.integers(1, 50)))
-        hit, rows = cache.lookup(ids)
+        hit = cache.lookup(ids)
         got = np.empty((len(ids), 5), dtype=np.float32)
-        got[hit] = rows
+        got[hit] = table.take(ids[hit])
         got[~hit] = client.sync_pull(ids[~hit])
         ok = ok and np.array_equal(got, client.sync_pull(ids))
 
@@ -545,14 +546,14 @@ def test_criterion_09_transparency():
     for s in range(10):
         block = sample_block(g, np.sort(rng.choice(400, 20, replace=False)),
                              [3, 5], s)
-        empty = build_steady(np.empty(0, np.int64), gclient)
+        table = RowTable(book.owner != 0, g.feat_dim)
+        empty = build_steady(np.empty(0, np.int64), gclient, table)
         acct = TransferAccount()
         ids = np.unique(block.input_nodes)
         miss = ids[book.owner[ids] != 0]
-        table = RowTable(book.owner != 0, g.feat_dim)
         table.put(miss, gclient.sync_pull(miss, acct))
         bundle = assemble_bundle(block, book.owner, 0, gshards[0], empty,
-                                 PulledRows(miss, table.take(miss)))
+                                 table)
         ok = ok and np.array_equal(bundle.rows, g.features[block.input_nodes])
         ok = ok and acct.nodes_pulled == bundle.n_fallback
 

@@ -144,6 +144,20 @@ def test_out_of_range_label(tmp_path):
         load_graph(p)
 
 
+def test_non_finite_features_rejected(tmp_path, small_graph):
+    p = tmp_path / "g.rgf"
+    save_graph(small_graph, p)
+    data = bytearray(p.read_bytes())
+    _, _, n, m, dim, _ = _HEADER.unpack_from(data)
+    off = _HEADER.size + 8 * (n + 1) + 8 * m  # the f32 feature block
+    feats = np.frombuffer(data, dtype="<f4", count=n * dim, offset=off).copy()
+    feats[[5, 3 * dim + 1]] = [np.nan, np.inf]
+    data[off : off + 4 * n * dim] = feats.tobytes()
+    p.write_bytes(bytes(data))
+    with pytest.raises(GraphValidationError, match="features must be finite"):
+        load_graph(p)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=40),

@@ -10,36 +10,51 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import min_carry
-from gnnpipe.cache import FeatureCache, build_steady, epoch_hot_sets
+from gnnpipe.cache import (FeatureCache, RowTable, build_steady,
+                           epoch_hot_sets)
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import generate_plan
-from gnnpipe.prefetch import (PrefetchError, Prefetcher, PulledRows,
-                              RowTable, assemble_bundle, min_pulls)
+from gnnpipe.prefetch import (PrefetchError, Prefetcher, assemble_bundle,
+                              min_pulls)
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
 from gnnpipe.train import _lookahead
 
 
-def no_cache(feat_dim):
-    """A cache with no rows: every remote row is a miss."""
-    return FeatureCache(np.empty(0, dtype=np.int64),
-                        np.empty((0, feat_dim), dtype=np.float32))
+def no_cache():
+    """A cache with no hot ids: every remote row is a miss."""
+    return FeatureCache(np.empty(0, dtype=np.int64))
 
 
 def no_hot_sets(plan):
     return [np.empty(0, dtype=np.int64)] * plan.epochs
 
 
-def pull_misses(ids, owner, hot_ids, client, account=None):
-    """Worker 0's rows of the remote `ids` outside `hot_ids`, all pulled,
-    as a window that carries nothing gets them."""
+def remote_table(book, feat_dim):
+    """Worker 0's empty row table."""
+    return RowTable(book.owner != 0, feat_dim)
+
+
+def batch_misses(plan, owner, hot_sets, la):
+    """The ids of the remote inputs of `la`'s batch, for worker 0, that
+    are outside its epoch's hot set, ascending."""
+    ids = plan.input_sets[la.epoch][la.batch]
+    return np.setdiff1d(ids[owner[ids] != 0], hot_sets[la.epoch])
+
+
+def pull_misses(ids, owner, hot_ids, client, table, account=None):
+    """Pull worker 0's rows of the remote `ids` outside `hot_ids` into
+    `table`, all of them, as a window that carries nothing gets them."""
     miss = np.setdiff1d(ids[owner[ids] != 0], hot_ids)
-    return PulledRows(miss, client.sync_pull(miss, account))
+    table.put(miss, client.sync_pull(miss, account))
 
 
-def run_ahead(plan, book, client, window=1):
-    """Worker 0's lookahead items for the whole run, with no hot sets."""
-    return _lookahead(plan, book, 0, client, no_cache(client.feat_dim),
+def run_ahead(plan, book, client, table=None, window=1):
+    """Worker 0's lookahead items for the whole run, with no hot sets,
+    writing into `table` or a fresh one."""
+    if table is None:
+        table = remote_table(book, client.feat_dim)
+    return _lookahead(plan, book, 0, client, no_cache(), table,
                       no_hot_sets(plan), window, carry=False)
 
 
@@ -79,11 +94,11 @@ class TestAssembleBundle:
     def test_rows_match_features(self, setup):
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
-        cache = no_cache(shard.feat_dim)
+        cache, table = no_cache(), remote_table(book, g.feat_dim)
         acct = TransferAccount()
-        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
-                             acct)
-        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
+        pull_misses(block.input_nodes, owner, cache.hot_ids, client, table,
+                    acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, table)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         n_local = np.count_nonzero(owner[block.input_nodes] == 0)
         assert n_local + bundle.n_fallback == len(block.input_nodes)
@@ -94,11 +109,12 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
         remote = block.input_nodes[owner[block.input_nodes] != 0]
-        cache = build_steady(remote[:5], client)
+        table = remote_table(book, g.feat_dim)
+        cache = build_steady(remote[:5], client, table)
         acct = TransferAccount()
-        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
-                             acct)
-        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
+        pull_misses(block.input_nodes, owner, cache.hot_ids, client, table,
+                    acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, table)
         assert np.array_equal(bundle.rows, g.features[block.input_nodes])
         assert bundle.n_cache_hit == 5
         assert bundle.n_fallback == len(remote) - 5
@@ -108,11 +124,12 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
         remote = block.input_nodes[owner[block.input_nodes] != 0]
-        cache = build_steady(remote, client)
+        table = remote_table(book, g.feat_dim)
+        cache = build_steady(remote, client, table)
         acct = TransferAccount()
-        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
-                             acct)
-        bundle = assemble_bundle(block, owner, 0, shard, cache, pulled)
+        pull_misses(block.input_nodes, owner, cache.hot_ids, client, table,
+                    acct)
+        bundle = assemble_bundle(block, owner, 0, shard, cache, table)
         assert bundle.n_fallback == 0
         assert acct.snapshot() == (0, 0, 0)
 
@@ -120,25 +137,33 @@ class TestAssembleBundle:
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 1)
         acct = TransferAccount()
-        cache = no_cache(shard.feat_dim)
-        pulled = pull_misses(block.input_nodes, owner, cache.hot_ids, client,
-                             acct)
-        assemble_bundle(block, owner, 0, shard, cache, pulled)
+        cache, table = no_cache(), remote_table(book, g.feat_dim)
+        pull_misses(block.input_nodes, owner, cache.hot_ids, client, table,
+                    acct)
+        assemble_bundle(block, owner, 0, shard, cache, table)
         n_remote = int((owner[block.input_nodes] != 0).sum())
         assert acct.nodes_pulled == n_remote
         assert shard.rpc_calls == 0
 
-    def test_item_must_hold_exactly_the_misses(self, setup):
+    def test_assembly_names_the_first_row_never_written(self, setup):
+        # every remote row must be in the table, a hit (remote[1]) as
+        # well as a miss (remote[3]); rows the block does not read may be
+        # there too
         g, plan, book, owner, shard, client = setup
         block = plan.block(0, 0)
         remote = block.input_nodes[owner[block.input_nodes] != 0]
         extra = np.setdiff1d(np.flatnonzero(owner != 0), remote)[:1]
-        assert len(remote) > 1 and len(extra) == 1
-        for ids in (remote[1:], np.union1d(remote, extra)):
-            item = PulledRows(ids, g.features[ids])
-            with pytest.raises(LookupError, match="exactly the block's"):
-                assemble_bundle(block, owner, 0, shard,
-                                no_cache(shard.feat_dim), item)
+        assert len(remote) > 3 and len(extra) == 1
+        cache = FeatureCache(remote[1:2])
+        table = remote_table(book, g.feat_dim)
+        held = np.union1d(np.delete(remote, [1, 3]), extra)
+        table.put(held, g.features[held])
+        with pytest.raises(LookupError,
+                           match=f"2 rows .* first id {remote[1]}$"):
+            assemble_bundle(block, owner, 0, shard, cache, table)
+        table.put(remote, g.features[remote])
+        bundle = assemble_bundle(block, owner, 0, shard, cache, table)
+        assert np.array_equal(bundle.rows, g.features[block.input_nodes])
 
 
 class RecordingClient:
@@ -323,8 +348,9 @@ class TestMinPulls:
         window = 3 if carry else 1
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: 20)
         rec = RecordingPlan(plan)
-        items = _lookahead(rec, book, 0, client, build_steady(hot_sets[0],
-                                                              client),
+        table = remote_table(book, g.feat_dim)
+        items = _lookahead(rec, book, 0, client,
+                           build_steady(hot_sets[0], client, table), table,
                            hot_sets, window, carry)
         everything = {(e, i) for e in range(plan.epochs)
                       for i in range(plan.num_batches(e))}
@@ -336,17 +362,13 @@ class TestMinPulls:
         assert rec.read == (everything if carry
                             else {(0, i) for i in range(window + 1)})
 
-    def test_rows_read_only(self, setup):
-        # a lookahead item's rows are read-only, and writing the rows
-        # taken leaves the table's
+    def test_rows_taken_are_a_copy(self, setup):
+        # writing the rows taken leaves the table's
         g, plan, book, owner, shard, client = setup
         ids = self.remote(setup, 0, 0)
         table = RowTable(owner != 0, g.feat_dim)
         table.put(ids, client.sync_pull(ids))
-        got = PulledRows(ids, table.take(ids))
-        assert len(got.rows) and not got.rows.flags.writeable
-        with pytest.raises(ValueError):
-            got.rows[0, 0] = 1.0
+        assert len(ids)
         taken = table.take(ids)
         taken[:] = -1.0
         assert table.take(ids).tobytes() == g.features[ids].tobytes()
@@ -401,10 +423,16 @@ class TestMinPulls:
     def test_lookahead_pulls_what_min_carry_pulls(self, setup, depth, n_hot):
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: n_hot)
-        fcache = build_steady(hot_sets[0], client)
+        table = remote_table(book, g.feat_dim)
+        fcache = build_steady(hot_sets[0], client, table)
         rec = RecordingClient(client)
-        items = list(_lookahead(plan, book, 0, rec, fcache, hot_sets, depth,
-                                carry=True))
+        items = []
+        for la in _lookahead(plan, book, 0, rec, fcache, table, hot_sets,
+                             depth, carry=True):
+            # the batch's misses are in the table once its item comes
+            miss = batch_misses(plan, owner, hot_sets, la)
+            assert table.take(miss).tobytes() == g.features[miss].tobytes()
+            items.append(la)
         requests, fills = [], []
         for e in range(plan.epochs):
             if e:
@@ -423,41 +451,51 @@ class TestMinPulls:
         assert [r.tolist() for r in rec.fills] == want
         assert sum(la.account.nodes_pulled for la in items) == sum(
             len(p) for p, fill in zip(pulled, fills) if not fill)
-        for la in items:
-            assert la.pulled.rows.tobytes() == g.features[la.pulled.ids].tobytes()
 
     def test_one_partition_sends_nothing(self, setup):
         g, plan, book, owner, shard, client = setup
         alone = PartitionBook(1, np.zeros(g.num_nodes, dtype=np.int64))
         rec = RecordingClient(client)
-        items = list(_lookahead(plan, alone, 0, rec, no_cache(g.feat_dim),
+        table = RowTable(alone.owner != 0, g.feat_dim)
+        items = list(_lookahead(plan, alone, 0, rec, no_cache(), table,
                                 no_hot_sets(plan), 3, carry=True))
         assert len(items) == sum(plan.num_batches(e) for e in range(plan.epochs))
         assert rec.requests == rec.fills == []
-        assert all(len(la.pulled.ids) == 0 and la.account.snapshot() == (0, 0, 0)
-                   for la in items)
+        assert all(la.account.snapshot() == (0, 0, 0) for la in items)
+        assert len(table.take(np.empty(0, dtype=np.int64))) == 0
+        assert not table._written.any()
 
 
 class TestLookaheadStream:
     N_HOT = 20
 
-    def items(self, setup, window, carry=False):
+    def items(self, setup, window, carry=False, assemble=False):
+        """The hot sets and every lookahead item, in order, checking that
+        each batch's misses are in the table, with the shard's rows, once
+        its item comes. With `assemble`, each item gives way to its block
+        and the bundle assembled as it comes, against a cache of its
+        epoch's hot set; the table is given every epoch's hot rows first,
+        since without `carry` the lookahead writes none after H_0's."""
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: self.N_HOT)
-        fcache = build_steady(hot_sets[0], client)
-        return hot_sets, list(_lookahead(plan, book, 0, client, fcache,
-                                         hot_sets, window, carry))
+        table = remote_table(book, g.feat_dim)
+        caches = [build_steady(hot, client, table)
+                  for hot in (hot_sets if assemble else hot_sets[:1])]
+        out = []
+        for la in _lookahead(plan, book, 0, client, caches[0], table,
+                             hot_sets, window, carry):
+            miss = batch_misses(plan, owner, hot_sets, la)
+            assert table.take(miss).tobytes() == g.features[miss].tobytes()
+            if assemble:
+                block = plan.block(la.epoch, la.batch)
+                la = block, assemble_bundle(block, owner, 0, shard,
+                                            caches[la.epoch], table)
+            out.append(la)
+        return hot_sets, out
 
     def bundles(self, setup, window, carry=False):
-        """Every batch's block and bundle, each epoch against a cache of its
-        hot set."""
-        g, plan, book, owner, shard, client = setup
-        hot_sets, items = self.items(setup, window, carry)
-        caches = [build_steady(hot, client) for hot in hot_sets]
-        blocks = [plan.block(la.epoch, la.batch) for la in items]
-        return [(block, assemble_bundle(block, owner, 0, shard,
-                                        caches[la.epoch], la.pulled))
-                for block, la in zip(blocks, items)]
+        """Every batch's block and bundle."""
+        return self.items(setup, window, carry, assemble=True)[1]
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_rows_bit_identical_to_depth_one(self, setup, depth):
@@ -473,18 +511,16 @@ class TestLookaheadStream:
 
     @pytest.mark.parametrize("depth", [1, 3])
     @pytest.mark.parametrize("carry", [False, True])
-    def test_items_hold_exactly_their_misses(self, setup, depth, carry):
-        # each item: its batch's remote inputs outside the epoch's hot
-        # set, ascending, with the shard's rows, read-only
+    def test_each_item_comes_once_its_misses_are_held(self, setup, depth,
+                                                      carry):
+        # each batch's remote inputs outside the epoch's hot set are in
+        # the table, with the shard's rows, when its item comes (`items`
+        # checks it), and every batch gets one item
         g, plan, book, owner, shard, client = setup
         hot_sets, items = self.items(setup, depth, carry)
-        assert len(items) == sum(plan.num_batches(e) for e in range(plan.epochs))
-        for la in items:
-            ids = plan.input_sets[la.epoch][la.batch]
-            want = np.setdiff1d(ids[owner[ids] != 0], hot_sets[la.epoch])
-            assert np.array_equal(la.pulled.ids, want)
-            assert la.pulled.rows.tobytes() == g.features[want].tobytes()
-            assert not la.pulled.rows.flags.writeable
+        assert [(la.epoch, la.batch) for la in items] == [
+            (e, i) for e in range(plan.epochs) for i in range(plan.num_batches(e))]
+        assert any(len(batch_misses(plan, owner, hot_sets, la)) for la in items)
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_carried_rows_bit_identical_and_fewer_pulled(self, setup, depth):
@@ -534,14 +570,16 @@ class TestPrefetcher:
 
     def test_rows_match_synchronous_assembly(self, setup):
         g, plan, book, owner, shard, client = setup
-        pf = Prefetcher(run_ahead(plan, book, client), depth=2)
+        table = remote_table(book, g.feat_dim)
+        pf = Prefetcher(run_ahead(plan, book, client, table), depth=2)
         n = 0
         for la in pf:
-            block, cache = plan.block(la.epoch, la.batch), no_cache(shard.feat_dim)
-            got = assemble_bundle(block, owner, 0, shard, cache, la.pulled)
-            pulled = pull_misses(block.input_nodes, owner, cache.hot_ids,
-                                 client)
-            ref = assemble_bundle(block, owner, 0, shard, cache, pulled)
+            block, cache = plan.block(la.epoch, la.batch), no_cache()
+            got = assemble_bundle(block, owner, 0, shard, cache, table)
+            ref_table = remote_table(book, g.feat_dim)
+            pull_misses(block.input_nodes, owner, cache.hot_ids, client,
+                        ref_table)
+            ref = assemble_bundle(block, owner, 0, shard, cache, ref_table)
             assert np.array_equal(got.rows, ref.rows)
             n += 1
         assert n == sum(plan.num_batches(e) for e in range(plan.epochs))

@@ -555,7 +555,9 @@ class TestRun:
     def test_one_stream_per_worker(self, monkeypatch):
         # each rapid worker builds one Prefetcher, for the run's lookahead
         # pulls, which run on its producer thread; every cache lookup and
-        # swap runs on the worker's own thread, which runs its loop
+        # swap, and every read of its row table, runs on the worker's own
+        # thread, which runs its loop; the table's first write, the first
+        # fill, runs there too, and every later one on the producer
         made = {}  # Prefetcher -> the thread that built it
 
         class Spy(train.Prefetcher):
@@ -577,6 +579,36 @@ class TestRun:
                 pulls.append((self, _name, threading.current_thread()))
                 return _orig(self, *args, **kwargs)
             monkeypatch.setattr(StoreClient, name, pull_spy)
+        take_by = set()
+        take = cache.RowTable.take
+
+        def take_spy(self, ids):
+            take_by.add(threading.current_thread())
+            return take(self, ids)
+
+        puts = {}  # RowTable -> the thread of each put, in order
+        repulled = []
+        put = cache.RowTable.put
+
+        def put_spy(self, ids, rows):
+            # each row is written once: a row pulled again has the bytes
+            # of the row the table holds, and is dropped, so writing NaN
+            # in its place changes no row held
+            puts.setdefault(self, []).append(threading.current_thread())
+            held = np.flatnonzero(self._written)
+            before = self._rows[self._rank[held]].copy()
+            again = self._written[ids]
+            repulled.append(np.count_nonzero(again))
+            assert (rows[again].tobytes()
+                    == self._rows[self._rank[ids[again]]].tobytes())
+            poisoned = rows.copy()
+            poisoned[again] = np.nan
+            put(self, ids, poisoned)
+            assert self._rows[self._rank[held]].tobytes() == before.tobytes()
+            assert take(self, ids).tobytes() == rows.tobytes()
+
+        monkeypatch.setattr(cache.RowTable, "take", take_spy)
+        monkeypatch.setattr(cache.RowTable, "put", put_spy)
         started = count_thread_starts(monkeypatch)
         monkeypatch.setattr(train, "Prefetcher", Spy)
         cfg = small_cfg(mode="rapid")
@@ -590,6 +622,12 @@ class TestRun:
         assert len(set(producer_of.values())) == 2
         assert callers["lookup"] == owners
         assert callers["swap"] == owners
+        assert take_by == owners
+        assert len(puts) == 2
+        for by in puts.values():
+            assert by[0] in owners and len(by) > 1
+            assert set(by[1:]) == {producer_of[by[0]]}
+        assert sum(repulled) > 0
         # each worker fills its cache once on its own thread; then its
         # producer alone pulls, in plan order: before each later epoch's
         # first window that epoch's cache fill, then the epoch's windows,

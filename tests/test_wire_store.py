@@ -255,6 +255,22 @@ class TestShardAndClient:
         status, _, _ = wire.decode_response(shards[0].handle(b"\xff"))
         assert status == wire.STATUS_MALFORMED
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_response_with_too_few_rows_rejected(self, rows):
+        # a response carries one row per id sent; one row for three ids
+        # would otherwise be broadcast into all three
+        feats, owner, shards, _ = make_store()
+
+        class Short:
+            def request(self, payload, max_len):
+                _, ids = wire.decode_request(payload)
+                return wire.encode_response(wire.STATUS_OK, feats[ids[:rows]], 3)
+
+        client = StoreClient(owner, [InprocTransport(shards[0]), Short()], 3)
+        with pytest.raises(wire.WireError,
+                           match=f"shard 1 returned {rows} rows for 3 ids"):
+            client.sync_pull(np.array([1, 2, 3, 5]))
+
     def test_server_side_counters(self):
         _, _, shards, client = make_store()
         client.sync_pull(np.array([0, 2, 1]))
