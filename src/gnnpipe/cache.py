@@ -7,9 +7,9 @@ each epoch's hot set once, before training: the epoch's n_hot
 most-accessed remote nodes. A cache holds the current epoch's hot ids
 only; their rows, like the misses', are in the worker's `RowTable`.
 While an epoch trains, the lookahead's producer writes later epochs'
-hot rows into the table, pulling only the ids its MIN pull schedule
-does not hold, and stages their ids in order; `swap`, on the worker's
-thread at the epoch boundary, installs the oldest. A failed fill
+hot rows into the table, pulling only the ids the table has never
+held, and stages their ids in order; `swap`, on the worker's thread at
+the epoch boundary, installs the oldest. A failed fill
 raises its exception from `swap` and leaves the current hot set
 installed. A cache built from no hot ids answers every lookup with
 misses; baseline mode uses one. The cache keeps no hit or miss
@@ -49,19 +49,35 @@ class RowTable:
     Each row is written once. `put` writes only rows never written, and
     writes them before it marks them written, so a reader that the
     writer hands ids to through a lock or `Condition` reads their rows
-    without a copy and without racing a later write. Which rows a
-    request pulls is up to the caller.
+    without a copy and without racing a later write. `missing` names
+    the rows a request still has to pull. `put` and `missing` reject an
+    id the worker owns, which has no row.
     """
 
     def __init__(self, remote: np.ndarray, feat_dim: int):
-        self._rank = np.cumsum(remote) - 1  # an id's row, if it is remote
+        # an id's row, or -1 at the ids the worker owns
+        self._rank = np.where(remote, np.cumsum(remote) - 1, -1)
         self._rows = np.empty((np.count_nonzero(remote), feat_dim),
                               dtype=np.float32)
         self._written = np.zeros(len(remote), dtype=bool)
 
+    def _check_remote(self, ids: np.ndarray) -> None:
+        """Raise ValueError naming the first of `ids` the worker owns."""
+        owned = self._rank[ids] < 0
+        if owned.any():
+            raise ValueError(f"id {ids[owned][0]} is owned by the worker, "
+                             f"so the row table has no row for it")
+
+    def missing(self, ids: np.ndarray) -> np.ndarray:
+        """The remote `ids` whose rows were never written, in request
+        order."""
+        self._check_remote(ids)
+        return ids[~self._written[ids]]
+
     def put(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Write the rows of the remote `ids` that were never written; a
         row written before keeps its bytes."""
+        self._check_remote(ids)
         new = ~self._written[ids]
         ids = ids[new]
         self._rows[self._rank[ids]] = rows[new]

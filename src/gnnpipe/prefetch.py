@@ -1,18 +1,15 @@
 """Feature bundles, lookahead pulls and the asynchronous prefetcher.
 
 The precomputed plan names every batch's input nodes, and the hot set of
-its epoch, before training starts, so a rapid worker's requests for
-rows, each later epoch's hot set and each window's cache misses, form a
-reference string fixed in advance. `min_pulls` is the pull schedule
-over that string: it holds the current hot set and, between requests,
-the B rows used soonest again (Belady's MIN), and names for each
-request the ids it does not hold, from the plan alone. The rows go
-into the worker's `cache.RowTable`, which writes each row once and
-keeps it, so its memory is R rows whatever B is. A request pulls the
-ids the schedule names in one pull, one RPC per owning shard with a
-new row. A `Lookahead` names one batch once its cache misses are in
-the table, with the traffic charged to that batch: its window's pull
-on the window's first batch, none on the others; it holds no rows.
+its epoch, before training starts, so a rapid worker's lookahead can
+pull each remote row before any batch reads it. Its rows go into the
+worker's `cache.RowTable`, which writes each row once and keeps it, and
+a rapid request, a later epoch's hot set or a window's remote inputs,
+pulls only the ids the table has never held (`RowTable.missing`), in
+one pull, one RPC per owning shard with a new row. A `Lookahead` names
+one batch once its remote rows are in the table, with the traffic
+charged to that batch: its window's pull on the window's first batch,
+none on the others; it holds no rows.
 `assemble_bundle` gathers one batch's feature rows with no I/O: local
 shard reads, and every remote row, hit or miss, from the table in one
 gather. A cache with no hot ids, as in baseline mode, makes every
@@ -58,70 +55,13 @@ class FeatureBundle:
 
 @dataclass
 class Lookahead:
-    """One batch whose cache misses are in the row table, and the traffic
+    """One batch whose remote rows are in the row table, and the traffic
     charged to the batch: its window's pull on the window's first batch
     and none on the others."""
 
     epoch: int
     batch: int
     account: TransferAccount
-
-
-def min_pulls(requests: Iterable[tuple[np.ndarray, bool]], hot: np.ndarray,
-              num_ids: int) -> Iterator[np.ndarray]:
-    """The ids each request pulls when the rows held between requests are
-    chosen by Belady's MIN over the plan's requests.
-
-    `requests` is a worker's reference string after its first hot set
-    H_0, `hot`: each later epoch's hot set, then the misses of each of
-    the epoch's windows, each as (ids sorted ascending in any integer
-    dtype, whether it is a hot set), over ids below `num_ids`. For each
-    request in order this yields the request's ids not held, ascending.
-
-    Besides the current hot set, H_0 from the start, it holds at most B
-    rows, B the largest window's miss count: after each request the B
-    rows outside the current hot set whose next use comes soonest, ties
-    to the lower id, and never a row no later request names. At a hot
-    set that pool includes the previous hot set.
-
-    It answers the first request before reading the rest of `requests`,
-    and reads all of it when asked for the second, giving every id of
-    every request its next use in one backward pass.
-    """
-    requests = iter(requests)
-    held = np.zeros(num_ids, dtype=bool)
-    held[hot] = True
-    first = next(requests, None)
-    if first is None:
-        return
-    yield first[0][~held[first[0]]]
-    string = [first, *requests]
-    capacity = max((len(ids) for ids, is_hot in string if not is_hot),
-                   default=0)
-    never = len(string)
-    next_use = np.full(num_ids, never, dtype=np.min_scalar_type(never))
-    after = [None] * never  # per request, its ids' next uses
-    for t in reversed(range(never)):
-        after[t] = next_use[string[t][0]]
-        next_use[string[t][0]] = t
-    for t, (ids, is_hot) in enumerate(string):
-        if t:
-            yield ids[~held[ids]]
-        held[ids] = True
-        next_use[ids] = after[t]
-        if is_hot:
-            hot = ids
-        held[hot] = False
-        pool = np.flatnonzero(held)
-        use = next_use[pool]
-        keep, use = pool[use < never], use[use < never]
-        if len(keep) > capacity:
-            # unique keys: the next use, then the id
-            key = use.astype(np.int64) * num_ids + keep
-            keep = keep[np.argpartition(key, capacity)[:capacity]]
-        held[:] = False
-        held[keep] = True
-        held[hot] = True
 
 
 def assemble_bundle(

@@ -12,32 +12,30 @@ epoch's hot set from those counts (`cache.epoch_hot_sets`); the first
 cache fill and the lookahead read that list. Each worker keeps one row
 table (`cache.RowTable`) for the ids it does not own: the first fill
 writes epoch 0's hot rows, and then only the lookahead writes, each row
-once, gathering each later hot set and the cache misses of each window
+once, gathering each later hot set and the remote inputs of each window
 of consecutive batches at once. Assembly reads every remote row from
 the table, so the cache and the lookahead items hold no rows. The plan
 fixes every batch's input nodes and every epoch's hot set, so the
 lookahead never waits for the loop. The mode decides four things only:
 the size of the worker's hot-node cache, how many batches a window
-holds, whether a pull schedule holds rows between the lookahead's
-requests, and whether a prefetcher runs the lookahead. `rapid` caches
-each epoch's n_hot most-accessed remote nodes, fills each later epoch's
+holds, whether a request pulls only the rows the table has never held,
+and whether a prefetcher runs the lookahead. `rapid` caches each
+epoch's n_hot most-accessed remote nodes, fills each later epoch's
 cache just before its first window, and gathers windows of Q =
-prefetch_depth batches. Its schedule holds the current hot set and as
-many more rows as the largest window misses: since the plan fixes every
-later request, it keeps the rows used soonest again (Belady's MIN), and
-each window and each later hot set pulls, in one request, only what it
-does not hold. The table keeps every row pulled, at most one per id the
-worker does not own.
+prefetch_depth batches; each window and each later hot set pulls, in
+one request, only the ids the table has never held, so each remote row
+is pulled once over the run, at most one per id the worker does not
+own.
 It runs the lookahead on a prefetcher's producer thread, at most Q+1
 batches ahead of the loop. `baseline` has a cache with no hot ids, so
-every remote row is a miss, and pulls each batch's misses on its own,
-on the worker's thread, as the loop reaches the batch. Both modes
-consume bit-identical feature rows in the same order, so they produce
-bit-identical parameter trajectories for the same plan. An epoch's
-columns sum its batches' cache hits and misses and the traffic of its
-lookahead items; a window's first item carries the window's pull, the
-others an empty account. A worker reads features only through its
-shard and its store client. It keeps its parameters at the end of each
+every remote row is a miss, and pulls each batch's remote rows on its
+own, every time, on the worker's thread, as the loop reaches the batch.
+Both modes consume bit-identical feature rows in the same order, so
+they produce bit-identical parameter trajectories for the same plan. An
+epoch's columns sum its batches' cache hits and misses and the traffic
+of its lookahead items; a window's first item carries the window's
+pull, the others an empty account. A worker reads features only through
+its shard and its store client. It keeps its parameters at the end of each
 epoch, and `run()` evaluates them once the workers join: once per
 distinct parameter set, not once per worker.
 """
@@ -68,7 +66,7 @@ from .partition import (PartitionBook, halo_expand, load_partition,
                         partition_edgecut, partition_random)
 # nothing here calls collect_access, but bench/layers.py wraps it by name
 from .plan import BatchPlan, collect_access, generate_plan
-from .prefetch import Lookahead, Prefetcher, assemble_bundle, min_pulls
+from .prefetch import Lookahead, Prefetcher, assemble_bundle
 from .rng import mix64
 from .store import (InprocTransport, StoreClient, StoreShard, TcpShardServer,
                     TcpTransport, TransferAccount)
@@ -247,70 +245,49 @@ def _lookahead(
     fill: TransferAccount | None = None,
 ) -> Iterator[Lookahead]:
     """One `Lookahead` per batch, in plan order, once `table` holds the
-    batch's cache misses: its remote input nodes outside the epoch's hot
-    set in `hot_sets`. With `carry`, each epoch e >= 1 first writes its
-    hot rows into `table`, charged to `fill`, and stages its hot set in
-    `fcache`.
+    batch's remote input rows. With `carry`, each epoch e >= 1 first
+    writes its hot rows from `hot_sets` into `table`, charged to `fill`,
+    and stages its hot set in `fcache`.
 
     Each epoch's batches go in windows of `window` consecutive batches;
-    a window never crosses an epoch boundary. Each window's misses, the
-    union of its batches', are served once, before the window's first
-    item: the rows the request pulls are written into `table`. With
-    `carry` the table starts with `fcache`'s hot set, epoch 0's, every
-    later hot set is a request too, and `min_pulls` says which ids each
-    request pulls: those outside the current hot set and the B rows
-    Belady's MIN keeps over the plan's requests, B the largest window's
-    miss count. Without `carry` every miss is pulled. A window's pull is
-    one sync pull (one RPC per owning shard with a new row), a fill's
-    one vector pull, and neither sends anything when no row is new. A
-    window's traffic is charged to its first batch; the others carry an
-    empty account.
+    a window never crosses an epoch boundary. A window's request, the
+    union of its batches' remote input ids, is served once, before the
+    window's first item, reading only that window's input sets. With
+    `carry` a request, a window's or a later hot set's, pulls only the
+    ids `table` has never held, so each row is pulled once over the run;
+    without it a request pulls all its ids. A window's pull is one sync
+    pull (one RPC per owning shard with a row to pull), a fill's one
+    vector pull, and neither sends anything when it has no row to pull.
+    A window's traffic is charged to its first batch; the others carry
+    an empty account.
     """
-    windows = [[range(first, min(first + window, n))
-                for first in range(0, n, window)]
-               for n in map(plan.num_batches, range(plan.epochs))]
     remote = book.owner != part
-    narrow = np.min_scalar_type(len(remote) - 1)
 
-    def reference_string() -> Iterator[tuple[np.ndarray, bool]]:
-        """Every request after H_0, in order, and whether it is a hot
-        set; window ids in the narrowest dtype, since `min_pulls` holds
-        all of them once it has read the string."""
-        for e in range(plan.epochs):
-            if carry and e > 0:
-                yield hot_sets[e], True
-            miss = remote.copy()  # epoch e's misses when a batch reads them
-            miss[hot_sets[e]] = False
-            for batches in windows[e]:
-                mark = np.zeros_like(miss)
-                for i in batches:
-                    mark[plan.input_sets[e][i]] = True
-                yield np.flatnonzero(mark & miss).astype(narrow), False
-
-    if carry:
-        pulls = min_pulls(reference_string(), fcache.hot_ids, len(remote))
-    else:
-        pulls = (ids for ids, _ in reference_string())
-
-    def serve(pull, account: TransferAccount) -> None:
-        """Write the rows the next request pulls, if it pulls any."""
-        new = next(pulls)
-        if len(new):
-            table.put(new, pull(new, account))
+    def serve(pull, ids: np.ndarray, account: TransferAccount) -> None:
+        """Write the rows the request for `ids` pulls, if it pulls any."""
+        if carry:
+            ids = table.missing(ids)
+        if len(ids):
+            table.put(ids, pull(ids, account))
 
     def fill_hot(e: int) -> np.ndarray:
-        serve(client.vector_pull, fill)
+        serve(client.vector_pull, hot_sets[e], fill)
         return hot_sets[e]
 
     for e in range(plan.epochs):
         if carry and e > 0 and fcache.start_secondary_build(
                 lambda: fill_hot(e)) is None:
             return  # the worker raises at this epoch's swap
-        for batches in windows[e]:
-            account = TransferAccount()
-            serve(client.sync_pull, account)
+        n = plan.num_batches(e)
+        for first in range(0, n, window):
+            batches = range(first, min(first + window, n))
+            mark = np.zeros_like(remote)
             for i in batches:
-                yield Lookahead(e, i, account if i == batches[0]
+                mark[plan.input_sets[e][i]] = True
+            account = TransferAccount()
+            serve(client.sync_pull, np.flatnonzero(mark & remote), account)
+            for i in batches:
+                yield Lookahead(e, i, account if i == first
                                 else TransferAccount())
 
 
@@ -330,12 +307,12 @@ def _run_worker(
 
     Each batch trains on the plan's stored block, so the worker samples
     nothing, and reads its remote rows from the row table, where the
-    lookahead wrote them, once each, before the batch's `Lookahead`. In
+    lookahead wrote each of them once, before the batch's `Lookahead`. In
     rapid mode each epoch e >= 1 starts, inside its timed region, by
     swapping in the hot set the lookahead's producer staged for it,
     empty when the hot sets are; only the producer writes `fill` until
-    `pf.close()`. The lookahead gathered e's misses for e's hot set, so
-    a failed fill raises.
+    `pf.close()`. The lookahead stops at a failed fill, whose hot set
+    e's hit and miss counts need, and the swap raises.
 
     The worker reads features only through `shard` and `client`. It
     evaluates nothing: each record's `train_acc` is NaN until `run()`

@@ -1,5 +1,3 @@
-import bisect
-
 import numpy as np
 import pytest
 
@@ -77,39 +75,3 @@ def two_cliques(size: int = 6):
             edges.append((size + a, size + b))
     return from_edge_list(2 * size, edges)
 
-
-def min_carry(requests, fills, first_hot, capacity: int):
-    """Reference model of a carry store run by Belady's MIN, in plain set
-    operations: per request, the ids it pulls.
-
-    `requests` is the reference string after the first hot set
-    `first_hot`; `fills[t]` says whether request t is a hot set. A
-    window copies what the store holds, a fill also what the previous
-    hot set holds. The store then keeps the `capacity` ids used soonest
-    again, ties to the lower id, out of its own, the window's or, at a
-    fill, the previous hot set's less the new one, and never an id no
-    later request names.
-    """
-    sets = [set(map(int, r)) for r in requests]
-    uses: dict[int, list[int]] = {}
-    for t, r in enumerate(sets):
-        for x in r:
-            uses.setdefault(x, []).append(t)
-
-    def next_use(x, t):
-        later = uses.get(x, [])
-        i = bisect.bisect_right(later, t)
-        return later[i] if i < len(later) else None
-
-    held, hot = set(), set(map(int, first_hot))
-    pulled = []
-    for t, r in enumerate(sets):
-        if fills[t]:
-            pulled.append(r - held - hot)
-            pool, hot = (held | hot) - r, r
-        else:
-            pulled.append(r - held)
-            pool = held | r
-        live = sorted((u, x) for x in pool if (u := next_use(x, t)) is not None)
-        held = {x for _, x in live[:capacity]}
-    return pulled

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import edge_ids, min_carry, record_criterion
+from conftest import edge_ids, record_criterion
 from gnnpipe import wire
 from gnnpipe.cache import RowTable, build_steady
 from gnnpipe.graph import from_edge_list, synth_powerlaw
@@ -82,9 +82,9 @@ class PlanOracle:
     id. Rapid gathers the cache misses of w consecutive batches at once,
     never across an epoch boundary: window j misses U_j, the union of
     its R_b minus H_e. Its requests after H_0 form one string: each
-    later H_e, then the epoch's U_j. A carry store of B rows, B the
-    largest |U_j|, serves them by Belady's MIN (`min_carry`): a request
-    pulls only what the store, and at a fill H_{e-1}, does not hold.
+    later H_e, then the epoch's U_j. Each request pulls only the ids
+    that neither H_0 nor an earlier request named: each row is pulled
+    once, by the first request that names it.
     Baseline (w = 1, no cache, no carry) pulls every row of every R_b.
     Without the carry a window pulls all of U_j; at w = 1 a per-epoch
     cache of n_hot rows then saves at most the n_hot largest per-node
@@ -104,8 +104,7 @@ class PlanOracle:
         self.remote_rows = []  # [part][epoch] -> sum over b of |R_b|
         self.num_remote = []  # [part] -> size of the whole-plan remote set
         self._freq = []  # [part][epoch] -> (ids, batch-appearance counts)
-        self._min = {}  # (part, label, w) -> (window rows per epoch, fill rows)
-        self._carried = {}  # (part, label, w) -> rows pulled per epoch
+        self._pulls = {}  # (part, label, w) -> (window rows per epoch, fill rows)
         for p in range(cfg.partitions):
             sets = [[ids[owner[ids] != p] for ids in plan.input_sets[e]]
                     for e in range(plan.epochs)]
@@ -157,47 +156,33 @@ class PlanOracle:
                 epochs.append(e)
         return requests, fills, epochs, hot[0]
 
-    def _carry(self, part: int, label: str, w: int):
-        """Rows the MIN carry store pulls in windows of w batches, per
-        epoch, and in the cache fills, H_0's included."""
+    def _first_touch(self, part: int, label: str, w: int):
+        """Rows pulled in windows of w batches, per epoch, and in the
+        cache fills, H_0's included, when each request pulls only the
+        ids no earlier request named."""
         key = (part, label, w)
-        if key not in self._min:
+        if key not in self._pulls:
             requests, fills, epochs, hot0 = self._string(part, label, w)
-            capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
-            pulled = min_carry(requests, fills, hot0, capacity)
-            windows = [0] * len(self.batches)
-            for e, fill, ids in zip(epochs, fills, pulled):
-                windows[e] += 0 if fill else len(ids)
-            fill_rows = len(hot0) + sum(len(ids) for fill, ids in
-                                          zip(fills, pulled) if fill)
-            self._min[key] = (windows, fill_rows)
-        return self._min[key]
+            windows, fill_rows = [0] * len(self.batches), len(hot0)
+            seen = set(hot0.tolist())
+            for e, fill, ids in zip(epochs, fills, requests):
+                new = set(ids.tolist()) - seen
+                seen |= new
+                if fill:
+                    fill_rows += len(new)
+                else:
+                    windows[e] += len(new)
+            self._pulls[key] = (windows, fill_rows)
+        return self._pulls[key]
 
     def pulled(self, part: int, epoch: int, label: str, w: int) -> int:
-        """Rows the MIN carry store pulls in the epoch's windows of w
+        """Rows the first touches pull in the epoch's windows of w
         batches past H_e."""
-        return self._carry(part, label, w)[0][epoch]
+        return self._first_touch(part, label, w)[0][epoch]
 
     def fill_rows(self, part: int, label: str, w: int) -> int:
-        """Rows the cache fills pull over the run, with MIN carry."""
-        return self._carry(part, label, w)[1]
-
-    def carry_over(self, part: int, epoch: int, label: str, w: int) -> int:
-        """For comparison only: rows pulled in windows of w batches past
-        H_e when each window copies only what the previous window and
-        its hot set hold."""
-        key = (part, label, w)
-        if key not in self._carried:
-            counts, held = [], np.empty(0, dtype=np.int64)
-            for e in range(len(self.batches)):
-                hot = self._top(part, e, label)[0]
-                n = 0
-                for u in self._misses(part, e, label, w):
-                    n += len(np.setdiff1d(u, held))
-                    held = np.union1d(u, hot)
-                counts.append(n)
-            self._carried[key] = counts
-        return self._carried[key][epoch]
+        """Rows the cache fills pull over the run, by first touch."""
+        return self._first_touch(part, label, w)[1]
 
     def floor(self, part: int, label: str, w: int) -> int:
         """Distinct remote ids that H_0 does not hold and that a window
@@ -302,23 +287,21 @@ def test_criterion_04_traffic_reduction(oracle, rapid_a, baseline, hot_sweep):
         ok = ok and got_base == want_base and got_rapid == want_rapid
         ok = ok and got_rapid < got_base
         lines.append(
-            f"w{p} e{e}: rapid {got_rapid} (MIN carry count {want_rapid} in "
-            f"windows of {depth}; carry-over from the previous window "
-            f"{oracle.carry_over(p, e, '15%', depth)}; "
-            f"{oracle.windowed(p, e, '15%', depth)} carrying nothing), "
-            f"baseline {got_base} (sum |R_b| {want_base}), rapid/baseline "
-            f"{got_rapid / max(got_base, 1):.3f}, reuse cap n_hot*B/sum|R_b| "
-            f"{oracle.cap(p, e, '15%'):.4f}")
+            f"w{p} e{e}: rapid {got_rapid} (first-touch count {want_rapid} in "
+            f"windows of {depth}; {oracle.windowed(p, e, '15%', depth)} "
+            f"carrying nothing), baseline {got_base} (sum |R_b| {want_base}), "
+            f"rapid/baseline {got_rapid / max(got_base, 1):.3f}, reuse cap "
+            f"n_hot*B/sum|R_b| {oracle.cap(p, e, '15%'):.4f}")
     for p in range(len(rapid)):
         got = sum(rec.nodes_pulled for rec in rapid[p].records)
         floor = oracle.floor(p, "15%", depth)
         fills = rapid[p].cache_fill.nodes_pulled
         want_fills = oracle.fill_rows(p, "15%", depth)
-        ok = ok and got >= floor and fills == want_fills
+        ok = ok and got == floor and fills == want_fills
         ok = ok and base[p].cache_fill.nodes_pulled == 0
         lines.append(f"w{p}: rapid {got} over the run, compulsory floor "
                      f"{floor} (ids a window asks for first); cache fills "
-                     f"{fills} (MIN carry count {want_fills})")
+                     f"{fills} (first-touch count {want_fills})")
     totals = {k: sum(rec.nodes_pulled for r in res for rec in r.records)
               for k, res in hot_sweep.items()}
     want = {k: sum(oracle.pulled(p, e, k, depth) for p, e in oracle.cells())
@@ -327,18 +310,17 @@ def test_criterion_04_traffic_reduction(oracle, rapid_a, baseline, hot_sweep):
                    for k, res in hot_sweep.items()}
     want_fills = {k: sum(oracle.fill_rows(p, k, depth)
                          for p in range(len(rapid))) for k in HOT_SIZES}
-    carried = {k: sum(oracle.carry_over(p, e, k, depth) for p, e in oracle.cells())
-               for k in HOT_SIZES}
     ok = ok and totals == want and fill_totals == want_fills
     sizes = list(HOT_SIZES)
     ok = ok and all(totals[a] >= totals[b] for a, b in zip(sizes, sizes[1:]))
     assert record_criterion(
-        4, "traffic: baseline pulls every remote row, rapid pulls exactly "
-        "the MIN carry count for its windows and fills, below baseline and "
-        "above the compulsory floor, hot-set sweep monotone", ok), "\n".join(
-            lines + [f"sweep window totals {totals}, MIN carry counts {want}, "
-                     f"carry-over counts {carried}; fill totals "
-                     f"{fill_totals}, MIN carry counts {want_fills}"])
+        4, "traffic: baseline pulls every remote row, rapid pulls each row "
+        "once, by its first request, for its windows and fills, below "
+        "baseline and at the compulsory floor, hot-set sweep monotone",
+        ok), "\n".join(
+            lines + [f"sweep window totals {totals}, first-touch counts "
+                     f"{want}; fill totals {fill_totals}, first-touch counts "
+                     f"{want_fills}"])
 
 
 def test_criterion_05_reuse_ratio(oracle, hot_sweep):

@@ -70,6 +70,25 @@ class TestRowTable:
         assert table.take(np.array([3, 8])).tobytes() == feats[[3, 8]].tobytes()
         assert table.take(np.array([1])).tobytes() == (-feats[[1]]).tobytes()
 
+    def test_missing_names_the_rows_never_written(self):
+        feats, _, table = make_client()
+        table.put(np.array([3, 8]), feats[[3, 8]])
+        assert table.missing(np.array([8, 1, 3, 5])).tolist() == [1, 5]
+        assert table.missing(np.array([3, 8])).tolist() == []
+
+    def test_owned_ids_rejected(self):
+        # id 1 is owned, so it has no row; before the check, its rank was
+        # id 0's and its write landed in id 0's row
+        table = RowTable(np.array([True, False, True]), 1)
+        table.put(np.array([0]), np.array([[1.0]], dtype=np.float32))
+        for call in (lambda: table.put(np.array([1]),
+                                       np.array([[5.0]], dtype=np.float32)),
+                     lambda: table.missing(np.array([2, 1]))):
+            with pytest.raises(ValueError, match="id 1 is owned"):
+                call()
+        assert table.take(np.array([0])).tolist() == [[1.0]]
+        assert table.missing(np.array([0, 2])).tolist() == [2]
+
 
 @pytest.fixture()
 def pipeline(small_graph):

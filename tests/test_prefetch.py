@@ -1,21 +1,15 @@
-import functools
-import itertools
 import sys
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from conftest import min_carry
 from gnnpipe.cache import (FeatureCache, RowTable, build_steady,
                            epoch_hot_sets)
 from gnnpipe.partition import PartitionBook, partition_edgecut
 from gnnpipe.plan import generate_plan
-from gnnpipe.prefetch import (PrefetchError, Prefetcher, assemble_bundle,
-                              min_pulls)
+from gnnpipe.prefetch import PrefetchError, Prefetcher, assemble_bundle
 from gnnpipe.store import (InprocTransport, StoreClient, StoreShard,
                            TransferAccount)
 from gnnpipe.train import _lookahead
@@ -167,70 +161,28 @@ class TestAssembleBundle:
 
 
 class RecordingClient:
-    """Forwards pulls to `client`, recording the ids of each request, and
-    of each fill's request in `fills`."""
+    """Forwards pulls to `client`, recording the ids of each request, of
+    each fill's request in `fills`, and of both, in order, in `sent`."""
 
     def __init__(self, client):
         self.client, self.feat_dim = client, client.feat_dim
-        self.requests, self.fills = [], []
+        self.requests, self.fills, self.sent = [], [], []
 
     def sync_pull(self, ids, account=None):
         self.requests.append(np.array(ids))
+        self.sent.append(self.requests[-1])
         return self.client.sync_pull(ids, account)
 
     def vector_pull(self, ids, account=None):
         self.fills.append(np.array(ids))
+        self.sent.append(self.fills[-1])
         return self.client.vector_pull(ids, account)
 
 
-def brute_force_pulls(requests, fills, first_hot, capacity: int) -> int:
-    """The fewest rows any store of `capacity` rows pulls over `requests`,
-    by exhaustive search over every set it could keep after each request:
-    any rows it holds, the request's or, at a fill, the previous hot
-    set's."""
-    sets = [frozenset(r) for r in requests]
-    hots, hot = [], frozenset(first_hot)  # the hot set before each request
-    for r, fill in zip(sets, fills):
-        hots.append(hot)
-        hot = r if fill else hot
-
-    @functools.cache
-    def fewest(t, held):
-        if t == len(sets):
-            return 0
-        lent = hots[t] if fills[t] else frozenset()
-        pool = sorted(held | sets[t] | lent)
-        return len(sets[t] - held - lent) + min(
-            fewest(t + 1, frozenset(keep))
-            for k in range(min(capacity, len(pool)) + 1)
-            for keep in itertools.combinations(pool, k))
-
-    return fewest(0, frozenset())
-
-
-@st.composite
-def reference_strings(draw):
-    """(num ids, H_0, requests, fills): epochs of a hot set, a fill for
-    each after the first, then one to three windows of misses outside it."""
-    n = draw(st.integers(1, 6))
-    some = st.frozensets(st.integers(0, n - 1))
-    hot = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=2),
-                        min_size=1, max_size=3))
-    requests, fills = [], []
-    for e, h in enumerate(hot):
-        if e:
-            requests.append(h)
-            fills.append(True)
-        for miss in draw(st.lists(some, min_size=1, max_size=3)):
-            requests.append(miss - h)
-            fills.append(False)
-    return n, hot[0], requests, fills
-
-
-def serve(table, pulls, pull, account=None):
-    """Write the rows the next request pulls into `table`, as the
-    lookahead does; returns the ids pulled."""
-    new = next(pulls)
+def serve(table, ids, pull, account=None):
+    """Write the rows of `ids` that `table` has never held, as a rapid
+    request does; returns the ids pulled."""
+    new = table.missing(ids)
     if len(new):
         table.put(new, pull(new, account))
     return new
@@ -257,7 +209,7 @@ class RecordingPlan:
             return self.sets[i]
 
 
-class TestMinPulls:
+class TestPullOnce:
     def remote(self, setup, e, i):
         g, plan, book, owner, shard, client = setup
         ids = np.unique(plan.input_sets[e][i])
@@ -265,31 +217,23 @@ class TestMinPulls:
 
     def test_window_pulls_only_what_is_not_held(self, setup):
         g, plan, book, owner, shard, client = setup
-        hot = self.remote(setup, 0, 0)[::4]
-        first = np.setdiff1d(self.remote(setup, 0, 1), hot)
-        second = np.setdiff1d(np.union1d(self.remote(setup, 0, 2),
-                                         self.remote(setup, 0, 3)), hot)
-        assert len(second) > len(first)
+        first = self.remote(setup, 0, 1)
+        second = np.union1d(self.remote(setup, 0, 2), self.remote(setup, 0, 3))
         assert len(np.setdiff1d(first, second))
-        # `first` again last: B = |second| rows cannot hold both windows
-        pulls = min_pulls([(first, False), (second, False), (second, False),
-                           (first, False)], np.empty(0, np.int64), len(owner))
         table = RowTable(owner != 0, g.feat_dim)
-        assert np.array_equal(serve(table, pulls, client.sync_pull), first)
+        assert np.array_equal(serve(table, first, client.sync_pull), first)
         rec, acct = RecordingClient(client), TransferAccount()
-        serve(table, pulls, rec.sync_pull, acct)
+        serve(table, second, rec.sync_pull, acct)
         assert table.take(second).tobytes() == g.features[second].tobytes()
-        # the rows of `first` used again, and no other, were kept
+        # only the rows of `second` the table never held were pulled
         want = np.setdiff1d(second, first)
         assert 0 < len(want) < len(second)
         (asked,) = rec.requests
         assert np.array_equal(asked, want)
         assert acct.snapshot() == (1, len(want), len(want) * g.feat_dim * 4)
-        assert len(serve(table, pulls, client.sync_pull)) == 0
-        # `second`, used sooner, pushed out the rest of `first`, so the
-        # last request pulls those rows again
-        again = serve(table, pulls, client.sync_pull)
-        assert np.array_equal(again, np.setdiff1d(first, second))
+        # every row stays, so asking for either window again pulls nothing
+        assert len(serve(table, second, client.sync_pull)) == 0
+        assert len(serve(table, first, client.sync_pull)) == 0
         assert table.take(first).tobytes() == g.features[first].tobytes()
 
     def test_fill_takes_held_and_old_hot_rows(self, setup):
@@ -298,13 +242,11 @@ class TestMinPulls:
         # a window holds the first half, the old hot set the rest
         half = len(misses) // 2
         old_hot = misses[half:]
-        pulls = min_pulls([(misses[:half], False), (misses, True)], old_hot,
-                          len(owner))
         table = RowTable(owner != 0, g.feat_dim)
         table.put(old_hot, g.features[old_hot])
-        serve(table, pulls, client.sync_pull)
+        serve(table, misses[:half], client.sync_pull)
         rec, acct = RecordingClient(client), TransferAccount()
-        assert len(serve(table, pulls, rec.vector_pull, acct)) == 0
+        assert len(serve(table, misses, rec.vector_pull, acct)) == 0
         assert np.array_equal(table.take(misses), g.features[misses])
         assert rec.fills == []
         assert acct.snapshot() == (0, 0, 0)
@@ -312,38 +254,17 @@ class TestMinPulls:
     def test_all_held_sends_nothing(self, setup):
         g, plan, book, owner, shard, client = setup
         misses = self.remote(setup, 0, 0)
-        pulls = min_pulls([(misses, False), (misses, False)],
-                          np.empty(0, np.int64), len(owner))
         table = RowTable(owner != 0, g.feat_dim)
-        serve(table, pulls, client.sync_pull)
+        serve(table, misses, client.sync_pull)
         first = table.take(misses)
         rec, acct = RecordingClient(client), TransferAccount()
-        serve(table, pulls, rec.sync_pull, acct)
+        serve(table, misses, rec.sync_pull, acct)
         assert rec.requests == [] and acct.snapshot() == (0, 0, 0)
         assert np.array_equal(table.take(misses), first)
 
-    def test_reads_the_string_only_after_the_first_request(self, setup):
-        # the first request's ids come before the schedule plans
-        g, plan, book, owner, shard, client = setup
-        requests = [(self.remote(setup, 0, i), False) for i in range(4)]
-        read = []
-
-        def string():
-            for request in requests:
-                read.append(request)
-                yield request
-
-        pulls = min_pulls(string(), np.empty(0, np.int64), len(owner))
-        assert read == []
-        next(pulls)
-        assert len(read) == 1
-        next(pulls)
-        assert len(read) == 4
-
     @pytest.mark.parametrize("carry", [True, False])
     def test_lookahead_reads_the_plan_lazily(self, setup, carry):
-        # rapid plans the whole string at its second window; baseline
-        # reads one window at a time
+        # both modes read one window's input sets at a time
         g, plan, book, owner, shard, client = setup
         window = 3 if carry else 1
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: 20)
@@ -352,15 +273,13 @@ class TestMinPulls:
         items = _lookahead(rec, book, 0, client,
                            build_steady(hot_sets[0], client, table), table,
                            hot_sets, window, carry)
-        everything = {(e, i) for e in range(plan.epochs)
-                      for i in range(plan.num_batches(e))}
+        assert 2 * window <= plan.num_batches(0)
         assert rec.read == set()
         next(items)
         assert rec.read == {(0, i) for i in range(window)}
         for _ in range(window):
             next(items)
-        assert rec.read == (everything if carry
-                            else {(0, i) for i in range(window + 1)})
+        assert rec.read == {(0, i) for i in range(2 * window)}
 
     def test_rows_taken_are_a_copy(self, setup):
         # writing the rows taken leaves the table's
@@ -381,46 +300,13 @@ class TestMinPulls:
         with pytest.raises(LookupError, match=f"first id {ids[0]}"):
             table.take(ids)
 
-    @settings(max_examples=300, deadline=None)
-    @given(reference_strings())
-    # all hot sets empty; no request names a row (one partition)
-    @example((4, frozenset(), [frozenset({0, 1}), frozenset(), frozenset({1, 2}),
-                               frozenset({0})], [False, True, False, False]))
-    @example((2, frozenset(), [frozenset(), frozenset()], [False, False]))
-    # a tie at the cut: after {2}, B = 2 keeps 2 and the lower of 0 and 1,
-    # so the last request pulls only 1
-    @example((3, frozenset(), [frozenset({0, 1}), frozenset({2}), frozenset({2}),
-                               frozenset({0, 1})], [False] * 4))
-    def test_pulls_the_fewest_rows(self, case):
-        # per request: the rows of the shard, the ids min_carry pulls in
-        # at most one pull; over the string, the brute-force optimum
-        n, first_hot, requests, fills = case
-        features = np.arange(2 * n, dtype=np.float32).reshape(n, 2)
-        capacity = max((len(r) for r, fill in zip(requests, fills) if not fill),
-                       default=0)
-        arrays = [np.array(sorted(r), dtype=np.int64) for r in requests]
-        h0 = np.array(sorted(first_hot), dtype=np.int64)
-        pulls = min_pulls(zip(arrays, fills), h0, n)
-        table = RowTable(np.ones(n, dtype=bool), 2)
-        table.put(h0, features[h0])
-        want_pulled = min_carry(requests, fills, first_hot, capacity)
-        asked = []
-
-        def pull(ids, account=None):
-            asked.append(ids.tolist())
-            return features[ids]
-
-        for ids, want in zip(arrays, want_pulled):
-            n_asked = len(asked)
-            serve(table, pulls, pull)
-            assert table.take(ids).tobytes() == features[ids].tobytes()
-            assert asked[n_asked:] == ([sorted(want)] if want else [])
-        assert next(pulls, None) is None
-        assert sum(map(len, asked)) == brute_force_pulls(
-            requests, fills, first_hot, capacity)
-
     @pytest.mark.parametrize("depth, n_hot", [(1, 20), (3, 20), (3, 0)])
-    def test_lookahead_pulls_what_min_carry_pulls(self, setup, depth, n_hot):
+    def test_lookahead_pulls_each_row_once(self, setup, depth, n_hot):
+        # no id is pulled twice, and the ids pulled, with H_0's, are the
+        # distinct remote ids of the batches' input sets and hot sets,
+        # each pulled by the first request that names it: each later
+        # hot set, then the epoch's windows, the union of their batches'
+        # remote inputs
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: n_hot)
         table = remote_table(book, g.feat_dim)
@@ -433,24 +319,32 @@ class TestMinPulls:
             miss = batch_misses(plan, owner, hot_sets, la)
             assert table.take(miss).tobytes() == g.features[miss].tobytes()
             items.append(la)
-        requests, fills = [], []
+        requests = []  # (is a fill, ids), in the order they are served
         for e in range(plan.epochs):
             if e:
-                requests.append(hot_sets[e])
-                fills.append(True)
+                requests.append((True, hot_sets[e]))
             for first in range(0, plan.num_batches(e), depth):
                 ids = np.unique(np.concatenate(
                     plan.input_sets[e][first:first + depth]))
-                requests.append(np.setdiff1d(ids[owner[ids] != 0], hot_sets[e]))
-                fills.append(False)
-        capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
-        pulled = min_carry(requests, fills, hot_sets[0], capacity)
-        want = [sorted(p) for p, fill in zip(pulled, fills) if not fill and p]
-        assert [r.tolist() for r in rec.requests] == want
-        want = [sorted(p) for p, fill in zip(pulled, fills) if fill and p]
-        assert [r.tolist() for r in rec.fills] == want
+                requests.append((False, ids[owner[ids] != 0]))
+        seen, want = set(hot_sets[0].tolist()), []
+        for fill, ids in requests:
+            new = sorted(set(ids.tolist()) - seen)
+            seen |= set(new)
+            if new:
+                want.append((fill, new))
+        assert [r.tolist() for r in rec.sent] == [ids for _, ids in want]
+        assert [r.tolist() for r in rec.fills] == [
+            ids for fill, ids in want if fill]
+        pulled = np.concatenate([hot_sets[0], *rec.sent])
+        assert len(np.unique(pulled)) == len(pulled)
+        every = np.unique(np.concatenate(
+            [*hot_sets, *(ids for e in range(plan.epochs)
+                          for ids in plan.input_sets[e])]))
+        assert np.array_equal(np.sort(pulled), every[owner[every] != 0])
         assert sum(la.account.nodes_pulled for la in items) == sum(
-            len(p) for p, fill in zip(pulled, fills) if not fill)
+            len(ids) for fill, ids in want if not fill)
+        assert np.array_equal(table.missing(every[owner[every] != 0]), [])
 
     def test_one_partition_sends_nothing(self, setup):
         g, plan, book, owner, shard, client = setup
@@ -471,11 +365,11 @@ class TestLookaheadStream:
 
     def items(self, setup, window, carry=False, assemble=False):
         """The hot sets and every lookahead item, in order, checking that
-        each batch's misses are in the table, with the shard's rows, once
-        its item comes. With `assemble`, each item gives way to its block
-        and the bundle assembled as it comes, against a cache of its
-        epoch's hot set; the table is given every epoch's hot rows first,
-        since without `carry` the lookahead writes none after H_0's."""
+        each batch's remote inputs, its misses among them, are in the
+        table, with the shard's rows, once its item comes. With
+        `assemble`, each item gives way to its block and the bundle
+        assembled as it comes, against a cache of its epoch's hot set,
+        each cache writing its hot rows into the table first."""
         g, plan, book, owner, shard, client = setup
         hot_sets = epoch_hot_sets(plan, book, 0, lambda num_remote: self.N_HOT)
         table = remote_table(book, g.feat_dim)
@@ -486,6 +380,9 @@ class TestLookaheadStream:
                              hot_sets, window, carry):
             miss = batch_misses(plan, owner, hot_sets, la)
             assert table.take(miss).tobytes() == g.features[miss].tobytes()
+            ids = plan.input_sets[la.epoch][la.batch]
+            remote = ids[owner[ids] != 0]
+            assert table.take(remote).tobytes() == g.features[remote].tobytes()
             if assemble:
                 block = plan.block(la.epoch, la.batch)
                 la = block, assemble_bundle(block, owner, 0, shard,

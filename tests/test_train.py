@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import min_carry
 from gnnpipe import cache, model, plan, train, wire
 from gnnpipe.graph import Graph, save_graph, synth_powerlaw
 from gnnpipe.partition import PartitionBook, partition_edgecut, save_partition
@@ -146,9 +145,9 @@ def window_sizes(cfg) -> list[int]:
 def request_shards(cfg, part: int) -> list[tuple[set[int], list[set[int]]]]:
     """Per epoch of worker `part`'s rapid run, the shards its cache fill
     sends a request and, per window, the shards the window sends one:
-    the owners of the rows that a MIN carry store (`min_carry`), and at
-    a fill the previous hot set, do not hold. Epoch 0's fill, on the
-    worker's own thread, pulls its whole hot set."""
+    the owners of the ids that no earlier request named, since each row
+    is pulled by the first request that names it. Epoch 0's fill, on
+    the worker's own thread, pulls its whole hot set."""
     g = synth_powerlaw(cfg.gen_nodes, cfg.gen_edges_per_node, cfg.feat_dim,
                        cfg.num_classes, cfg.s0)
     book = partition_edgecut(g, cfg.partitions)
@@ -156,27 +155,21 @@ def request_shards(cfg, part: int) -> list[tuple[set[int], list[set[int]]]]:
                            cfg.batch_size, cfg.epochs, cfg.s0)
     n_hot = resolve_n_hot(cfg, len(plan.collect_access(p, book, part)))
     hot_sets = cache.epoch_hot_sets(p, book, part, lambda _: n_hot)
-    q, requests, fills, epochs = cfg.prefetch_depth, [], [], []
+    seen = np.zeros(g.num_nodes, dtype=bool)
+
+    def owners(ids) -> set[int]:
+        """The owners of the `ids` not seen before; marks them seen."""
+        new = ids[~seen[ids]]
+        seen[new] = True
+        return set(book.owner[new].tolist())
+
+    out = []
     for e, hot in enumerate(hot_sets):
-        if e and n_hot:
-            requests.append(hot)
-            fills.append(True)
-            epochs.append(e)
-        for first in range(0, p.num_batches(e), q):
-            ids = np.unique(np.concatenate(p.input_sets[e][first:first + q]))
-            requests.append(np.setdiff1d(ids[book.owner[ids] != part], hot))
-            fills.append(False)
-            epochs.append(e)
-    capacity = max(len(r) for r, fill in zip(requests, fills) if not fill)
-    pulled = min_carry(requests, fills, hot_sets[0], capacity)
-    out = [(set(book.owner[hot_sets[0]].tolist()), [])]
-    out += [(set(), []) for _ in range(1, cfg.epochs)]
-    for e, fill, ids in zip(epochs, fills, pulled):
-        shards = set(book.owner[sorted(ids)].tolist())
-        if fill:
-            out[e] = (shards, out[e][1])
-        else:
-            out[e][1].append(shards)
+        out.append((owners(hot), []))
+        for first in range(0, p.num_batches(e), cfg.prefetch_depth):
+            ids = np.unique(np.concatenate(
+                p.input_sets[e][first:first + cfg.prefetch_depth]))
+            out[e][1].append(owners(ids[book.owner[ids] != part]))
     return out
 
 
@@ -591,20 +584,11 @@ class TestRun:
         put = cache.RowTable.put
 
         def put_spy(self, ids, rows):
-            # each row is written once: a row pulled again has the bytes
-            # of the row the table holds, and is dropped, so writing NaN
-            # in its place changes no row held
+            # each row is pulled once: no put names a row the table holds,
+            # and every row put is there with the bytes pulled
             puts.setdefault(self, []).append(threading.current_thread())
-            held = np.flatnonzero(self._written)
-            before = self._rows[self._rank[held]].copy()
-            again = self._written[ids]
-            repulled.append(np.count_nonzero(again))
-            assert (rows[again].tobytes()
-                    == self._rows[self._rank[ids[again]]].tobytes())
-            poisoned = rows.copy()
-            poisoned[again] = np.nan
-            put(self, ids, poisoned)
-            assert self._rows[self._rank[held]].tobytes() == before.tobytes()
+            repulled.append(np.count_nonzero(self._written[ids]))
+            put(self, ids, rows)
             assert take(self, ids).tobytes() == rows.tobytes()
 
         monkeypatch.setattr(cache.RowTable, "take", take_spy)
@@ -627,7 +611,7 @@ class TestRun:
         for by in puts.values():
             assert by[0] in owners and len(by) > 1
             assert set(by[1:]) == {producer_of[by[0]]}
-        assert sum(repulled) > 0
+        assert sum(repulled) == 0
         # each worker fills its cache once on its own thread; then its
         # producer alone pulls, in plan order: before each later epoch's
         # first window that epoch's cache fill, then the epoch's windows,
@@ -652,8 +636,9 @@ class TestRun:
 
     def test_failed_run_leaves_no_thread(self, monkeypatch):
         # the loop fails at epoch 0's last batch while worker 0's producer
-        # is in epoch 1's slow cache fill; at depth 1 that fill pulls a row
-        cfg = small_cfg(mode="rapid", prefetch_depth=1)
+        # is in epoch 1's slow cache fill; at fanouts 1,1 that fill pulls
+        # a row
+        cfg = small_cfg(mode="rapid", prefetch_depth=1, fanouts=[1, 1])
         assert request_shards(cfg, 0)[1][0]
         last = batches_per_epoch(cfg) - 1
         in_fill = threading.Event()
@@ -685,8 +670,9 @@ class TestRun:
     def test_failed_cache_fill_fails_rapid_run(self, monkeypatch):
         # the lookahead pulls each epoch's misses for the hot set the plan
         # gives it, so a fill that cannot install that set ends the run;
-        # at depth 1 worker 0's epoch 1 fill pulls a row, worker 1's none
-        cfg = small_cfg(mode="rapid", prefetch_depth=1)
+        # at fanouts 1,1 worker 0's epoch 1 fill pulls a row, worker 1's
+        # none
+        cfg = small_cfg(mode="rapid", prefetch_depth=1, fanouts=[1, 1])
         assert request_shards(cfg, 0)[1][0] and not request_shards(cfg, 1)[1][0]
         pull = StoreClient.vector_pull
         filled = set()
@@ -868,11 +854,12 @@ class TestRun:
     def test_dying_shard_fails_rapid_run(self, monkeypatch):
         # only worker 0's producer sync-pulls from shard 1, in plan order,
         # so refusing sync pulls alone fixes which request fails first;
-        # the cache fills' vector pulls are served throughout
+        # the cache fills' vector pulls are served throughout; at fanouts
+        # 1,1 windows of every epoch pull a row from it
         served = kill_shard_after(monkeypatch, part=1, n=5,
                                   refuse={wire.MSG_SYNC_PULL})
         before = set(threading.enumerate())
-        cfg = small_cfg(mode="rapid", transport="tcp")
+        cfg = small_cfg(mode="rapid", transport="tcp", fanouts=[1, 1])
         with pytest.raises(PrefetchError) as exc:
             run(cfg)
         assert isinstance(exc.value.__cause__, TransportError)
@@ -891,9 +878,10 @@ class TestRun:
     def test_dying_shard_fails_rapid_cache_fill(self, monkeypatch):
         # shard 1 serves worker 0's steady fill, then refuses every vector
         # pull: the first later fill that needs a row from it fails and
-        # the swap at its epoch's start ends the run. At small_cfg's depth
-        # no later fill needs a new row; at depth 1 one does.
-        cfg = small_cfg(mode="rapid", transport="tcp", prefetch_depth=1)
+        # the swap at its epoch's start ends the run. At small_cfg's
+        # fanouts no later fill needs a new row; at fanouts 1,1 one does.
+        cfg = small_cfg(mode="rapid", transport="tcp", prefetch_depth=1,
+                        fanouts=[1, 1])
         e = next(e for e, (fill, _) in enumerate(request_shards(cfg, 0))
                  if e and 1 in fill)
         kill_shard_after(monkeypatch, part=1, n=1, refuse={wire.MSG_VECTOR_PULL})
@@ -913,9 +901,11 @@ class TestRun:
         # sends it any: its first cache fill on its own thread, then from
         # its producer, in plan order, each later epoch's fill and each
         # window pull that needs a row from it, so the same request
-        # always fails first. At depth 1 epoch 1's fill needs one.
+        # always fails first. At depth 1 and fanouts 1,1 epoch 1's fill
+        # needs one.
         served = kill_shard_after(monkeypatch, part=1, n=n, refuse=None)
-        cfg = small_cfg(mode="rapid", transport="tcp", prefetch_depth=1)
+        cfg = small_cfg(mode="rapid", transport="tcp", prefetch_depth=1,
+                        fanouts=[1, 1])
         windows = window_sizes(cfg)
         requests = request_shards(cfg, 0)
         shards = [s for _, epoch in requests for s in epoch]
